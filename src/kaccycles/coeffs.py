@@ -180,16 +180,6 @@ def trig_moment_even_row(m: int) -> np.ndarray:
     return 2.0 * math.pi * np.exp(ln)
 
 
-def trig_moment_ratio_exact(k: int, m: int) -> Fraction:
-    """Exact rational a_{k,m} / (2 pi) (oracle)."""
-    if k < 0 or m < 0 or k > 2 * m + 2:
-        raise DomainError("trig_moment needs 0 <= k <= 2m+2")
-    if k % 2 == 1:
-        return Fraction(0)
-    return Fraction(exact_double_factorial(2 * m - k + 1) * exact_double_factorial(k - 1),
-                    exact_double_factorial(2 * m + 2))
-
-
 # ---------------------------------------------------------------------------
 # variances
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .coeffs import CoeffScheme, coeff_vector
 from .errors import DomainError, InsufficientDataError
 from .kacrice import asymptotic_prediction, core_interval, expected_roots_region, \
     region_interval
-from .rootcount import sweep_count_batch, sweep_grid, power_matrix
+from .rootcount import power_matrix, real_roots, sweep_count_batch, sweep_grid
 from .sampler import NoiseDistribution
 
 REGIONS = ("01", "1inf", "sym", "neg1inf", "pos", "neg", "R", "In", "In_inv")
@@ -178,13 +178,8 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
             "-element power matrix; Monte Carlo is sized for degrees up to ~1e5 "
             "(expected counts at larger n come from the Kac-Rice quadrature)")
     powers = _powers_for(n, pinned)
-    cv = _coeffs_cached(scheme.label(), n)
     nt = t1 - t0
-    noise = np.empty((nt, n + 1))
-    for i, trial in enumerate(range(t0, t1)):
-        key = philox.stream_key(master_seed, experiment_id, trial, philox.LANE_XI)
-        noise[i] = philox.variates_block(dist.value, key, n + 1)
-    realized = noise * cv.values[None, :]
+    realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
 
     # which families and spans are needed
     plans = {r: _region_plan(r, n) for r in regions}
@@ -231,6 +226,20 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
     return out
 
 
+def _realized_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
+                    master_seed, experiment_id, t0: int, t1: int) -> np.ndarray:
+    """(t1 - t0, n + 1) realized coefficients c_m xi_m, one row per trial.
+
+    The noise of the whole batch is one multi-key draw, row i from the
+    stream of trial t0 + i.
+    """
+    keys = np.array([philox.stream_key(master_seed, experiment_id, trial,
+                                       philox.LANE_XI) for trial in range(t0, t1)],
+                    dtype=np.uint64)
+    noise = philox.variates_block(dist.value, keys, n + 1)
+    return noise * _coeffs_cached(scheme.label(), n).values[None, :]
+
+
 @lru_cache(maxsize=8)
 def _coeffs_cached(scheme_label: str, n: int):
     return coeff_vector(CoeffScheme.parse(scheme_label), n)
@@ -239,28 +248,26 @@ def _coeffs_cached(scheme_label: str, n: int):
 def _count_batch_companion(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
                            regions, master_seed, experiment_id,
                            t0: int, t1: int) -> dict:
-    from .rootcount import real_roots
-
-    cv = _coeffs_cached(scheme.label(), n)
     intervals = {r: region_interval(r, n) if n >= 2 or r not in ("In", "In_inv")
                  else None for r in regions}
+    realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
     out = {r: np.empty(t1 - t0) for r in regions}
-    for i, trial in enumerate(range(t0, t1)):
-        key = philox.stream_key(master_seed, experiment_id, trial, philox.LANE_XI)
-        noise = philox.variates_block(dist.value, key, n + 1)
-        realized = cv.values * noise
+    for i, row in enumerate(realized):
         try:
-            rep = real_roots(realized)
-            for r in regions:
-                iv = intervals[r]
-                if iv is None:
-                    out[r][i] = 0.0
-                else:
-                    keep = [iv.contains(x) for x in rep.roots]
-                    out[r][i] = int(rep.multiplicities[keep].sum())
-        except Exception:
-            for r in regions:
+            rep = real_roots(row)
+        except np.linalg.LinAlgError:
+            # the eigenvalue iteration did not converge
+            rep = None
+        for r in regions:
+            iv = intervals[r]
+            if rep is None or rep.zero_polynomial:
+                # no count: the zero polynomial's is undefined
                 out[r][i] = math.nan
+            elif iv is None:
+                out[r][i] = 0.0
+            else:
+                keep = [iv.contains(x) for x in rep.roots]
+                out[r][i] = int(rep.multiplicities[keep].sum())
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffScheme, CoeffVector, coeff_vector
+from .coeffs import CoeffVector
 from .errors import DomainError, QuadratureFailureError
 
 __all__ = [
@@ -420,9 +420,3 @@ def expected_roots_region(coeffs, region: str, quad_tol: float = 1e-8):
     values = _coeff_values(coeffs)
     iv = region_interval(region, len(values) - 1)
     return expected_roots_gaussian_with_error(values, iv, quad_tol)
-
-
-def expected_roots_scheme(scheme: CoeffScheme, n: int, region: str,
-                          quad_tol: float = 1e-8):
-    """Convenience: build the coefficient vector and integrate a region."""
-    return expected_roots_region(coeff_vector(scheme, n), region, quad_tol)

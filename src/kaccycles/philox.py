@@ -12,25 +12,42 @@ harness relies on:
 * re-seeding one index never shifts another index's value.
 
 The generator is the standard 10-round Philox4x32 block cipher (weakened
-cipher used as PRNG); each 4x32-bit output block yields two double-precision
-uniforms, hence two Box-Muller normals, or four 32-bit words for discrete
-draws.
+cipher used as PRNG; Salmon et al., SC'11); each 4x32-bit output block
+yields two double-precision uniforms, hence two Box-Muller normals, or four
+32-bit words for discrete draws.
+
+The kernel holds a block's four 32-bit words as two uint64 pairs and runs
+in cache-sized chunks of at most ``CHUNK`` counters, in place, so a block of
+any length costs no temporary larger than a chunk: the counters of a chunk
+are made from its start offset, the rounds update reused word buffers, and
+the finishing step (uniforms, Box-Muller, sign bits) writes straight into
+the output.  ``variates_block`` and ``philox4x32`` also take a 1-D array of
+stream keys and then return one row per key, so a batch of trials is one
+call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK32 = np.uint64(0xFFFFFFFF)
+_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Philox multipliers and Weyl key increments.
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint64(0x9E3779B9)
-_W1 = np.uint64(0xBB67AE85)
+# Philox multipliers, ordered (M1, M0) for the words (c2, c0) they multiply,
+# and Weyl key increments for (k0, k1).
+_MULT = np.array([0xCD9E8D57, 0xD2511F53], dtype=np.uint64).reshape(2, 1, 1)
+_WEYL = np.array([0x9E3779B9, 0xBB67AE85], dtype=np.uint64).reshape(2, 1)
+_U32 = np.array(32, dtype=np.uint64)   # 0-d: the cheapest operand for a ufunc
 
 _ROUNDS = 10
+# (r W0, r W1) for rounds r = 0..9, and the shifts taking (k0, k1) out of a key
+_ROUND_STEPS = np.arange(_ROUNDS, dtype=np.uint64)[:, None, None] * _WEYL
+_KEY_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
+
+# counters per chunk: large enough that the ~70 ufunc calls a chunk makes
+# cost little next to its arithmetic, small enough that its buffers (56
+# bytes per counter) stay in a per-core L2 cache
+CHUNK = 16384
 
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 _SQRT3 = 1.7320508075688772
@@ -60,115 +77,223 @@ def stream_key(master_seed: int, experiment: int = 0, trial: int = 0,
     return k
 
 
-def philox4x32(key: int, counters: np.ndarray):
-    """Philox4x32-10 blocks for an array of 64-bit counters.
+# ---------------------------------------------------------------------------
+# the chunked kernel
+# ---------------------------------------------------------------------------
 
-    The counter fills words (c0, c1) = (low, high); words (c2, c3) start at
-    zero.  Returns four uint64 arrays holding 32-bit words.
+def _round_keys(keys: np.ndarray) -> np.ndarray:
+    """(ROUNDS, 2, len(keys), 1) round keys (k0, k1) in the high halves."""
+    return (((keys >> _KEY_SHIFTS) + _ROUND_STEPS) << _U32)[..., None]
+
+
+def _view(buf: np.ndarray, rows, shape) -> np.ndarray:
+    """The leading rows x cols cells of buf[rows], as an array of ``shape``."""
+    return buf[rows, :shape[-2] * shape[-1]].reshape(shape)
+
+
+class _Kernel:
+    """Word and scratch buffers for one call, reused chunk after chunk.
+
+    A Philox block (c0, c1, c2, c3) is held as the uint64 pair
+    Z = (c0:c1, c2:c3), with c0 and c2 in the high halves, as a
+    (2, rows, cols) array over rows = keys and cols = counters.  One round
+    is, with T = (M1 c2, M0 c0) the two 32x32->64-bit products,
+
+        Z <- (Z << 32) ^ (k0, k1) << 32 ^ T,
+
+    whose halves are exactly the spec's (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2)) and
+    (hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).  Every step is one in-place uint64
+    ufunc over the chunk.
     """
-    c = np.asarray(counters, dtype=np.uint64)
-    c0 = c & _MASK32
-    c1 = (c >> np.uint64(32)) & _MASK32
-    c2 = np.zeros_like(c0)
-    c3 = np.zeros_like(c0)
-    k0 = np.uint64(key & 0xFFFFFFFF)
-    k1 = np.uint64((key >> 32) & 0xFFFFFFFF)
-    for _ in range(_ROUNDS):
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        hi0 = p0 >> np.uint64(32)
-        lo0 = p0 & _MASK32
-        hi1 = p1 >> np.uint64(32)
-        lo1 = p1 & _MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-        k0 = (k0 + _W0) & _MASK32
-        k1 = (k1 + _W1) & _MASK32
-    return c0, c1, c2, c3
+
+    def __init__(self, keys: np.ndarray, cells: int):
+        self.rkeys = _round_keys(keys)
+        self.buf = np.empty((4, min(cells, CHUNK)), dtype=np.uint64)
+        self.buf_f = np.empty((3, min(cells, CHUNK)))
+
+    def words(self, r0: int, r1: int, counters: np.ndarray) -> np.ndarray:
+        """Z after ten rounds for keys [r0, r1) at the uint64 counters."""
+        shape = (2, r1 - r0, len(counters))
+        z = _view(self.buf, slice(0, 2), shape)
+        t = _view(self.buf, slice(2, 4), shape)
+        keys = self.rkeys[:, :, r0:r1]
+        # counter = c1:c0, so c0:c1 is the counter with its halves swapped
+        np.left_shift(counters, _U32, out=z[0])
+        np.bitwise_or(z[0], counters >> _U32, out=z[0])
+        z[1] = 0
+        z_swapped = z[::-1]
+        for r in range(_ROUNDS):
+            np.right_shift(z_swapped, _U32, out=t)
+            np.multiply(t, _MULT, out=t)
+            np.left_shift(z, _U32, out=z)
+            np.bitwise_xor(z, keys[r], out=z)
+            np.bitwise_xor(z, t, out=z)
+        return z
+
+    def uniforms(self, z: np.ndarray) -> np.ndarray:
+        """(u1, u2): u1 = (h1 + 1) 2^-53 in (0,1], u2 = h2 2^-53 in [0,1).
+
+        h = (hi >> 6) 2^27 + (lo >> 5) takes the top 53 bits of the pair
+        (w0, w1) for h1 and (w2, w3) for h2.  Every step is exact in
+        float64.  Uses ``z`` as scratch.
+        """
+        u = _view(self.buf_f, slice(0, 2), z.shape)
+        t = _view(self.buf, slice(2, 4), z.shape)
+        np.right_shift(z, 38, out=t)
+        np.multiply(t, float(1 << 27), out=u)
+        np.bitwise_and(z, _MASK32, out=z)
+        np.right_shift(z, 5, out=z)
+        np.add(u, z, out=u)
+        u[0] += 1.0
+        u *= _INV_2_53
+        return u
 
 
-def _uniform_pair(key: int, quads: np.ndarray):
-    """Two independent uniforms per counter: u1 in (0,1], u2 in [0,1)."""
-    w0, w1, w2, w3 = philox4x32(key, quads)
-    h1 = (w0 >> np.uint64(6)) * np.uint64(1 << 27) + (w1 >> np.uint64(5))
-    h2 = (w2 >> np.uint64(6)) * np.uint64(1 << 27) + (w3 >> np.uint64(5))
-    u1 = (h1.astype(np.float64) + 1.0) * _INV_2_53
-    u2 = h2.astype(np.float64) * _INV_2_53
-    return u1, u2
+def _finish_gaussian(k: _Kernel, z, out):
+    """Box-Muller pair of standard normals per counter, into out[..., 0:2]."""
+    u1, u2 = k.uniforms(z)
+    t = _view(k.buf_f, 2, u1.shape)
+    # r = sqrt(-2 log u1), th = 2 pi u2, (z0, z1) = (r cos th, r sin th)
+    np.log(u1, out=u1)
+    np.multiply(-2.0, u1, out=u1)
+    np.sqrt(u1, out=u1)
+    np.multiply(2.0 * np.pi, u2, out=u2)
+    np.cos(u2, out=t)
+    np.multiply(u1, t, out=out[..., 0])
+    np.sin(u2, out=t)
+    np.multiply(u1, t, out=out[..., 1])
 
 
-def _normal_pair(key: int, quads: np.ndarray):
-    """Box-Muller pair of standard normals per counter."""
-    u1, u2 = _uniform_pair(key, quads)
-    r = np.sqrt(-2.0 * np.log(u1))
-    th = (2.0 * np.pi) * u2
-    return r * np.cos(th), r * np.sin(th)
+def _finish_uniform(k: _Kernel, z, out):
+    """Two uniforms on [-sqrt(3), sqrt(3)] per counter, into out[..., 0:2]."""
+    u = k.uniforms(z)
+    u *= 2.0
+    u -= 1.0
+    for slot in range(2):
+        np.multiply(u[slot], _SQRT3, out=out[..., slot])
 
 
-def gaussian_block(key: int, count: int, start: int = 0) -> np.ndarray:
-    """Standard normals at indices [start, start+count)."""
-    if count <= 0:
-        return np.empty(0)
-    lo, hi = start >> 1, (start + count - 1) >> 1
-    z0, z1 = _normal_pair(key, np.arange(lo, hi + 1, dtype=np.uint64))
-    out = np.empty(2 * (hi - lo + 1))
-    out[0::2] = z0
-    out[1::2] = z1
-    return out[start - 2 * lo:start - 2 * lo + count]
+def _finish_rademacher(k: _Kernel, z, out):
+    """Four +-1 draws per counter from the low bits of (w0, w1, w2, w3)."""
+    hi = _view(k.buf, slice(2, 4), z.shape)
+    np.right_shift(z, 32, out=hi)
+    for bits, slots in ((hi, (0, 2)), (z, (1, 3))):
+        np.bitwise_and(bits, 1, out=bits)
+        for half, slot in enumerate(slots):
+            np.multiply(bits[half], 2.0, out=out[..., slot])
+            out[..., slot] -= 1.0
 
 
-def rademacher_block(key: int, count: int, start: int = 0) -> np.ndarray:
-    """+-1 draws at indices [start, start+count)."""
-    if count <= 0:
-        return np.empty(0)
-    lo, hi = start >> 2, (start + count - 1) >> 2
-    words = philox4x32(key, np.arange(lo, hi + 1, dtype=np.uint64))
-    out = np.empty(4 * (hi - lo + 1))
-    for slot in range(4):
-        out[slot::4] = 2.0 * (words[slot] & np.uint64(1)).astype(np.float64) - 1.0
-    return out[start - 4 * lo:start - 4 * lo + count]
-
-
-def uniform_sym_block(key: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniform draws on [-sqrt(3), sqrt(3)] at indices [start, start+count)."""
-    if count <= 0:
-        return np.empty(0)
-    lo, hi = start >> 1, (start + count - 1) >> 1
-    u1, u2 = _uniform_pair(key, np.arange(lo, hi + 1, dtype=np.uint64))
-    out = np.empty(2 * (hi - lo + 1))
-    out[0::2] = (2.0 * u1 - 1.0) * _SQRT3
-    out[1::2] = (2.0 * u2 - 1.0) * _SQRT3
-    return out[start - 2 * lo:start - 2 * lo + count]
-
-
-_BLOCK_FN = {
-    "gaussian": gaussian_block,
-    "rademacher": rademacher_block,
-    "uniform": uniform_sym_block,
+# distribution -> (finishing step, variates per counter)
+_FINISH = {
+    "gaussian": (_finish_gaussian, 2),
+    "uniform": (_finish_uniform, 2),
+    "rademacher": (_finish_rademacher, 4),
 }
 
 
-def variates_block(dist_name: str, key: int, count: int, start: int = 0) -> np.ndarray:
-    """Contiguous block of variates; optimal quad sharing."""
-    return _BLOCK_FN[dist_name](key, count, start)
+def _as_keys(key) -> np.ndarray:
+    return np.atleast_1d(np.asarray(key, dtype=np.uint64))
+
+
+def _finish_for(dist_name: str):
+    if dist_name not in _FINISH:
+        raise ValueError(f"unknown distribution {dist_name!r}")
+    return _FINISH[dist_name]
+
+
+def philox4x32(key, counters: np.ndarray):
+    """Philox4x32-10 blocks for an array of 64-bit counters.
+
+    The counter fills words (c0, c1) = (low, high); words (c2, c3) start at
+    zero.  Returns the four output words (w0, w1, w2, w3) as uint32 arrays:
+    of the counters' shape for a scalar key, of shape
+    (len(key), counters.size) for a 1-D array of keys.  The rounds run in
+    chunks of at most ``CHUNK`` blocks.
+    """
+    c = np.ascontiguousarray(counters, dtype=np.uint64).ravel()
+    keys = _as_keys(key)
+    out = np.empty((2, 2, len(keys), len(c)), dtype=np.uint32)
+    k = _Kernel(keys, len(keys) * len(c))
+    for r0, r1, q0, q1 in _tiles(len(keys), len(c)):
+        z = k.words(r0, r1, c[q0:q1])
+        out[:, 0, r0:r1, q0:q1] = z >> _U32
+        out[:, 1, r0:r1, q0:q1] = z & np.uint64(_MASK32)
+    words = tuple(out.reshape(4, len(keys), len(c)))
+    if np.ndim(key) == 0:
+        return tuple(w.reshape(np.shape(counters)) for w in words)
+    return words
+
+
+def _tiles(nkeys: int, ncounters: int):
+    """(r0, r1, q0, q1) tiles of keys x counters with at most CHUNK cells.
+
+    Short streams are stacked several keys to a tile, whole; long ones are
+    cut into CHUNK-counter pieces of one key each.
+    """
+    cols = max(1, min(ncounters, CHUNK))
+    rows = max(1, CHUNK // cols)
+    for r0 in range(0, nkeys, rows):
+        r1 = min(r0 + rows, nkeys)
+        for q0 in range(0, ncounters, cols):
+            yield r0, r1, q0, min(q0 + cols, ncounters)
+
+
+# ---------------------------------------------------------------------------
+# sampling entry points
+# ---------------------------------------------------------------------------
+
+def variates_block(dist_name: str, key, count: int, start: int = 0) -> np.ndarray:
+    """Variates at indices [start, start+count) of one stream or of many.
+
+    ``key`` is one 64-bit stream key, giving a (count,) array, or a 1-D
+    array of keys, giving a (len(key), count) matrix whose row i is the
+    block of key[i].  Index i draws from counter i // per, slot i % per,
+    with per = 2 variates per counter (gaussian, uniform) or 4 (rademacher).
+    """
+    finish, per = _finish_for(dist_name)
+    keys = _as_keys(key)
+    count = max(int(count), 0)
+    lo = start // per
+    nq = (start + count + per - 1) // per - lo if count else 0
+    # whole counters, trimmed to [start, start+count) by the returned view
+    out = np.empty((len(keys), nq * per))
+    k = _Kernel(keys, len(keys) * nq)
+    for r0, r1, q0, q1 in _tiles(len(keys), nq):
+        z = k.words(r0, r1, np.arange(lo + q0, lo + q1, dtype=np.uint64))
+        # a tile is either whole rows or part of one row: a view either way
+        dst = out[r0:r1, q0 * per:q1 * per].reshape(r1 - r0, q1 - q0, per)
+        finish(k, z, dst)
+    out = out[:, start - lo * per:start - lo * per + count]
+    return out if np.ndim(key) else out[0]
+
+
+def gaussian_block(key, count: int, start: int = 0) -> np.ndarray:
+    """Standard normals at indices [start, start+count)."""
+    return variates_block("gaussian", key, count, start)
+
+
+def rademacher_block(key, count: int, start: int = 0) -> np.ndarray:
+    """+-1 draws at indices [start, start+count)."""
+    return variates_block("rademacher", key, count, start)
+
+
+def uniform_sym_block(key, count: int, start: int = 0) -> np.ndarray:
+    """Uniform draws on [-sqrt(3), sqrt(3)] at indices [start, start+count)."""
+    return variates_block("uniform", key, count, start)
 
 
 def variates_at(dist_name: str, key: int, indices: np.ndarray) -> np.ndarray:
     """Variates at arbitrary indices (pure counter addressing)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    if dist_name == "gaussian":
-        z0, z1 = _normal_pair(key, idx >> np.uint64(1))
-        return np.where((idx & np.uint64(1)) == 0, z0, z1)
-    if dist_name == "uniform":
-        u1, u2 = _uniform_pair(key, idx >> np.uint64(1))
-        u = np.where((idx & np.uint64(1)) == 0, u1, u2)
-        return (2.0 * u - 1.0) * _SQRT3
-    if dist_name == "rademacher":
-        words = philox4x32(key, idx >> np.uint64(2))
-        slot = (idx & np.uint64(3)).astype(np.int64)
-        stacked = np.stack([w & np.uint64(1) for w in words])
-        bits = stacked[slot, np.arange(len(idx))]
-        return 2.0 * bits.astype(np.float64) - 1.0
-    raise ValueError(f"unknown distribution {dist_name!r}")
+    finish, per = _finish_for(dist_name)
+    idx = np.ascontiguousarray(indices, dtype=np.uint64).ravel()
+    out = np.empty(len(idx))
+    k = _Kernel(_as_keys(key), len(idx))
+    vals = np.empty((1, min(len(idx), CHUNK), per))
+    for _r0, _r1, q0, q1 in _tiles(1, len(idx)):
+        part = idx[q0:q1]
+        z = k.words(0, 1, part // np.uint64(per))
+        finish(k, z, vals[:, :q1 - q0])
+        slot = (part % np.uint64(per)).astype(np.intp)
+        out[q0:q1] = vals[0, np.arange(q1 - q0), slot]
+    return out.reshape(np.shape(indices))

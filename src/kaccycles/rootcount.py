@@ -343,8 +343,10 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     ``coeff_rows`` is (batch, n+1) realized coefficients; ``t`` the sweep
     grid; ``powers`` an optional precomputed (n+1, len(t)) matrix of x^m
     values (reused across batches); ``spans`` a list of (lo_idx, hi_idx)
-    grid index pairs, one count per span per row.  Returns an array of shape
-    (batch, len(spans)).
+    grid index pairs, one count per span per row.  A span that ends at the
+    last grid point reaches on to x = 1 (open): the tail (x(t[-1]), 1)
+    adds the parity of its roots, read from the sign of f(1) = sum c_m.
+    Returns an array of shape (batch, len(spans)).
     """
     c = np.ascontiguousarray(np.atleast_2d(coeff_rows), dtype=float)
     n = c.shape[1] - 1
@@ -370,8 +372,12 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     cum = np.concatenate([np.zeros((c.shape[0], 1), dtype=np.int64),
                           np.cumsum(flips, axis=1)], axis=1)
     suspicious = (s[:, 1:] == s[:, :-1]) & (sp[:, 1:] != sp[:, :-1])
+    f_one = c.sum(axis=1)
+    tail = ((f_one != 0.0) & (np.where(f_one > 0.0, 1, -1) != s[:, -1])).astype(int)
     for j, (lo, hi) in enumerate(spans):
         out[:, j] = cum[:, hi] - cum[:, lo]
+        if hi == len(t) - 1:
+            out[:, j] += tail
         rr, ii = np.nonzero(suspicious[:, lo:hi])
         if len(rr):
             extra = _hidden_pair_counts(c, t, f, gp, s, sp, rr, ii + lo)

@@ -71,9 +71,6 @@ class SeedSpec:
     def key(self, lane: int) -> int:
         return philox.stream_key(self.master_seed, self.experiment, self.trial, lane)
 
-    def with_trial(self, trial: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, self.experiment, trial, self.index)
-
 
 @dataclass
 class RandomPoly:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kaccycles import experiment
 from kaccycles.coeffs import CoeffScheme
 from kaccycles.errors import DomainError, InsufficientDataError
 from kaccycles.experiment import (EstimateRow, ExperimentConfig,
@@ -25,6 +26,33 @@ def test_constant_polynomial_has_no_roots():
                        regions=["R"], trials=64)
     res = run_experiment(cfg)
     assert res.rows[0].mc_mean == 0.0 and res.rows[0].failures == 0
+
+
+def test_companion_zero_row_is_a_failure(monkeypatch):
+    # the zero polynomial has no root count: its trial is NaN, not 0
+    drawn = experiment._realized_batch
+
+    def zero_first_row(*args):
+        realized = drawn(*args)
+        realized[0] = 0.0
+        return realized
+
+    monkeypatch.setattr(experiment, "_realized_batch", zero_first_row)
+    res = run_experiment(small_config(degrees=[20], regions=["01", "R"], trials=8,
+                                      batch=4, method="companion"))
+    for row in res.rows:
+        assert row.failures == 2 and row.trials == 6
+        counts = res.counts[(20, row.region)]
+        assert np.isnan(counts[[0, 4]]).all() and not np.isnan(counts[[1, 2, 3, 5]]).any()
+
+
+def test_companion_errors_propagate(monkeypatch):
+    def broken(_row):
+        raise RuntimeError("not a counting failure")
+
+    monkeypatch.setattr(experiment, "real_roots", broken)
+    with pytest.raises(RuntimeError):
+        run_experiment(small_config(degrees=[20], trials=4, method="companion"))
 
 
 def test_monte_carlo_matches_kacrice_both_paths():

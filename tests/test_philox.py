@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -51,3 +52,113 @@ def test_moments_million_draws(dist, fourth):
     m8 = {"gaussian": 105.0, "rademacher": 1.0, "uniform": 9.0}[dist]
     sd4 = math.sqrt(max(m8 - fourth**2, 1e-3) / n)
     assert abs(m4 - fourth) <= 3.0 * sd4
+
+
+# ---------------------------------------------------------------------------
+# golden streams: SHA-256 of the variates, fixed before any kernel rewrite so
+# that every later kernel must reproduce today's streams bit for bit
+# ---------------------------------------------------------------------------
+
+GOLDEN_KEYS = {
+    "zero": 0,
+    "all-ones": 0xFFFFFFFFFFFFFFFF,
+    "s1": philox.stream_key(1, 0, 373, philox.LANE_XI),
+    "s70812": philox.stream_key(70812, 0, 4, philox.LANE_PERT),
+}
+
+# (start, count): counts of 1 and 2, odd starts, ranges straddling every
+# power-of-two chunk size from 2^12 to 2^15 variates, a range spanning many
+# chunks, and counters whose high 32-bit word is non-zero
+GOLDEN_RANGES = [(0, 1), (1, 1), (3, 1), (0, 2), (1, 2), (6, 2), (5, 37), (7, 1001),
+                 (8189, 12), (16381, 12), (32765, 12), (65531, 12),
+                 (1, 70001), (2**33 + 1, 9), (2**40 - 3, 17)]
+
+GOLDEN_BLOCKS = {
+    ("gaussian", "zero"): "ac3560165c2c5086a780ac7c393bc669",
+    ("gaussian", "all-ones"): "d04b2e5d3d91e2e7e5f93b3572e8e206",
+    ("gaussian", "s1"): "9df439d623f6f7008fbbc11e619a3030",
+    ("gaussian", "s70812"): "0415a490f5ebf195670b906c05587282",
+    ("rademacher", "zero"): "d7149e6c66731fdc6c876cb5b3378ca1",
+    ("rademacher", "all-ones"): "678682a0ed657a00b47d01316fa8ea79",
+    ("rademacher", "s1"): "266a731f372758613c6dcc94e3676e73",
+    ("rademacher", "s70812"): "9d25e3c8404f73311d4a592a9f85f888",
+    ("uniform", "zero"): "7a0991730a97903a35c10ed331673117",
+    ("uniform", "all-ones"): "deebd0fd43e53ee1cdaa645c6f019b85",
+    ("uniform", "s1"): "16eb8ebe2c2c4bee29c2419d87dc6873",
+    ("uniform", "s70812"): "c301450f7d1208dafaf235334f7aea0d",
+}
+
+# one block of (1001)(1002) variates: a degree-2001 perturbation's draw
+GOLDEN_MELNIKOV_BLOCK = {
+    "gaussian": "6095922aab7526b5a343d3b2bb948a46",
+    "rademacher": "19654ea056fe82c34174cc037fb4fa94",
+    "uniform": "78a46bdee61dec85a7219b4b59be3b5a",
+}
+
+GOLDEN_AT = {
+    ("gaussian", "zero"): "ee953af11aaa8d1bb1532d1ffd4dc75d",
+    ("gaussian", "all-ones"): "b7e341d55944dc685652882afc31b296",
+    ("gaussian", "s1"): "f888ceb83c9db5b7771249bf9fab4a9d",
+    ("gaussian", "s70812"): "bd9ba169d84af731879e82011b468e23",
+    ("rademacher", "zero"): "70ac7369b8af12f3becea56c9691249c",
+    ("rademacher", "all-ones"): "40835b637241132daed7b25a20373ff0",
+    ("rademacher", "s1"): "eaf7bc8a273b3f8e9a9aa67076acec41",
+    ("rademacher", "s70812"): "75ca86a243ca3fcb4ab8ff282b5beb0b",
+    ("uniform", "zero"): "73ceb50ef8a16724136847b3a65c0bd5",
+    ("uniform", "all-ones"): "a5be5ce2edd74eae6152798bb25f5f58",
+    ("uniform", "s1"): "fa37b14c13bd50c6a9375a8ae22632ae",
+    ("uniform", "s70812"): "86080dac40de7b43f301f34a5fe4a9dd",
+}
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()[:32]
+
+
+def _scattered_indices() -> np.ndarray:
+    rng = np.random.default_rng(20211210)
+    return np.concatenate([rng.integers(0, 2**40, 300),
+                           [0, 1, 2, 3, 2**33, 5, 5, 4]]).astype(np.uint64)
+
+
+@pytest.mark.parametrize("dist,key_name", sorted(GOLDEN_BLOCKS))
+def test_golden_block_streams(dist, key_name):
+    key = GOLDEN_KEYS[key_name]
+    got = _digest(philox.variates_block(dist, key, c, start=s)
+                  for s, c in GOLDEN_RANGES)
+    assert got == GOLDEN_BLOCKS[(dist, key_name)]
+
+
+@pytest.mark.parametrize("dist", sorted(GOLDEN_MELNIKOV_BLOCK))
+def test_golden_melnikov_size_block(dist):
+    block = philox.variates_block(dist, GOLDEN_KEYS["s1"], 1003002)
+    assert _digest([block]) == GOLDEN_MELNIKOV_BLOCK[dist]
+
+
+@pytest.mark.parametrize("dist,key_name", sorted(GOLDEN_AT))
+def test_golden_scattered_indices(dist, key_name):
+    got = philox.variates_at(dist, GOLDEN_KEYS[key_name], _scattered_indices())
+    assert _digest([got]) == GOLDEN_AT[(dist, key_name)]
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
+@pytest.mark.parametrize("start,count", [(0, 101), (3, 1), (1, 2), (5, 40001)])
+def test_multi_key_rows_equal_per_key_blocks(dist, start, count):
+    keys = [philox.stream_key(7, 0, t, philox.LANE_XI) for t in range(5)] + [0, 2**64 - 1]
+    got = philox.variates_block(dist, np.array(keys, dtype=np.uint64), count, start)
+    assert got.shape == (len(keys), count)
+    for row, key in zip(got, keys):
+        assert np.array_equal(row, philox.variates_block(dist, key, count, start))
+
+
+def test_multi_key_words_equal_per_key_words():
+    keys = np.array([0, 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    ctr = np.array([0, 1, 2**32 + 5, 2**64 - 1], dtype=np.uint64)
+    words = philox.philox4x32(keys, ctr)
+    for i, key in enumerate(keys):
+        for w, single in zip(words, philox.philox4x32(int(key), ctr)):
+            assert w.dtype == np.uint32
+            assert np.array_equal(w[i], single)

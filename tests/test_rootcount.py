@@ -192,3 +192,15 @@ def test_sweep_matches_companion_other_schemes():
                     == count_in_interval(p.realized, Interval(0, 1)).count)
             assert (sweep_count(p.realized, "1inf")
                     == count_in_interval(p.realized, Interval(1, math.inf)).count)
+
+
+def test_sweep_counts_root_beyond_last_grid_point():
+    # the grid stops at t = log(100) + 9, i.e. x = 1 - 1.2e-6; a root at
+    # x = 0.999999 lies past it and is seen only through the sign of f(1)
+    rng = np.random.default_rng(5)
+    q = coeff_vector(CoeffScheme.perturbed_center(), 99).values * rng.standard_normal(100)
+    c = np.polynomial.polynomial.polymul([-0.999999, 1.0], q)
+    assert len(c) == 101
+    companion = count_in_interval(c, Interval(0, 1))
+    assert np.any(np.abs(companion.roots - 0.999999) < 1e-9)
+    assert sweep_count(c, "01") == companion.count
