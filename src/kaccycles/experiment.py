@@ -28,8 +28,8 @@ import numpy as np
 from . import philox
 from .coeffs import CoeffScheme, coeff_vector
 from .errors import DomainError, InsufficientDataError
-from .kacrice import asymptotic_prediction, core_interval, expected_roots_region, \
-    region_interval
+from .kacrice import asymptotic_prediction, core_interval, empty_region, \
+    expected_roots_region, region_interval
 from .rootcount import power_matrix, real_roots, sweep_count_batch, sweep_grid
 from .sampler import NoiseDistribution
 
@@ -133,10 +133,10 @@ def _region_plan(region: str, n: int):
     if region == "R":
         return ([("dir", *full), ("rev", *full), ("mdir", *full), ("mrev", *full)],
                 ["zero", "one", "minus_one"])
+    if empty_region(region, n):
+        return [], []
     if region in ("In", "In_inv"):
         ci = core_interval(n)
-        if ci.empty:
-            return [], []
         fam = "dir" if region == "In" else "rev"
         return [(fam, ci.t_lo, ci.t_hi)], []
     raise DomainError(f"unknown region {region!r}")
@@ -155,10 +155,9 @@ def _powers_for(n: int, pinned: tuple) -> np.ndarray:
 def _pinned_points(regions, n: int) -> tuple:
     pts = []
     for r in regions:
-        if r in ("In", "In_inv"):
+        if r in ("In", "In_inv") and not empty_region(r, n):
             ci = core_interval(n)
-            if not ci.empty:
-                pts += [ci.t_lo, ci.t_hi]
+            pts += [ci.t_lo, ci.t_hi]
     return tuple(sorted(set(pts)))
 
 
@@ -212,6 +211,7 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
         "one": (realized.sum(axis=1) == 0.0).astype(int),
         "minus_one": ((realized * sign[None, :]).sum(axis=1) == 0.0).astype(int),
     }
+    zero_rows = ~realized.any(axis=1)
 
     out = {}
     for r, (spans, pts) in plans.items():
@@ -223,6 +223,8 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
         for p in pts:
             tot = tot + points[p]
         out[r] = tot.astype(float)
+        # no count: the zero polynomial's is undefined
+        out[r][zero_rows] = math.nan
     return out
 
 
@@ -248,8 +250,8 @@ def _coeffs_cached(scheme_label: str, n: int):
 def _count_batch_companion(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
                            regions, master_seed, experiment_id,
                            t0: int, t1: int) -> dict:
-    intervals = {r: region_interval(r, n) if n >= 2 or r not in ("In", "In_inv")
-                 else None for r in regions}
+    intervals = {r: None if empty_region(r, n) else region_interval(r, n)
+                 for r in regions}
     realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
     out = {r: np.empty(t1 - t0) for r in regions}
     for i, row in enumerate(realized):

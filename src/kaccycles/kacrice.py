@@ -28,7 +28,7 @@ from .errors import DomainError, QuadratureFailureError
 
 __all__ = [
     "KacRiceIntegrand", "CoreInterval", "AsymptoticPrediction",
-    "pqr", "core_interval", "asymptotic_prediction",
+    "pqr", "core_interval", "empty_region", "asymptotic_prediction",
     "expected_roots_gaussian", "expected_roots_gaussian_with_error",
     "expected_roots_gaussian_reversed", "expected_roots_region",
     "adaptive_gauss_kronrod",
@@ -415,8 +415,16 @@ def region_interval(region: str, n: int):
     raise DomainError(f"unknown region {region!r}")
 
 
+def empty_region(region: str, n: int) -> bool:
+    """True for "In"/"In_inv" when the core interval is empty (n < 11)."""
+    return region in ("In", "In_inv") and (n < 2 or core_interval(n).empty)
+
+
 def expected_roots_region(coeffs, region: str, quad_tol: float = 1e-8):
     """Expected count over a named region preset; returns (value, error)."""
     values = _coeff_values(coeffs)
-    iv = region_interval(region, len(values) - 1)
+    n = len(values) - 1
+    if empty_region(region, n):
+        return 0.0, 0.0
+    iv = region_interval(region, n)
     return expected_roots_gaussian_with_error(values, iv, quad_tol)

@@ -20,9 +20,12 @@ with s = +1 for the full center and s = -1 for the single-variable system
 (whose perturbation enters x' negated).  Zero sets, hence cycle counts, do
 not depend on s.
 
-The cross-validator integrates the flow with an embedded Dormand-Prince 5(4)
-pair and locates section crossings by cubic Hermite interpolation of the
-last step.
+The cross-validator writes the flow in the clockwise polar angle
+phi = -theta and integrates dr/dphi over phi in [0, 2 pi] with an embedded
+Dormand-Prince 5(4) pair, so P(r0) is r at phi = 2 pi and no section
+crossing has to be located.  Every radius of a grid is one lane of a single
+vector integration; the sign changes of P(r) - r are refined together by
+the Illinois variant of regula falsi.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (DomainError, EscapeError, NoReturnError,
                      NonConvergentError)
@@ -72,17 +76,12 @@ class MelnikovPoly:
     prefactor: float
     ode_sign: float    # orientation factor s in P(r) - r ~ eps s M(r) / r
 
-    def f(self, x: float) -> float:
-        acc = 0.0
-        for c in self.fn_coeffs[::-1]:
-            acc = acc * x + c
-        return acc
+    def f(self, x):
+        return polyval(x, self.fn_coeffs)
 
-    def f_prime(self, x: float) -> float:
-        acc = 0.0
-        for m in range(self.n, 0, -1):
-            acc = acc * x + m * self.fn_coeffs[m]
-        return acc
+    def f_prime(self, x):
+        deriv = np.arange(1, self.n + 1) * self.fn_coeffs[1:]
+        return polyval(x, deriv if self.n else [0.0])
 
     def value(self, r: float) -> float:
         return self.prefactor * r * r * self.f(r * r)
@@ -116,17 +115,19 @@ def build_melnikov(sys: PerturbedSystem) -> MelnikovPoly:
 # flux quadrature
 # ---------------------------------------------------------------------------
 
-def _full_terms(pc: PerturbationCoefficients):
-    """(j, k, alpha, beta) arrays over all pairs of a materialized pc."""
+def _coefficient_grids(pc: PerturbationCoefficients):
+    """(d+1, d+1) arrays A, B with p = sum A[j, k] x^j y^k, q likewise.
+
+    Materializes a seeded pc once; the flat arrays are in canonical pair
+    rank order, which runs over s = j + k, then k.
+    """
     mat = pc.materialized()
-    d = pc.d
-    js, ks = [], []
-    for s in range(1, d + 1):
-        for k in range(s + 1):
-            js.append(s - k)
-            ks.append(k)
-    return (np.array(js, dtype=float), np.array(ks, dtype=float),
-            mat.alpha, mat.beta)
+    s = np.repeat(np.arange(1, pc.d + 1), np.arange(2, pc.d + 2))
+    k = np.arange(len(s)) - (s - 1) * (s + 2) // 2
+    grids = np.zeros((2, pc.d + 1, pc.d + 1))
+    grids[0, s - k, k] = mat.alpha
+    grids[1, s - k, k] = mat.beta
+    return grids[0], grids[1]
 
 
 def melnikov_flux_quadrature(sys: PerturbedSystem, r: float) -> float:
@@ -144,17 +145,14 @@ def melnikov_flux_quadrature(sys: PerturbedSystem, r: float) -> float:
     x = r * np.cos(th)
     y = r * np.sin(th)
     if sys.kind == "center":
-        j, k, alpha, beta = _full_terms(sys.pc)
-        xp = x[:, None] ** j[None, :]
-        yp = y[:, None] ** k[None, :]
-        p = (xp * yp) @ alpha
-        q = (xp * yp) @ beta
+        alpha, beta = _coefficient_grids(sys.pc)
+        xp = np.vander(x, d + 1, increasing=True)
+        yp = np.vander(y, d + 1, increasing=True)
+        p = ((xp @ alpha) * yp).sum(axis=1)
+        q = ((xp @ beta) * yp).sum(axis=1)
         integrand = p * x + q * y
     else:
-        a = sys.pc.alpha
-        px = np.zeros_like(x)
-        for c in a[::-1]:
-            px = px * x + c
+        px = polyval(x, sys.pc.alpha)
         px *= x / (2.0 * math.sqrt(math.pi))   # p(x) = (1/(2 sqrt pi)) sum alpha_k x^k
         integrand = px * x
     return float(integrand.mean() * 2.0 * math.pi)
@@ -184,7 +182,7 @@ def count_bifurcating_cycles(sys: PerturbedSystem) -> LimitCycleReport:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) with Hermite event refinement
+# polar return map: Dormand-Prince 5(4) in the angle, one lane per radius
 # ---------------------------------------------------------------------------
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -200,103 +198,169 @@ _DP_A = [
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 _RTOL = 1e-10
 _ATOL = 1e-12
 _H_MAX = 0.2
-_EVENT_TOL = 1e-12
+_H_MIN = 1e-10       # a lane whose step falls below this never completes the turn
+_MAX_TRIES = 10_000  # step attempts per lane
+_R_CAP = 10.0        # escape radius, in units of the start radius
+_TWO_PI = 2.0 * math.pi
+
+# lane fates
+_RETURNED, _ESCAPED, _NO_RETURN = 0, 1, 2
 
 
-def _system_rhs(sys: PerturbedSystem):
-    eps = sys.epsilon
-    if sys.kind == "center":
-        j, k, alpha, beta = _full_terms(sys.pc)
+class _PolarField:
+    """dr/dphi of a perturbed system in the clockwise angle phi = -theta.
 
-        def rhs(t, u):
-            x, y = u
-            mono = (x ** j) * (y ** k)
-            p = float(mono @ alpha)
-            q = float(mono @ beta)
-            return np.array([y + eps * p, -x + eps * q])
+    With x = r cos(phi), y = -r sin(phi) and the system written as
+    x' = y + eps P(x, y), y' = -x + eps Q(x, y),
 
-        return rhs
-    a = sys.pc.alpha / (2.0 * math.sqrt(math.pi))
+        r'   = eps (cos(phi) P - sin(phi) Q),
+        phi' = 1 - eps (cos(phi) Q + sin(phi) P) / r.
 
-    def rhs(t, u):
-        x, y = u
-        px = 0.0
-        for c in a[::-1]:
-            px = px * x + c
-        px *= x
-        return np.array([y - eps * px, -x])
+    The perturbation is materialized once; eps is an argument, so one field
+    serves every level of an eps schedule.
+    """
 
-    return rhs
+    def __init__(self, sys: PerturbedSystem):
+        if sys.kind == "center":
+            alpha, beta = _coefficient_grids(sys.pc)
+            self.pq = np.hstack([alpha, beta])         # (d+1, 2(d+1))
+            self.a = None
+        else:
+            # x' = y - eps p(x): P = -p(x), Q = 0, p(x) = x * polyval(x, a)
+            self.pq = None
+            self.a = sys.pc.alpha / (2.0 * math.sqrt(math.pi))
+
+    def __call__(self, phi: np.ndarray, r: np.ndarray, eps: float):
+        """(dr/dphi, ok); ok is False where phi' <= 0, r <= 0 or the rate is not finite."""
+        c, s = np.cos(phi), np.sin(phi)
+        x, y = r * c, -r * s
+        if self.pq is not None:
+            d1 = self.pq.shape[0]
+            xp, yp = np.split(np.vander(np.concatenate([x, y]), d1, increasing=True), 2)
+            p, q = np.einsum("lkj,lj->kl", (xp @ self.pq).reshape(len(r), 2, d1), yp)
+        else:
+            p = -x * polyval(x, self.a)
+            q = 0.0
+        phidot = 1.0 - eps * (c * q + s * p) / r
+        rate = eps * (c * p - s * q) / phidot
+        return rate, (phidot > 0.0) & (r > 0.0) & np.isfinite(rate)
 
 
-def _hermite(y0, y1, f0, f1, h, tau):
-    """Cubic Hermite value on one step at fraction tau in [0, 1]."""
-    t2 = tau * tau
-    h00 = 2 * t2 * tau - 3 * t2 + 1
-    h10 = t2 * tau - 2 * t2 + tau
-    h01 = -2 * t2 * tau + 3 * t2
-    h11 = t2 * tau - t2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+def _returns(field: _PolarField, eps: float, r0: np.ndarray):
+    """(P(r0), fate) for every start radius (r0, 0) at once.
+
+    Integrates dr/dphi from phi = 0 to 2 pi, so P is r at the end and needs
+    no section-crossing search.  Each lane keeps its own angle, step size and
+    accept/reject decision.  A lane that leaves radius 10 r0 is _ESCAPED; one
+    whose phi' loses its sign (the step collapses below _H_MIN) is
+    _NO_RETURN; both come back NaN.
+    """
+    r0 = np.asarray(r0, dtype=float)
+    out = np.full(r0.size, np.nan)
+    fate = np.full(r0.size, _RETURNED)
+    with np.errstate(all="ignore"):
+        r = r0.copy()
+        f, ok = field(np.zeros_like(r), r, eps)
+        fate[~ok] = _NO_RETURN
+        lane = np.flatnonzero(ok)
+        r, f, cap = r[lane], f[lane], _R_CAP * r0[lane]
+        phi = np.zeros_like(r)
+        h = np.full_like(r, 1e-3)
+        tries = np.zeros(r.size, dtype=int)
+        while lane.size:
+            rem = _TWO_PI - phi
+            h = np.minimum(np.minimum(h, _H_MAX), rem)
+            last = h == rem
+            ks = np.empty((7, lane.size))
+            ks[0] = f
+            bad = np.zeros(lane.size, dtype=bool)
+            for i in range(1, 7):
+                ri = r + h * (_DP_A[i] @ ks[:i])
+                ks[i], ok = field(phi + _DP_C[i] * h, ri, eps)
+                bad |= ~ok
+            # ri is the fifth-order solution; stage 7 is the rate there (FSAL)
+            err = np.abs(h * (_DP_E @ ks)) / (_ATOL + _RTOL * np.maximum(np.abs(r), np.abs(ri)))
+            acc = (err <= 1.0) & ~bad
+            phi = np.where(acc, np.where(last, _TWO_PI, phi + h), phi)
+            r = np.where(acc, ri, r)
+            f = np.where(acc, ks[6], f)
+            h *= np.where(bad, 0.2, np.clip(0.9 * err ** -0.2, 0.2, 5.0))
+            tries += 1
+            esc = acc & (r > cap)
+            fin = acc & last & ~esc
+            lost = ~(esc | fin) & ((h < _H_MIN) | (tries >= _MAX_TRIES))
+            out[lane[fin]] = r[fin]
+            fate[lane[esc]] = _ESCAPED
+            fate[lane[lost]] = _NO_RETURN
+            keep = ~(esc | fin | lost)
+            if not keep.all():
+                lane, r, f, cap, phi, h, tries = (v[keep] for v in
+                                                  (lane, r, f, cap, phi, h, tries))
+    return out, fate
 
 
 def poincare_return(sys: PerturbedSystem, r0: float) -> float:
     """First return of the trajectory from (r0, 0) to the positive x-axis.
 
-    Adaptive Dormand-Prince 5(4), relative tolerance 1e-10; the section
-    crossing (y: + -> -, x > 0) is refined on the last step by bisection of
-    the cubic Hermite interpolant to 1e-12.  Raises Escape past radius
-    10 r0 and NoReturn past arc time 4 pi.
+    One lane of the polar return map: adaptive Dormand-Prince 5(4) on
+    dr/dphi over one clockwise turn, relative tolerance 1e-10.  Raises
+    Escape past radius 10 r0 and NoReturn when the angle stops advancing.
     """
     if r0 <= 0.0:
         raise DomainError("return map needs r0 > 0")
-    rhs = _system_rhs(sys)
-    t = 0.0
-    u = np.array([r0, 0.0])
-    f = rhs(t, u)
-    h = 1e-3
-    r_cap = 10.0 * r0
-    t_cap = 4.0 * math.pi
-    while t < t_cap:
-        h = min(h, _H_MAX, t_cap - t + 1e-9)
-        ks = np.empty((7, 2))
-        ks[0] = f
-        for i in range(1, 7):
-            ui = u + h * (_DP_A[i] @ ks[:i])
-            ks[i] = rhs(t + _DP_C[i] * h, ui)
-        u5 = u + h * (_DP_B5 @ ks)
-        u4 = u + h * (_DP_B4 @ ks)
-        scale = _ATOL + _RTOL * np.maximum(np.abs(u), np.abs(u5))
-        err = math.sqrt(float(np.mean(((u5 - u4) / scale) ** 2)))
-        if err > 1.0:
-            h *= max(0.2, 0.9 * err ** -0.2)
-            continue
-        t_new = t + h
-        f_new = ks[6]  # FSAL: stage 7 is rhs at (t+h, u5)
-        # section crossing y: + -> <=0 with x > 0
-        if u[1] > 0.0 and u5[1] <= 0.0:
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                ym = _hermite(u[1], u5[1], f[1], f_new[1], h, mid)
-                if ym > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < _EVENT_TOL:
-                    break
-            tau = 0.5 * (lo + hi)
-            xc = _hermite(u[0], u5[0], f[0], f_new[0], h, tau)
-            if xc > 0.0:
-                return float(xc)
-        u, f, t = u5, f_new, t_new
-        if float(np.hypot(u[0], u[1])) > r_cap:
-            raise EscapeError(f"trajectory escaped past {r_cap:g} at t={t:.3f}")
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-    raise NoReturnError(f"no section crossing within arc time {t_cap:g}")
+    out, fate = _returns(_PolarField(sys), sys.epsilon, np.array([r0]))
+    if fate[0] == _ESCAPED:
+        raise EscapeError(f"trajectory escaped past {_R_CAP * r0:g}")
+    if fate[0] == _NO_RETURN:
+        raise NoReturnError("the angle stopped advancing before one full turn")
+    return float(out[0])
+
+
+def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
+                  gv: np.ndarray) -> np.ndarray:
+    """One fixed point of the return map per sign change of gv on the grid rs.
+
+    All brackets are refined together by the Illinois variant of regula
+    falsi (an end kept twice in a row has its g halved).  A bracket stops
+    at a point where g is exactly zero, which it reports; or when it is
+    narrower than 1e-10 max(1, b), or when g is NaN inside it, and then it
+    reports its midpoint.
+    """
+    ga, gb = gv[:-1], gv[1:]
+    with np.errstate(invalid="ignore"):
+        sel = ~np.isnan(ga) & ~np.isnan(gb) & (ga != 0.0) & ~(ga * gb > 0.0)
+    a, b, ga, gb = rs[:-1][sel], rs[1:][sel], ga[sel], gb[sel]
+    root = np.full(a.size, np.nan)
+    side = np.zeros(a.size, dtype=int)       # -1: a moved last, +1: b moved last
+    act = np.arange(a.size)
+    for _ in range(40):
+        if not act.size:
+            break
+        aa, bb, fa, fb, sd = a[act], b[act], ga[act], gb[act], side[act]
+        c = (aa * fb - bb * fa) / (fb - fa)
+        c = np.where((c > aa) & (c < bb), c, 0.5 * (aa + bb))
+        gc = _returns(field, eps, c)[0] - c
+        nan, zero = np.isnan(gc), gc == 0.0
+        root[act[nan]] = 0.5 * (aa + bb)[nan]
+        root[act[zero]] = c[zero]
+        left = (gc > 0.0) == (fa > 0.0)
+        fb = np.where(left & (sd == -1), 0.5 * fb, fb)
+        fa = np.where(~left & (sd == 1), 0.5 * fa, fa)
+        a[act] = np.where(left, c, aa)
+        b[act] = np.where(left, bb, c)
+        ga[act] = np.where(left, gc, fa)
+        gb[act] = np.where(left, fb, gc)
+        side[act] = np.where(left, -1, 1)
+        narrow = (b[act] - a[act] < 1e-10 * np.maximum(1.0, b[act])) & ~(nan | zero)
+        root[act[narrow]] = 0.5 * (a + b)[act[narrow]]
+        act = act[~(nan | zero | narrow)]
+    root[act] = 0.5 * (a[act] + b[act])
+    return root
 
 
 def verify_cycles_ode(sys: PerturbedSystem, eps_start: float = 1e-2,
@@ -304,12 +368,13 @@ def verify_cycles_ode(sys: PerturbedSystem, eps_start: float = 1e-2,
                       grid: int | None = None) -> LimitCycleReport:
     """Fixed points of the return map, stabilized over an eps schedule.
 
-    g(r) = P(r) - r is scanned on a radial grid; sign changes are bisected
-    to fixed points.  eps halves until the sign-change count agrees on two
-    consecutive levels; the stabilized level's fixed points are reported.
-    Escaping or non-returning radii contribute no sign information.  The
-    grid densifies when the Melnikov radii sit close together, so adjacent
-    fixed points stay separated.
+    g(r) = P(r) - r is evaluated on a radial grid, all radii in one batched
+    integration; sign changes are refined together to fixed points.  eps
+    halves until the sign-change count agrees on two consecutive levels; the
+    stabilized level's fixed points are reported.  Escaping or non-returning
+    radii contribute no sign information.  The grid densifies when the
+    Melnikov radii sit close together, so adjacent fixed points stay
+    separated.
     """
     radii_hint = None
     if window is None or grid is None:
@@ -333,35 +398,14 @@ def verify_cycles_ode(sys: PerturbedSystem, eps_start: float = 1e-2,
     rs = np.linspace(r_lo, r_hi, grid)
     res = (r_hi - r_lo) / grid
 
+    field = _PolarField(sys)
     prev_count = None
     eps = eps_start
     while eps >= eps_floor * 0.999:
+        # one system per level: bench/spans.py counts eps levels through replace
         s_eps = replace(sys, epsilon=eps)
-
-        def g(r):
-            try:
-                return poincare_return(s_eps, r) - r
-            except (EscapeError, NoReturnError):
-                return math.nan
-
-        gv = np.array([g(r) for r in rs])
-        fixed = []
-        for i in range(grid - 1):
-            a, b, ga, gb = rs[i], rs[i + 1], gv[i], gv[i + 1]
-            if math.isnan(ga) or math.isnan(gb) or ga == 0.0 or ga * gb > 0.0:
-                continue
-            for _ in range(40):
-                mid = 0.5 * (a + b)
-                gm = g(mid)
-                if math.isnan(gm):
-                    break
-                if (gm > 0.0) == (ga > 0.0):
-                    a, ga = mid, gm
-                else:
-                    b = mid
-                if b - a < 1e-10 * max(1.0, b):
-                    break
-            fixed.append(0.5 * (a + b))
+        gv = _returns(field, s_eps.epsilon, rs)[0] - rs
+        fixed = _fixed_points(field, s_eps.epsilon, rs, gv)
         merged = []
         for r in sorted(fixed):
             if not merged or r - merged[-1] > res:

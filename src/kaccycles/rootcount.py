@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, ZeroPolynomialError
 from .sturm import sturm_count
@@ -150,8 +151,6 @@ def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
 
 def _polish_roots(c: np.ndarray, d: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """A few guarded Newton steps per root; keeps the best |f| iterate."""
-    from numpy.polynomial import polynomial as P
-
     # large roots overflow intermediate powers; inf iterates lose the
     # better-of comparison and drop out on their own
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,7 +225,6 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
     merged_a = np.array(merged)
     mult_a = np.array(mult, dtype=int)
 
-    from numpy.polynomial import polynomial as P
     if merged_a.size:
         with np.errstate(over="ignore", invalid="ignore"):
             fvals = np.abs(P.polyval(merged_a, c))
@@ -271,26 +269,19 @@ def sweep_grid(n: int, t_lo: float = 0.0, t_hi: float | None = None,
     return pts[(pts >= t_lo) & (pts <= t_hi)]
 
 
-def _horner(c: np.ndarray, x: float) -> float:
-    acc = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        acc = acc * x + c[k]
-    return acc
-
-
 def _extremum_exact(coeffs: np.ndarray, deriv: np.ndarray, t: np.ndarray,
                     s_cell: int, sp_cell: int, i: int) -> int:
     """Bisect f' to the interior extremum and read f's sign there."""
     a, b = t[i], t[i + 1]
     for _ in range(40):
         mid = 0.5 * (a + b)
-        fm = _horner(deriv, 1.0 - math.exp(-mid))
+        fm = P.polyval(1.0 - math.exp(-mid), deriv)
         if (1 if fm >= 0 else -1) == sp_cell:
             a = mid
         else:
             b = mid
     xm = 1.0 - math.exp(-0.5 * (a + b))
-    return 2 if (1 if _horner(coeffs, xm) >= 0 else -1) != s_cell else 0
+    return 2 if (1 if P.polyval(xm, coeffs) >= 0 else -1) != s_cell else 0
 
 
 def _hidden_pair_counts(c: np.ndarray, t: np.ndarray, f: np.ndarray,

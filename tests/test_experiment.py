@@ -46,6 +46,38 @@ def test_companion_zero_row_is_a_failure(monkeypatch):
         assert np.isnan(counts[[0, 4]]).all() and not np.isnan(counts[[1, 2, 3, 5]]).any()
 
 
+def test_sweep_zero_row_is_a_failure(monkeypatch):
+    # the sweep's point checks at 0, 1 and -1 must not count the zero polynomial
+    drawn = experiment._realized_batch
+
+    def zero_first_row(*args):
+        realized = drawn(*args)
+        realized[0] = 0.0
+        return realized
+
+    monkeypatch.setattr(experiment, "_realized_batch", zero_first_row)
+    res = run_experiment(small_config(degrees=[20], regions=["01", "pos", "neg", "R"],
+                                      trials=8, batch=4, method="sweep"))
+    for row in res.rows:
+        assert row.failures == 2 and row.trials == 6
+        counts = res.counts[(20, row.region)]
+        assert np.isnan(counts[[0, 4]]).all() and not np.isnan(counts[[1, 2, 3, 5]]).any()
+
+
+def test_empty_core_interval_counts_zero_on_both_paths():
+    # the core interval is empty below n = 11: both paths and the Kac-Rice
+    # column give 0
+    got = {}
+    for method in ("sweep", "companion"):
+        res = run_experiment(small_config(degrees=[1, 10], regions=["In", "In_inv"],
+                                          trials=4, method=method))
+        got[method] = res.counts
+        for row in res.rows:
+            assert row.mc_mean == 0.0 and row.failures == 0 and row.kr_value == 0.0
+    for key, counts in got["sweep"].items():
+        assert np.array_equal(counts, got["companion"][key])
+
+
 def test_companion_errors_propagate(monkeypatch):
     def broken(_row):
         raise RuntimeError("not a counting failure")

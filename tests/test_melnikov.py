@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kaccycles.errors import DomainError
-from kaccycles.melnikov import (PerturbedSystem, build_melnikov,
+from kaccycles import melnikov
+from kaccycles.errors import DomainError, EscapeError, NoReturnError
+from kaccycles.melnikov import (MelnikovPoly, PerturbedSystem, build_melnikov,
                                 count_bifurcating_cycles,
                                 melnikov_flux_quadrature, poincare_return,
                                 verify_cycles_ode)
@@ -66,6 +67,46 @@ def test_count_bijection_with_rootcount():
         mp = build_melnikov(sysm)
         want = count_in_interval(mp.fn_coeffs, Interval(0.0, math.inf)).count
         assert rep.count == want
+
+
+def test_polyval_matches_horner_loop_bitwise(rng):
+    # f and f' go through numpy's polyval: the same Horner operations in the
+    # same order as an explicit loop, so every bit agrees
+    def horner(coeffs, x):
+        acc = 0.0
+        for c in coeffs[::-1]:
+            acc = acc * x + c
+        return acc
+
+    def bits(v, shape):
+        return np.broadcast_to(np.asarray(v, dtype=float), shape).view(np.uint64)
+
+    for n in (0, 1, 4, 17):
+        c = rng.standard_normal(n + 1)
+        mp = MelnikovPoly(c, n, 1.0, 1.0)
+        xs = rng.uniform(-3.0, 3.0, 25)
+        deriv = np.arange(1, n + 1) * c[1:]
+        for x in xs:
+            assert bits(mp.f(x), ()) == bits(horner(c, x), ())
+            assert bits(mp.f_prime(x), ()) == bits(horner(deriv, x), ())
+        assert np.array_equal(bits(mp.f(xs), xs.shape), bits(horner(c, xs), xs.shape))
+        assert np.array_equal(bits(mp.f_prime(xs), xs.shape),
+                              bits(horner(deriv, xs), xs.shape))
+
+
+def test_lienard_flux_matches_horner_loop_bitwise(rng):
+    for d in (1, 6, 11):
+        pc = PerturbationCoefficients.lienard(rng.standard_normal(d))
+        s = PerturbedSystem("lienard", pc)
+        for r in (0.3, 1.7):
+            th = np.linspace(0.0, 2.0 * math.pi, 4 * d + 8, endpoint=False)
+            x = r * np.cos(th)
+            px = np.zeros_like(x)
+            for c in pc.alpha[::-1]:
+                px = px * x + c
+            px *= x / (2.0 * math.sqrt(math.pi))
+            want = float((px * x).mean() * 2.0 * math.pi)
+            assert melnikov_flux_quadrature(s, r) == want
 
 
 def test_system_validation():
@@ -159,6 +200,52 @@ def test_displacement_scaling_richardson(rng):
             assert abs(extrap - want) <= 0.02 * max(0.05, abs(want)), (trial, r)
 
 
+def _scalar_or_nan(s, r):
+    try:
+        return poincare_return(s, r)
+    except (EscapeError, NoReturnError):
+        return math.nan
+
+
+@pytest.mark.parametrize("kind,d,trial", [("center", 7, 8), ("center", 5, 2),
+                                          ("lienard", 7, 1), ("lienard", 5, 3)])
+def test_batched_lanes_match_one_lane_calls(kind, d, trial):
+    seed = SeedSpec(70812, trial=trial)
+    pc = (PerturbationCoefficients.sample_full(d, G, seed) if kind == "center"
+          else PerturbationCoefficients.sample_lienard(d, G, seed))
+    s = PerturbedSystem(kind, pc, epsilon=1e-2)
+    rs = np.linspace(0.1, 6.0, 40)
+    got, _fate = melnikov._returns(melnikov._PolarField(s), s.epsilon, rs)
+    want = np.array([_scalar_or_nan(s, r) for r in rs])
+    # a lane is NaN exactly where the one-lane call raises
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.maximum(1.0, rs[ok]))
+
+
+def test_escape_and_no_return_raise():
+    # p(x) = -2x at eps = 1/2: phi' stays positive and r passes 10 r0 in one turn
+    s = PerturbedSystem("lienard", PerturbationCoefficients.lienard(
+        np.array([-2.0 * TWO_SQRT_PI])), epsilon=0.5)
+    with pytest.raises(EscapeError):
+        poincare_return(s, 1.0)
+    # at r = 6 the degree-7 center field turns phi' negative before one turn
+    pc = PerturbationCoefficients.sample_full(7, G, SeedSpec(70812, trial=8))
+    s = PerturbedSystem("center", pc, epsilon=1e-2)
+    with pytest.raises(NoReturnError):
+        poincare_return(s, 6.0)
+
+
+def test_unperturbed_lanes_return_exactly():
+    for pc in (PerturbationCoefficients.from_maps(3, {}, {}),
+               PerturbationCoefficients.lienard(np.zeros(4))):
+        s = PerturbedSystem("center" if pc.kind == "full" else "lienard", pc,
+                            epsilon=1e-2)
+        rs = np.linspace(0.05, 8.0, 33)
+        got, fate = melnikov._returns(melnikov._PolarField(s), s.epsilon, rs)
+        assert np.array_equal(got, rs) and not fate.any()
+
+
 def test_poincare_rejects_bad_radius():
     s = van_der_pol()
     with pytest.raises(DomainError):
@@ -179,3 +266,11 @@ def test_pure_damping_ode_verification():
     pc = PerturbationCoefficients.lienard(np.array([1.0]))
     rep = verify_cycles_ode(PerturbedSystem("lienard", pc))
     assert rep.count == 0
+
+
+def test_acceptance_12_trial_8_counts_one_cycle():
+    # seed 70812, trial 8: center, d = 7, one Melnikov radius at 2.07
+    pc = PerturbationCoefficients.sample_full(7, G, SeedSpec(70812, trial=8))
+    s = PerturbedSystem("center", pc)
+    assert count_bifurcating_cycles(s).count == 1
+    assert verify_cycles_ode(s).count == 1

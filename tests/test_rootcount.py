@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kaccycles import rootcount
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DegreeTooLargeError, DomainError, ZeroPolynomialError
 from kaccycles.rootcount import (Interval, count_in_interval, real_roots,
@@ -204,3 +205,13 @@ def test_sweep_counts_root_beyond_last_grid_point():
     companion = count_in_interval(c, Interval(0, 1))
     assert np.any(np.abs(companion.roots - 0.999999) < 1e-9)
     assert sweep_count(c, "01") == companion.count
+
+
+def test_extremum_bisection_finds_hidden_pair():
+    # f = (x - 1/2)^2 - delta: a like-signed cell around x = 1/2 holds two
+    # roots when delta > 0 and none when delta < 0
+    t = -np.log1p(-np.array([0.4, 0.6]))
+    for delta, want in ((1e-8, 2), (-1e-8, 0)):
+        c = np.array([0.25 - delta, -1.0, 1.0])
+        deriv = np.array([-1.0, 2.0])
+        assert rootcount._extremum_exact(c, deriv, t, 1, -1, 0) == want
