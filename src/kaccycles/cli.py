@@ -131,7 +131,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--seed", type=int, required=seed_required, default=None)
-        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("coeffs", help="deterministic coefficients of a scheme")
     sp.add_argument("--scheme", required=True)
@@ -164,7 +163,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--check", action="store_true",
                     help="exit 3 when a theory band fails")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=None,
+                    help="accepted and ignored: trials run in one process")
 
     sp = sub.add_parser("limit-cycles", help="Melnikov cycle counts over trials")
     sp.add_argument("--kind", choices=("center", "lienard"), required=True)

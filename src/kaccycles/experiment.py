@@ -9,9 +9,10 @@ asymptotic predictor.  Counting goes through the batched sweep counter
 so every region preset is assembled from the same per-trial counts and
 region additivity holds exactly per trial.
 
-Trials are partitioned into fixed-size batches independent of the worker
-count; batch results merge in index order, which keeps the output
-bit-identical for any worker pool.
+Trials run in one process, in fixed-size batches merged in index order.
+Every draw is addressed by (seed, trial, index), so the output does not
+depend on the batch size; parallelism comes from the BLAS threads of the
+sweep GEMMs and the eigenvalue solves (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -45,6 +45,9 @@ _RATIO_FLOOR = 0.1
 
 @dataclass
 class ExperimentConfig:
+    """One Monte Carlo grid.  ``workers`` is accepted and ignored: trials run
+    in one process, and the output does not depend on it."""
+
     scheme: CoeffScheme
     dist: NoiseDistribution
     degrees: list[int]
@@ -70,6 +73,8 @@ class ExperimentConfig:
                 raise DomainError(f"unknown region {r!r}")
         if self.method not in ("auto", "companion", "sweep"):
             raise DomainError(f"unknown method {self.method!r}")
+        if self.batch < 1:
+            raise DomainError(f"batch must be at least 1, got {self.batch}")
         # master_seed may stay None until the CLI injects --seed; run_experiment
         # refuses to draw without one (no silent entropy)
 
@@ -180,16 +185,19 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
     nt = t1 - t0
     realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
 
-    # which families and spans are needed
-    plans = {r: _region_plan(r, n) for r in regions}
+    # each region as (family, grid-index span) terms, and each family's spans
+    plans = {}
     fam_spans: dict[str, list] = {}
-    for r, (spans, _pts) in plans.items():
+    for r in regions:
+        spans, pts = _region_plan(r, n)
+        terms = []
         for fam, tlo, thi in spans:
             lo = 0 if tlo is None else int(np.searchsorted(grid, tlo))
             hi = len(grid) - 1 if thi is None else int(np.searchsorted(grid, thi))
-            fam_spans.setdefault(fam, [])
-            if (lo, hi) not in fam_spans[fam]:
+            terms.append((fam, (lo, hi)))
+            if (lo, hi) not in fam_spans.setdefault(fam, []):
                 fam_spans[fam].append((lo, hi))
+        plans[r] = terms, pts
 
     sign = np.ones(n + 1)
     sign[1::2] = -1.0
@@ -214,12 +222,10 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
     zero_rows = ~realized.any(axis=1)
 
     out = {}
-    for r, (spans, pts) in plans.items():
+    for r, (terms, pts) in plans.items():
         tot = np.zeros(nt, dtype=int)
-        for fam, tlo, thi in spans:
-            lo = 0 if tlo is None else int(np.searchsorted(grid, tlo))
-            hi = len(grid) - 1 if thi is None else int(np.searchsorted(grid, thi))
-            tot = tot + fam_counts[fam][(lo, hi)]
+        for fam, span in terms:
+            tot = tot + fam_counts[fam][span]
         for p in pts:
             tot = tot + points[p]
         out[r] = tot.astype(float)
@@ -239,12 +245,12 @@ def _realized_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
                                        philox.LANE_XI) for trial in range(t0, t1)],
                     dtype=np.uint64)
     noise = philox.variates_block(dist.value, keys, n + 1)
-    return noise * _coeffs_cached(scheme.label(), n).values[None, :]
+    return noise * _coeffs_cached(scheme, n).values[None, :]
 
 
 @lru_cache(maxsize=8)
-def _coeffs_cached(scheme_label: str, n: int):
-    return coeff_vector(CoeffScheme.parse(scheme_label), n)
+def _coeffs_cached(scheme: CoeffScheme, n: int):
+    return coeff_vector(scheme, n)
 
 
 def _count_batch_companion(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
@@ -273,21 +279,6 @@ def _count_batch_companion(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
     return out
 
 
-def _run_chunk(args):
-    (scheme_label, dist_value, n, regions, master_seed,
-     experiment_id, method, t0, t1) = args
-    scheme = CoeffScheme.parse(scheme_label)
-    dist = NoiseDistribution(dist_value)
-    use_sweep = method == "sweep" or (method == "auto" and n > COMPANION_CUTOFF)
-    if n < 1:
-        use_sweep = False
-    if use_sweep:
-        return t0, _count_batch_sweep(scheme, dist, n, tuple(regions),
-                                      master_seed, experiment_id, t0, t1)
-    return t0, _count_batch_companion(scheme, dist, n, tuple(regions),
-                                      master_seed, experiment_id, t0, t1)
-
-
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -309,21 +300,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     moment_rows: list[MomentRow] = []
     counts_store: dict = {}
     for n in config.degrees:
-        chunks = []
-        b = 0
-        while b < config.trials:
-            e = min(b + config.batch, config.trials)
-            chunks.append((config.scheme.label(), config.dist.value, n,
-                           tuple(config.regions), config.master_seed,
-                           config.experiment_id, config.method, b, e))
-            b = e
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(_run_chunk, chunks))
-        else:
-            results = [_run_chunk(c) for c in chunks]
-        results.sort(key=lambda kv: kv[0])
-        per_region = {r: np.concatenate([res[r] for _t0, res in results])
+        use_sweep = n >= 1 and (config.method == "sweep" or (
+            config.method == "auto" and n > COMPANION_CUTOFF))
+        count_batch = _count_batch_sweep if use_sweep else _count_batch_companion
+        results = [count_batch(config.scheme, config.dist, n, config.regions,
+                               config.master_seed, config.experiment_id,
+                               t0, min(t0 + config.batch, config.trials))
+                   for t0 in range(0, config.trials, config.batch)]
+        per_region = {r: np.concatenate([res[r] for res in results])
                       for r in config.regions}
 
         for region in config.regions:
@@ -336,7 +320,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             kr = None
             if config.dist is NoiseDistribution.GAUSSIAN and n >= 1:
                 kr = float(expected_roots_region(
-                    _coeffs_cached(config.scheme.label(), n), region,
+                    _coeffs_cached(config.scheme, n), region,
                     config.quad_tol)[0])
             asym = None
             if n >= 3:
@@ -440,8 +424,9 @@ def compare_to_theory(rows: list[EstimateRow], band_lo: float = 0.7,
 def parse_config_file(path: str) -> ExperimentConfig:
     """Plain key-value config: `key = value`, '#' comments.
 
-    Keys: scheme, dist, degrees, regions, trials, master_seed, workers,
-    moments, method, quad_tol, batch, band_lo, band_hi, experiment_id.
+    Keys: scheme, dist, degrees, regions, trials, master_seed, workers
+    (accepted and ignored), moments, method, quad_tol, batch, band_lo,
+    band_hi, experiment_id.
     """
     kv = {}
     with open(path, "r", encoding="utf-8") as fh:

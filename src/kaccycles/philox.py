@@ -268,21 +268,6 @@ def variates_block(dist_name: str, key, count: int, start: int = 0) -> np.ndarra
     return out if np.ndim(key) else out[0]
 
 
-def gaussian_block(key, count: int, start: int = 0) -> np.ndarray:
-    """Standard normals at indices [start, start+count)."""
-    return variates_block("gaussian", key, count, start)
-
-
-def rademacher_block(key, count: int, start: int = 0) -> np.ndarray:
-    """+-1 draws at indices [start, start+count)."""
-    return variates_block("rademacher", key, count, start)
-
-
-def uniform_sym_block(key, count: int, start: int = 0) -> np.ndarray:
-    """Uniform draws on [-sqrt(3), sqrt(3)] at indices [start, start+count)."""
-    return variates_block("uniform", key, count, start)
-
-
 def variates_at(dist_name: str, key: int, indices: np.ndarray) -> np.ndarray:
     """Variates at arbitrary indices (pure counter addressing)."""
     finish, per = _finish_for(dist_name)

@@ -54,10 +54,6 @@ class NoiseDistribution(enum.Enum):
             raise DomainError(f"unknown distribution {text!r}")
         return NoiseDistribution(aliases[t])
 
-    @property
-    def fourth_moment(self) -> float:
-        return {"gaussian": 3.0, "rademacher": 1.0, "uniform": 9.0 / 5.0}[self.value]
-
 
 @dataclass(frozen=True)
 class SeedSpec:

@@ -25,6 +25,21 @@ def test_unknown_flag_exits_one(capsys):
     assert dispatch(["not-a-command"]) == 1
 
 
+def test_workers_is_an_experiment_flag_only(capsys):
+    argvs = {
+        "coeffs": ["--scheme", "center", "--degree", "3"],
+        "sample": ["--scheme", "center", "--dist", "gauss", "--degree", "3",
+                   "--seed", "1"],
+        "count": ["--coeffs", "c.csv"],
+        "kac-rice": ["--scheme", "center", "--degree", "3"],
+        "limit-cycles": ["--kind", "center", "--degree", "3", "--seed", "1"],
+        "ode-verify": ["--kind", "center", "--degree", "3", "--seed", "1"],
+    }
+    for command, argv in argvs.items():
+        assert dispatch([command, *argv, "--workers", "2"]) == 1, command
+    assert dispatch(["coeffs", *argvs["coeffs"]]) == 0
+
+
 def test_csv_json_numeric_equivalence(capsys):
     code, csv_out = run(capsys, "coeffs", "--scheme", "power:-0.5", "--degree", "4")
     assert code == 0

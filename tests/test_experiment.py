@@ -1,14 +1,17 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kaccycles import experiment
-from kaccycles.coeffs import CoeffScheme
+from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DomainError, InsufficientDataError
 from kaccycles.experiment import (EstimateRow, ExperimentConfig,
                                   compare_to_theory, parse_config_file,
                                   run_experiment, write_outputs)
+from kaccycles.kacrice import expected_roots_region
 from kaccycles.sampler import NoiseDistribution
 
 
@@ -126,6 +129,29 @@ def test_worker_invariance():
             assert np.array_equal(a.counts[k], b.counts[k])
 
 
+def test_power_scheme_keeps_its_exponent():
+    # the coefficients come from the scheme, not from its 6-digit label
+    scheme = CoeffScheme.power_law(-0.1234567)
+    res = run_experiment(small_config(scheme=scheme, degrees=[20], regions=["01"],
+                                      trials=4))
+    want = expected_roots_region(coeff_vector(scheme, 20), "01", 1e-7)[0]
+    assert res.rows[0].kr_value == float(want)
+
+
+def test_batches_run_in_the_calling_process(monkeypatch):
+    # workers is accepted and ignored: every batch is counted here
+    pids = []
+    count = experiment._count_batch_sweep
+
+    def recording(*args):
+        pids.append(os.getpid())
+        return count(*args)
+
+    monkeypatch.setattr(experiment, "_count_batch_sweep", recording)
+    run_experiment(small_config(workers=4, trials=40, batch=16))
+    assert pids == [os.getpid()] * 3
+
+
 def test_outputs_reproducible(tmp_path):
     cfg = small_config(trials=128)
     res = run_experiment(cfg)
@@ -160,6 +186,9 @@ def test_config_validation():
         small_config(degrees=[])
     with pytest.raises(DomainError):
         small_config(regions=["everywhere"])
+    for batch in (0, -3):
+        with pytest.raises(DomainError):
+            small_config(batch=batch)
 
 
 def test_parse_config_file(tmp_path):
@@ -183,6 +212,13 @@ def test_parse_config_file(tmp_path):
     bad.write_text("scheme = center\n")
     with pytest.raises(DomainError):
         parse_config_file(str(bad))
+
+
+@pytest.mark.parametrize("preset", sorted(
+    (Path(__file__).parent.parent / "configs").glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_presets_parse(preset):
+    cfg = parse_config_file(str(preset))
+    assert cfg.master_seed is not None and cfg.degrees and cfg.regions
 
 
 def _rows_from(ns, values, region="01", stderrs=None, asym=None):
