@@ -86,8 +86,10 @@ class CoeffScheme:
         return -0.5 if self.kind in ("center", "lienard") else float(self.rho)
 
     def label(self) -> str:
+        """Scheme text that ``parse`` reads back to this scheme."""
         if self.kind == "power":
-            return f"power:{self.rho:g}"
+            text = f"{self.rho:g}"
+            return f"power:{text if float(text) == self.rho else repr(self.rho)}"
         return self.kind
 
 

@@ -7,7 +7,8 @@ asymptotic predictor.  Counting goes through the batched sweep counter
 (degree > companion cutoff) or the companion matrix; all four axis families
 (direct, reversed, and their mirrors) share one evaluation grid per degree,
 so every region preset is assembled from the same per-trial counts and
-region additivity holds exactly per trial.
+region additivity holds exactly per trial.  A family and its mirror are one
+sweep: f(x) and f(-x) come from the same even/odd half-size products.
 
 Trials run in one process, in fixed-size batches merged in index order.
 Every draw is addressed by (seed, trial, index), so the output does not
@@ -35,8 +36,9 @@ from .sampler import NoiseDistribution
 
 REGIONS = ("01", "1inf", "sym", "neg1inf", "pos", "neg", "R", "In", "In_inv")
 
-# families of one-sided sweeps; every region is a sum of family spans
-_FAMILIES = ("dir", "rev", "mdir", "mrev")
+# families of one-sided sweeps, in mirror pairs; every region is a sum of
+# family spans, and each pair is counted by one sweep
+_MIRROR_PAIRS = (("dir", "mdir"), ("rev", "mrev"))
 
 COMPANION_CUTOFF = 64
 DEFAULT_BATCH = 64
@@ -152,7 +154,7 @@ def _grid_for(n: int, pinned: tuple) -> np.ndarray:
     return sweep_grid(n, extra_points=pinned)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _powers_for(n: int, pinned: tuple) -> np.ndarray:
     return power_matrix(n, _grid_for(n, pinned))
 
@@ -199,21 +201,22 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
                 fam_spans[fam].append((lo, hi))
         plans[r] = terms, pts
 
+    # the mirror of the reversed rows is (-1)^n times mrev's rows
+    # (c_m (-1)^m reversed): a whole-row sign that moves no root
+    fam_counts: dict[str, dict] = {}
+    for fam, mfam in _MIRROR_PAIRS:
+        spans, mspans = fam_spans.get(fam, []), fam_spans.get(mfam, [])
+        if not spans and not mspans:
+            continue
+        rows = realized if fam == "dir" else realized[:, ::-1]
+        got = sweep_count_batch(rows, grid, powers=powers, spans=spans,
+                                mirror_spans=mspans)
+        cols = iter(got.T)
+        for f, sps in ((fam, spans), (mfam, mspans)):
+            fam_counts[f] = {span: next(cols) for span in sps}
+
     sign = np.ones(n + 1)
     sign[1::2] = -1.0
-    fam_counts: dict[str, dict] = {}
-    for fam, spans in fam_spans.items():
-        if fam == "dir":
-            rows = realized
-        elif fam == "rev":
-            rows = np.ascontiguousarray(realized[:, ::-1])
-        elif fam == "mdir":
-            rows = realized * sign[None, :]
-        else:
-            rows = np.ascontiguousarray((realized * sign[None, :])[:, ::-1])
-        got = sweep_count_batch(rows, grid, powers=powers, spans=spans)
-        fam_counts[fam] = {span: got[:, j] for j, span in enumerate(spans)}
-
     points = {
         "zero": (realized[:, 0] == 0.0).astype(int),
         "one": (realized.sum(axis=1) == 0.0).astype(int),

@@ -12,6 +12,9 @@ Three methods with different contracts:
   t = -log(1-x), where the root flow of these ensembles has bounded density.
   Count-only, O(n * grid) per polynomial and BLAS-batchable across trials,
   which is what makes 10^4-trial Monte Carlo runs at degree 10^4 feasible.
+  The even and odd coefficients go through separate half-size products,
+  E(x) and O(x), so one sweep also counts the mirrored polynomial
+  f(-x) = E(x) - O(x), i.e. the roots of f on the negative axis.
   Validated against the companion path (exact agreement on reference
   batches) before the Monte Carlo harness trusts it.
 """
@@ -285,12 +288,12 @@ def _extremum_exact(coeffs: np.ndarray, deriv: np.ndarray, t: np.ndarray,
 
 
 def _hidden_pair_counts(c: np.ndarray, t: np.ndarray, f: np.ndarray,
-                        gp: np.ndarray, s: np.ndarray, sp: np.ndarray,
+                        fp: np.ndarray, s: np.ndarray, sp: np.ndarray,
                         rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Extra crossings from like-signed cells containing an extremum.
 
     The cubic Hermite model on each suspicious cell (values and t-derivatives
-    at both ends, already on the grid) screens for an interior dip toward
+    at both ends, from f and f' on the grid) screens for an interior dip toward
     zero; only screened cells pay for an exact bisection of f'.  A true
     hidden pair makes the Hermite extremum cross zero decisively, so the
     screen keeps exactness while the typical benign extremum costs nothing.
@@ -300,7 +303,9 @@ def _hidden_pair_counts(c: np.ndarray, t: np.ndarray, f: np.ndarray,
         return extra
     h = t[cells + 1] - t[cells]
     f0, f1 = f[rows, cells], f[rows, cells + 1]
-    d0, d1 = gp[rows, cells] * h, gp[rows, cells + 1] * h
+    dxdt = np.exp(-t)   # df/dt = f'(x) dx/dt
+    d0 = fp[rows, cells] * dxdt[cells] * h
+    d1 = fp[rows, cells + 1] * dxdt[cells + 1] * h
     # H(tau) = f0 + d0 tau + a2 tau^2 + a3 tau^3 on tau in [0, 1]
     a2 = -3.0 * f0 - 2.0 * d0 + 3.0 * f1 - d1
     a3 = 2.0 * f0 + d0 - 2.0 * f1 + d1
@@ -328,7 +333,8 @@ def _hidden_pair_counts(c: np.ndarray, t: np.ndarray, f: np.ndarray,
 
 def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
                       powers: np.ndarray | None = None,
-                      spans: list[tuple[int, int]] | None = None) -> np.ndarray:
+                      spans: list[tuple[int, int]] | None = None,
+                      mirror_spans: list[tuple[int, int]] = ()) -> np.ndarray:
     """Count roots with x in (x(t[lo]), x(t[hi])) for a batch of polynomials.
 
     ``coeff_rows`` is (batch, n+1) realized coefficients; ``t`` the sweep
@@ -337,7 +343,15 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     grid index pairs, one count per span per row.  A span that ends at the
     last grid point reaches on to x = 1 (open): the tail (x(t[-1]), 1)
     adds the parity of its roots, read from the sign of f(1) = sum c_m.
-    Returns an array of shape (batch, len(spans)).
+
+    f and x f' come from the even and odd coefficients, each pair stacked
+    into one half-size product, [c_even; (m c)_even] @ powers[0::2] and
+    [c_odd; (m c)_odd] @ powers[1::2]; then f(x) = E(x) + O(x).  The same
+    products give the mirror f(-x) = E(x) - O(x), so ``mirror_spans``
+    counts the roots of the mirrored rows c_m (-1)^m, i.e. of f on
+    (-x(t[hi]), -x(t[lo])), at no extra GEMM cost.
+    Returns an array of shape (batch, len(spans) + len(mirror_spans)),
+    the mirror counts last.
     """
     c = np.ascontiguousarray(np.atleast_2d(coeff_rows), dtype=float)
     n = c.shape[1] - 1
@@ -345,23 +359,44 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
         powers = power_matrix(n, t)
     if spans is None:
         spans = [(0, len(t) - 1)]
-    idx = np.arange(n + 1, dtype=float)
-    f = c @ powers
-    # f'(x) = sum m c_m x^{m-1} = (sum m c_m x^m)/x; x=0 column handled apart
-    fp = (c * idx) @ powers
+    m = np.arange(n + 1, dtype=float)
+    # strided row views of powers go to BLAS as they are (lda = 2 len(t))
+    fx, odd = (np.concatenate([c[:, k::2], c[:, k::2] * m[k::2]]) @ powers[k::2]
+               for k in (0, 1))
+    # f = E + O in place, and the mirror E - O.  Large temporaries are kept
+    # few: each one is memory that is faulted in afresh on every call
+    gx = fx - odd if mirror_spans else None
+    fx += odd
+    del odd
     x = 1.0 - np.exp(-t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fp = np.where(x > 0.0, fp / np.where(x == 0.0, 1.0, x), 0.0)
-    if x[0] == 0.0 and n >= 1:
-        fp[:, 0] = c[:, 1]
-    s = np.where(f >= 0.0, 1, -1)
-    sp = np.where(fp >= 0.0, 1, -1)
-    gp = fp * np.exp(-t)[None, :]   # df/dt = f'(x) dx/dt on the grid
+    out = [_span_counts(c, t, x, fx, spans)]
+    del fx
+    if mirror_spans:
+        sign = np.ones(n + 1)
+        sign[1::2] = -1.0
+        out.append(_span_counts(c * sign, t, x, gx, mirror_spans))
+    return np.concatenate(out, axis=1)
 
-    out = np.zeros((c.shape[0], len(spans)), dtype=int)
-    flips = (s[:, 1:] != s[:, :-1]).astype(np.int64)
-    cum = np.concatenate([np.zeros((c.shape[0], 1), dtype=np.int64),
-                          np.cumsum(flips, axis=1)], axis=1)
+
+def _span_counts(c: np.ndarray, t: np.ndarray, x: np.ndarray, fx: np.ndarray,
+                 spans) -> np.ndarray:
+    """Per-span counts of the rows ``c``, given ``fx`` = [f; x f'] on the grid.
+
+    ``fx`` is overwritten.  The tail sign and the exact extremum bisection
+    read ``c`` itself, so a mirror count passes the mirrored rows.
+    """
+    b = c.shape[0]
+    f, fp = fx[:b], fx[b:]
+    # f'(x) = (sum m c_m x^m)/x, in place; x=0 column handled apart
+    fp /= np.where(x > 0.0, x, 1.0)
+    if x[0] == 0.0 and c.shape[1] >= 2:
+        fp[:, 0] = c[:, 1]
+    s = np.where(f >= 0.0, np.int8(1), np.int8(-1))
+    sp = np.where(fp >= 0.0, np.int8(1), np.int8(-1))
+
+    out = np.zeros((b, len(spans)), dtype=int)
+    cum = np.zeros(f.shape, dtype=np.int64)
+    np.cumsum(s[:, 1:] != s[:, :-1], axis=1, out=cum[:, 1:])
     suspicious = (s[:, 1:] == s[:, :-1]) & (sp[:, 1:] != sp[:, :-1])
     f_one = c.sum(axis=1)
     tail = ((f_one != 0.0) & (np.where(f_one > 0.0, 1, -1) != s[:, -1])).astype(int)
@@ -371,7 +406,7 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
             out[:, j] += tail
         rr, ii = np.nonzero(suspicious[:, lo:hi])
         if len(rr):
-            extra = _hidden_pair_counts(c, t, f, gp, s, sp, rr, ii + lo)
+            extra = _hidden_pair_counts(c, t, f, fp, s, sp, rr, ii + lo)
             np.add.at(out[:, j], rr, extra)
     return out
 
@@ -385,8 +420,11 @@ def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
     x = 1.0 - np.exp(-t)
     logx = np.where(x > 0.0, np.log(np.where(x <= 0.0, 1.0, x)), -np.inf)
     m = np.arange(n + 1, dtype=float)[:, None]
+    pw = np.empty((n + 1, len(t)))
+    # built in place: no (n+1, len(t)) temporary beside the result
     with np.errstate(invalid="ignore"):
-        pw = np.exp(m * logx[None, :])
+        np.multiply(m, logx, out=pw)
+        np.exp(pw, out=pw)
     pw[:, x <= 0.0] = 0.0
     if x.size and x[0] <= 0.0:
         pw[0, x <= 0.0] = 1.0

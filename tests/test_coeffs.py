@@ -141,6 +141,21 @@ def test_scheme_parse_and_validation():
         C.CoeffScheme("center", 1.0)
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.5, 1 / 3, -0.1234567, 1e-7])
+def test_scheme_label_round_trips(rho):
+    s = C.CoeffScheme.power_law(rho)
+    assert C.CoeffScheme.parse(s.label()) == s
+
+
+def test_scheme_label_keeps_short_text():
+    # output headers and result keys are written with these labels
+    assert C.CoeffScheme.power_law(0.0).label() == "power:0"
+    assert C.CoeffScheme.power_law(-0.5).label() == "power:-0.5"
+    assert C.CoeffScheme.power_law(1e-7).label() == "power:1e-07"
+    assert C.CoeffScheme.power_law(-0.1234567).label() == "power:-0.1234567"
+    assert C.CoeffScheme.perturbed_center().label() == "center"
+
+
 def test_coeff_vector_power_law():
     cv = C.coeff_vector(C.CoeffScheme.power_law(0.0), 5)
     assert np.array_equal(cv.values, np.ones(6))

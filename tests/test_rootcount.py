@@ -215,3 +215,70 @@ def test_extremum_bisection_finds_hidden_pair():
         c = np.array([0.25 - delta, -1.0, 1.0])
         deriv = np.array([-1.0, 2.0])
         assert rootcount._extremum_exact(c, deriv, t, 1, -1, 0) == want
+
+
+def _center_rows(n, count, seed):
+    rng = np.random.default_rng(seed)
+    values = coeff_vector(CoeffScheme.perturbed_center(), n).values
+    return values[None, :] * rng.standard_normal((count, n + 1))
+
+
+def _mirror(c):
+    return c * (-1.0) ** np.arange(c.shape[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 400])
+def test_sweep_mirror_columns_count_the_mirrored_rows(n):
+    c = _center_rows(n, 40, 100 + n)
+    # a pinned inner span, as the core-interval regions use
+    t = rootcount.sweep_grid(n, extra_points=[0.7, 2.3])
+    lo, hi = int(np.searchsorted(t, 0.7)), int(np.searchsorted(t, 2.3))
+    spans = [(0, len(t) - 1), (lo, hi), (hi, len(t) - 1)]
+    got = rootcount.sweep_count_batch(c, t, spans=spans[:2], mirror_spans=spans)
+    assert got.shape == (40, 5)
+    assert np.array_equal(got[:, :2],
+                          rootcount.sweep_count_batch(c, t, spans=spans[:2]))
+    assert np.array_equal(got[:, 2:],
+                          rootcount.sweep_count_batch(_mirror(c), t, spans=spans))
+    for row, count in zip(c[:16], got[:16, 2]):
+        assert count == count_in_interval(row, Interval(-1.0, 0.0)).count
+
+
+def test_sweep_mirror_counts_root_beyond_last_grid_point():
+    # the mirror of test_sweep_counts_root_beyond_last_grid_point: the root
+    # at x = -0.999999 is seen only through the sign of f(-1)
+    t = rootcount.sweep_grid(100)
+    for seed in range(5, 11):
+        rng = np.random.default_rng(seed)
+        q = (coeff_vector(CoeffScheme.perturbed_center(), 99).values
+             * rng.standard_normal(100))
+        c = np.polynomial.polynomial.polymul([0.999999, 1.0], q)
+        companion = count_in_interval(c, Interval(-1.0, 0.0))
+        assert np.any(np.abs(companion.roots + 0.999999) < 1e-9)
+        got = rootcount.sweep_count_batch(c, t, spans=[],
+                                          mirror_spans=[(0, len(t) - 1)])
+        assert got.shape == (1, 1)
+        assert got[0, 0] == companion.count, seed
+
+
+@pytest.mark.parametrize("n", [1, 3, 65, 401])
+def test_sweep_reversed_mirror_matches_mirror_then_reverse(n):
+    # at odd n the mirror of the reversed rows is -1 times the reversed mirror
+    c = _center_rows(n, 40, 200 + n)
+    t = rootcount.sweep_grid(n)
+    spans = [(0, len(t) - 1)]
+    rev_mirror = rootcount.sweep_count_batch(c[:, ::-1], t, spans=[],
+                                             mirror_spans=spans)
+    mirror_rev = rootcount.sweep_count_batch(_mirror(c)[:, ::-1], t, spans=spans)
+    assert np.array_equal(rev_mirror, mirror_rev)
+
+
+def test_sweep_counts_do_not_see_a_row_sign():
+    for n in (2, 64, 65, 400):
+        c = _center_rows(n, 40, 300 + n)
+        t = rootcount.sweep_grid(n, extra_points=[0.7, 2.3])
+        spans = [(0, len(t) - 1), (int(np.searchsorted(t, 0.7)),
+                                   int(np.searchsorted(t, 2.3)))]
+        assert np.array_equal(
+            rootcount.sweep_count_batch(c, t, spans=spans, mirror_spans=spans),
+            rootcount.sweep_count_batch(-c, t, spans=spans, mirror_spans=spans))
