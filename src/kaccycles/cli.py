@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .coeffs import CoeffScheme, coeff_vector
 from .errors import KaccyclesError, DomainError
-from .kacrice import asymptotic_prediction, expected_roots_region
+from .kacrice import REGIONS, asymptotic_prediction, expected_roots_region
 from .rootcount import Interval, count_in_interval, sturm_count
 from .sampler import (NoiseDistribution, PerturbationCoefficients, SeedSpec,
                       sample_polynomial)
@@ -152,8 +152,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("kac-rice", help="expected zero count, Gaussian noise")
     sp.add_argument("--scheme", required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--region", choices=("01", "1inf", "sym", "R", "pos", "neg",
-                                         "In", "In_inv"), default="R")
+    sp.add_argument("--region", choices=REGIONS, default="R")
     sp.add_argument("--tol", type=float, default=1e-8)
     common(sp)
 

@@ -4,11 +4,14 @@ Per (degree, region) the harness samples independent polynomials on
 per-trial counter streams, counts real roots, and aggregates means with
 standard errors next to the Gaussian Kac-Rice value and the closed-form
 asymptotic predictor.  Counting goes through the batched sweep counter
-(degree > companion cutoff) or the companion matrix; all four axis families
-(direct, reversed, and their mirrors) share one evaluation grid per degree,
-so every region preset is assembled from the same per-trial counts and
-region additivity holds exactly per trial.  A family and its mirror are one
-sweep: f(x) and f(-x) come from the same even/odd half-size products.
+(degree > companion cutoff) or the companion matrix.  On the sweep path
+every region is cut by ``kacrice.split_interval`` into pieces of four axis
+families (direct, reversed, and their mirrors) plus the points 0, 1, -1;
+the families share one evaluation grid per degree, so every region preset
+is assembled from the same per-trial counts and region additivity holds
+exactly per trial.  A family and its mirror are one sweep: f(x) and f(-x)
+come from the same even/odd half-size products.  The Kac-Rice column reads
+the same split, and integrates each distinct piece once per degree.
 
 Trials run in one process, in fixed-size batches merged in index order.
 Every draw is addressed by (seed, trial, index), so the output does not
@@ -29,15 +32,13 @@ import numpy as np
 from . import philox
 from .coeffs import CoeffScheme, coeff_vector
 from .errors import DomainError, InsufficientDataError
-from .kacrice import asymptotic_prediction, core_interval, empty_region, \
-    expected_roots_region, region_interval
+from .kacrice import REGIONS, asymptotic_prediction, expected_roots_regions, \
+    region_interval, split_interval
 from .rootcount import power_matrix, real_roots, sweep_count_batch, sweep_grid
 from .sampler import NoiseDistribution
 
-REGIONS = ("01", "1inf", "sym", "neg1inf", "pos", "neg", "R", "In", "In_inv")
-
-# families of one-sided sweeps, in mirror pairs; every region is a sum of
-# family spans, and each pair is counted by one sweep
+# families of one-sided sweeps (see kacrice.split_interval), in mirror
+# pairs; each pair is counted by one sweep
 _MIRROR_PAIRS = (("dir", "mdir"), ("rev", "mrev"))
 
 COMPANION_CUTOFF = 64
@@ -113,42 +114,6 @@ class ExperimentResult:
     counts: dict = field(default_factory=dict)   # (n, region) -> per-trial array
 
 
-# ---------------------------------------------------------------------------
-# region plans
-# ---------------------------------------------------------------------------
-
-def _region_plan(region: str, n: int):
-    """(family spans, point checks) making up one region.
-
-    Spans are (family, t_lo, t_hi) with None meaning the full sweep range;
-    points are names in {"zero", "one", "minus_one"} whose exact-root
-    indicator joins the count.
-    """
-    full = (None, None)
-    if region == "01":
-        return [("dir", *full)], []
-    if region == "1inf":
-        return [("rev", *full)], []
-    if region == "sym":
-        return [("dir", *full), ("mdir", *full)], ["zero"]
-    if region == "neg1inf":
-        return [("mrev", *full)], []
-    if region == "pos":
-        return [("dir", *full), ("rev", *full)], ["one"]
-    if region == "neg":
-        return [("mdir", *full), ("mrev", *full)], ["minus_one"]
-    if region == "R":
-        return ([("dir", *full), ("rev", *full), ("mdir", *full), ("mrev", *full)],
-                ["zero", "one", "minus_one"])
-    if empty_region(region, n):
-        return [], []
-    if region in ("In", "In_inv"):
-        ci = core_interval(n)
-        fam = "dir" if region == "In" else "rev"
-        return [(fam, ci.t_lo, ci.t_hi)], []
-    raise DomainError(f"unknown region {region!r}")
-
-
 @lru_cache(maxsize=8)
 def _grid_for(n: int, pinned: tuple) -> np.ndarray:
     return sweep_grid(n, extra_points=pinned)
@@ -159,13 +124,8 @@ def _powers_for(n: int, pinned: tuple) -> np.ndarray:
     return power_matrix(n, _grid_for(n, pinned))
 
 
-def _pinned_points(regions, n: int) -> tuple:
-    pts = []
-    for r in regions:
-        if r in ("In", "In_inv") and not empty_region(r, n):
-            ci = core_interval(n)
-            pts += [ci.t_lo, ci.t_hi]
-    return tuple(sorted(set(pts)))
+def _t_of_x(x: float) -> float:
+    return -math.log(1.0 - x)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +135,15 @@ def _pinned_points(regions, n: int) -> tuple:
 def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
                        n: int, regions, master_seed, experiment_id,
                        t0: int, t1: int) -> dict:
-    """Counts for trials [t0, t1) through the shared sweep families."""
-    pinned = _pinned_points(regions, n)
+    """Counts for trials [t0, t1) through the shared sweep families.
+
+    Each region is the sum of its ``split_interval`` pieces, one family span
+    each, and of its exact-root indicators at the points; the pieces' inner
+    bounds are pinned on the grid.
+    """
+    splits = {r: split_interval(region_interval(r, n)) for r in regions}
+    pinned = tuple(sorted({_t_of_x(x) for pieces, _ in splits.values()
+                           for _, a, b in pieces for x in (a, b) if 0.0 < x < 1.0}))
     grid = _grid_for(n, pinned)
     if (n + 1) * len(grid) > 2 * 10**8:
         raise DomainError(
@@ -187,18 +154,18 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
     nt = t1 - t0
     realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
 
+    def index(x):
+        # u = 1 is the end of the sweep, whose last span reaches on to 1
+        return len(grid) - 1 if x == 1.0 else int(np.searchsorted(grid, _t_of_x(x)))
+
     # each region as (family, grid-index span) terms, and each family's spans
     plans = {}
     fam_spans: dict[str, list] = {}
-    for r in regions:
-        spans, pts = _region_plan(r, n)
-        terms = []
-        for fam, tlo, thi in spans:
-            lo = 0 if tlo is None else int(np.searchsorted(grid, tlo))
-            hi = len(grid) - 1 if thi is None else int(np.searchsorted(grid, thi))
-            terms.append((fam, (lo, hi)))
-            if (lo, hi) not in fam_spans.setdefault(fam, []):
-                fam_spans[fam].append((lo, hi))
+    for r, (pieces, pts) in splits.items():
+        terms = [(fam, (index(a), index(b))) for fam, a, b in pieces]
+        for fam, span in terms:
+            if span not in fam_spans.setdefault(fam, []):
+                fam_spans[fam].append(span)
         plans[r] = terms, pts
 
     # the mirror of the reversed rows is (-1)^n times mrev's rows
@@ -218,9 +185,9 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
     sign = np.ones(n + 1)
     sign[1::2] = -1.0
     points = {
-        "zero": (realized[:, 0] == 0.0).astype(int),
-        "one": (realized.sum(axis=1) == 0.0).astype(int),
-        "minus_one": ((realized * sign[None, :]).sum(axis=1) == 0.0).astype(int),
+        0.0: (realized[:, 0] == 0.0).astype(int),
+        1.0: (realized.sum(axis=1) == 0.0).astype(int),
+        -1.0: ((realized * sign[None, :]).sum(axis=1) == 0.0).astype(int),
     }
     zero_rows = ~realized.any(axis=1)
 
@@ -259,8 +226,7 @@ def _coeffs_cached(scheme: CoeffScheme, n: int):
 def _count_batch_companion(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
                            regions, master_seed, experiment_id,
                            t0: int, t1: int) -> dict:
-    intervals = {r: None if empty_region(r, n) else region_interval(r, n)
-                 for r in regions}
+    intervals = {r: region_interval(r, n) for r in regions}
     realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
     out = {r: np.empty(t1 - t0) for r in regions}
     for i, row in enumerate(realized):
@@ -274,8 +240,6 @@ def _count_batch_companion(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
             if rep is None or rep.zero_polynomial:
                 # no count: the zero polynomial's is undefined
                 out[r][i] = math.nan
-            elif iv is None:
-                out[r][i] = 0.0
             else:
                 keep = [iv.contains(x) for x in rep.roots]
                 out[r][i] = int(rep.multiplicities[keep].sum())
@@ -312,6 +276,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                    for t0 in range(0, config.trials, config.batch)]
         per_region = {r: np.concatenate([res[r] for res in results])
                       for r in config.regions}
+        # one call for all regions, which share their integrated pieces
+        kr_all = None
+        if config.dist is NoiseDistribution.GAUSSIAN and n >= 1:
+            kr_all = expected_roots_regions(_coeffs_cached(config.scheme, n),
+                                            config.regions, config.quad_tol)
 
         for region in config.regions:
             counts = per_region[region]
@@ -320,11 +289,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             failures = int(np.sum(np.isnan(counts)))
             mean = float(ok.mean()) if len(ok) else math.nan
             stderr = float(ok.std(ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else math.nan
-            kr = None
-            if config.dist is NoiseDistribution.GAUSSIAN and n >= 1:
-                kr = float(expected_roots_region(
-                    _coeffs_cached(config.scheme, n), region,
-                    config.quad_tol)[0])
+            kr = None if kr_all is None else float(kr_all[region][0])
             asym = None
             if n >= 3:
                 pred = asymptotic_prediction(config.scheme.effective_rho, region, n)

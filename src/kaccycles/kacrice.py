@@ -10,7 +10,12 @@ Real zeros of these ensembles cluster at the unit circle, so the integral is
 taken in the substituted variable t = -log(1-x), where the zero density is
 slowly varying, and (1, inf) is always reached through the reversed
 polynomial d_m = c_{n-m}/c_n on the mirrored subinterval of (0, 1).  Negative
-intervals reduce to positive ones because only squared coefficients enter.
+intervals reduce to positive ones because only squared coefficients enter,
+so a mirrored piece reuses the integral of its positive twin.
+
+Every interval is cut at -1, 0 and 1 by ``split_interval``, which the
+sweep counter of the Monte Carlo harness reads as well; the named region
+presets live in ``REGIONS``.
 
 The quadrature is adaptive Gauss-Kronrod (G7, K15) with QUADPACK-style error
 estimates.
@@ -25,12 +30,14 @@ import numpy as np
 
 from .coeffs import CoeffVector
 from .errors import DomainError, QuadratureFailureError
+from .rootcount import Interval
 
 __all__ = [
     "KacRiceIntegrand", "CoreInterval", "AsymptoticPrediction",
-    "pqr", "core_interval", "empty_region", "asymptotic_prediction",
+    "pqr", "core_interval", "asymptotic_prediction",
     "expected_roots_gaussian", "expected_roots_gaussian_with_error",
     "expected_roots_gaussian_reversed", "expected_roots_region",
+    "expected_roots_regions", "region_interval", "split_interval", "REGIONS",
     "adaptive_gauss_kronrod",
 ]
 
@@ -330,51 +337,33 @@ def _reversed_values(values: np.ndarray) -> np.ndarray:
     return values[::-1] / values[-1]
 
 
-def expected_roots_gaussian_with_error(coeffs, interval, quad_tol: float = 1e-8):
-    """Expected count plus quadrature error estimate for one interval.
+def _sum_pieces(values: np.ndarray, pieces, quad_tol: float, done: dict):
+    """Value and error estimate summed over split pieces, in order.
 
-    The interval is split at -1, 0, 1; pieces inside (1, inf) evaluate the
-    reversed coefficients on the mirrored subinterval, negative pieces use
-    the mirror symmetry of the squared coefficients.
+    ``done`` maps (family, a, b) to the integrals already taken.  A mirror
+    piece reads its family's entry: f(-x) has the same c_m^2 as f(x).
     """
-    values = _coeff_values(coeffs)
-    lo, hi = interval.lo, interval.hi
-    if hi <= lo:
-        return 0.0, 0.0
     total = err = 0.0
-    pieces = []
-    # positive side
-    plo, phi = max(lo, 0.0), hi
-    if phi > plo:
-        a, b = max(plo, 0.0), min(phi, 1.0)
-        if b > a:
-            pieces.append(("01", a, b))
-        a, b = max(plo, 1.0), phi
-        if b > a:
-            pieces.append(("1inf", a, b))
-    # negative side mirrored
-    nlo, nhi = lo, min(hi, 0.0)
-    if nhi > nlo:
-        a, b = max(-nhi, 0.0), min(-nlo, 1.0)
-        if b > a:
-            pieces.append(("01", a, b))
-        a, b = max(-nhi, 1.0), -nlo
-        if b > a:
-            pieces.append(("1inf", a, b))
-    rev = None
-    for kind, a, b in pieces:
-        if kind == "01":
-            v, e = _count_01(values, a, b, quad_tol)
-        else:
-            if rev is None:
-                rev = _reversed_values(values)
-            # x in (a, b) within (1, inf)  <->  1/x in (1/b, 1/a)
-            ra = 0.0 if math.isinf(b) else 1.0 / b
-            rb = 1.0 / a
-            v, e = _count_01(rev, ra, rb, quad_tol)
+    for fam, a, b in pieces:
+        key = (fam.removeprefix("m"), a, b)
+        if key not in done:
+            rows = values if key[0] == "dir" else _reversed_values(values)
+            done[key] = _count_01(rows, a, b, quad_tol)
+        v, e = done[key]
         total += v
         err += e
     return total, err
+
+
+def expected_roots_gaussian_with_error(coeffs, interval, quad_tol: float = 1e-8):
+    """Expected count plus quadrature error estimate for one interval.
+
+    The interval is cut by ``split_interval``; pieces inside (1, inf)
+    evaluate the reversed coefficients d_m = c_{n-m}/c_n, and each distinct
+    piece is integrated once.
+    """
+    return _sum_pieces(_coeff_values(coeffs), split_interval(interval)[0],
+                       quad_tol, {})
 
 
 def expected_roots_gaussian(coeffs, interval, quad_tol: float = 1e-8) -> float:
@@ -389,6 +378,8 @@ def expected_roots_gaussian_reversed(coeffs, quad_tol: float = 1e-8) -> float:
     return v
 
 
+# Region presets by name.  "In" is the core interval and "In_inv" its image
+# under x -> 1/x; both depend on the degree.
 _REGION_INTERVALS = {
     "01": (0.0, 1.0),
     "1inf": (1.0, math.inf),
@@ -397,34 +388,65 @@ _REGION_INTERVALS = {
     "pos": (0.0, math.inf),
     "neg": (-math.inf, 0.0),
     "R": (-math.inf, math.inf),
+    "In": None,
+    "In_inv": None,
 }
+REGIONS = tuple(_REGION_INTERVALS)
 
 
-def region_interval(region: str, n: int):
-    """Interval preset for a region name ("In"/"In_inv" need the degree)."""
-    from .rootcount import Interval
-    if region in _REGION_INTERVALS:
-        lo, hi = _REGION_INTERVALS[region]
-        return Interval(lo, hi)
+def region_interval(region: str, n: int) -> Interval:
+    """Interval preset for a region name.
+
+    "In" and "In_inv" need the degree; where the core interval is empty
+    (n < 11) they are the empty open interval (1, 1).
+    """
+    if region not in _REGION_INTERVALS:
+        raise DomainError(f"unknown region {region!r}")
+    if _REGION_INTERVALS[region] is not None:
+        return Interval(*_REGION_INTERVALS[region])
+    if n < 2 or core_interval(n).empty:
+        return Interval(1.0, 1.0)
+    ci = core_interval(n)
     if region == "In":
-        ci = core_interval(n)
         return Interval(ci.lo, ci.hi, closed_lo=True, closed_hi=True)
-    if region == "In_inv":
-        ci = core_interval(n)
-        return Interval(1.0 / ci.hi, 1.0 / ci.lo, closed_lo=True, closed_hi=True)
-    raise DomainError(f"unknown region {region!r}")
+    return Interval(1.0 / ci.hi, 1.0 / ci.lo, closed_lo=True, closed_hi=True)
 
 
-def empty_region(region: str, n: int) -> bool:
-    """True for "In"/"In_inv" when the core interval is empty (n < 11)."""
-    return region in ("In", "In_inv") and (n < 2 or core_interval(n).empty)
+def split_interval(iv: Interval):
+    """Cut an interval at -1, 0 and 1; returns (pieces, points).
+
+    Each piece (family, a, b) is the open range a < u < b, 0 <= a < b <= 1,
+    of its family's variable: u = x for "dir", 1/x for "rev", -x for
+    "mdir" and -1/x for "mrev", in that order.  The points are those of
+    0, 1 and -1 that the interval contains.
+    """
+    pieces = []
+    for fam, rev, lo, hi in (("dir", "rev", iv.lo, iv.hi),
+                             ("mdir", "mrev", -iv.hi, -iv.lo)):
+        lo = max(lo, 0.0)
+        if min(hi, 1.0) > lo:
+            pieces.append((fam, lo, min(hi, 1.0)))
+        if hi > max(lo, 1.0):
+            # x in (lo, hi) within (1, inf)  <->  1/x in (1/hi, 1/lo)
+            pieces.append((rev, 1.0 / hi, 1.0 / max(lo, 1.0)))
+    points = tuple(p for p in (0.0, 1.0, -1.0) if iv.contains(p))
+    return pieces, points
+
+
+def expected_roots_regions(coeffs, regions, quad_tol: float = 1e-8) -> dict:
+    """(value, error) for each named region preset.
+
+    The regions share their pieces: each distinct piece is integrated once
+    for all of them.
+    """
+    values = _coeff_values(coeffs)
+    n = len(values) - 1
+    done: dict = {}
+    return {r: _sum_pieces(values, split_interval(region_interval(r, n))[0],
+                           quad_tol, done)
+            for r in regions}
 
 
 def expected_roots_region(coeffs, region: str, quad_tol: float = 1e-8):
     """Expected count over a named region preset; returns (value, error)."""
-    values = _coeff_values(coeffs)
-    n = len(values) - 1
-    if empty_region(region, n):
-        return 0.0, 0.0
-    iv = region_interval(region, n)
-    return expected_roots_gaussian_with_error(values, iv, quad_tol)
+    return expected_roots_regions(coeffs, [region], quad_tol)[region]

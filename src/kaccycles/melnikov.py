@@ -207,6 +207,11 @@ _H_MIN = 1e-10       # a lane whose step falls below this never completes the tu
 _MAX_TRIES = 10_000  # step attempts per lane
 _R_CAP = 10.0        # escape radius, in units of the start radius
 _TWO_PI = 2.0 * math.pi
+# verify_cycles_ode: the eps schedule stops below _EPS_FLOOR; without a
+# Melnikov radius the grid spans _ODE_WINDOW with _ODE_GRID radii
+_EPS_FLOOR = 1e-5
+_ODE_WINDOW = (0.05, 5.0)
+_ODE_GRID = 48
 
 # lane fates
 _RETURNED, _ESCAPED, _NO_RETURN = 0, 1, 2
@@ -363,45 +368,40 @@ def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
     return root
 
 
-def verify_cycles_ode(sys: PerturbedSystem, eps_start: float = 1e-2,
-                      eps_floor: float = 1e-5, window=None,
-                      grid: int | None = None) -> LimitCycleReport:
+def verify_cycles_ode(sys: PerturbedSystem,
+                      eps_start: float = 1e-2) -> LimitCycleReport:
     """Fixed points of the return map, stabilized over an eps schedule.
 
     g(r) = P(r) - r is evaluated on a radial grid, all radii in one batched
     integration; sign changes are refined together to fixed points.  eps
     halves until the sign-change count agrees on two consecutive levels; the
     stabilized level's fixed points are reported.  Escaping or non-returning
-    radii contribute no sign information.  The grid densifies when the
-    Melnikov radii sit close together, so adjacent fixed points stay
-    separated.
+    radii contribute no sign information.  The window spans the Melnikov
+    radii, and the grid densifies when they sit close together, so adjacent
+    fixed points stay separated.
     """
     radii_hint = None
-    if window is None or grid is None:
-        mp = build_melnikov(sys)
-        rep = count_in_interval(mp.fn_coeffs, Interval(0.0, math.inf)) \
-            if np.any(mp.fn_coeffs != 0.0) else None
-        if rep is not None and rep.count > 0:
-            radii_hint = np.sqrt(rep.roots)
-    if window is None:
-        if radii_hint is not None:
-            window = (max(1e-3, 0.5 * radii_hint.min()), 1.5 * radii_hint.max())
-        else:
-            window = (0.05, 5.0)
-    r_lo, r_hi = window
-    if grid is None:
-        grid = 48
-        if radii_hint is not None and len(radii_hint) > 1:
+    mp = build_melnikov(sys)
+    rep = count_in_interval(mp.fn_coeffs, Interval(0.0, math.inf)) \
+        if np.any(mp.fn_coeffs != 0.0) else None
+    if rep is not None and rep.count > 0:
+        radii_hint = np.sqrt(rep.roots)
+    r_lo, r_hi = _ODE_WINDOW
+    grid = _ODE_GRID
+    if radii_hint is not None:
+        r_lo, r_hi = max(1e-3, 0.5 * radii_hint.min()), 1.5 * radii_hint.max()
+        if len(radii_hint) > 1:
             min_gap = float(np.min(np.diff(np.sort(radii_hint))))
             if min_gap > 0.0:
-                grid = int(min(320, max(48, math.ceil(4.0 * (r_hi - r_lo) / min_gap))))
+                grid = int(min(320, max(_ODE_GRID,
+                                        math.ceil(4.0 * (r_hi - r_lo) / min_gap))))
     rs = np.linspace(r_lo, r_hi, grid)
     res = (r_hi - r_lo) / grid
 
     field = _PolarField(sys)
     prev_count = None
     eps = eps_start
-    while eps >= eps_floor * 0.999:
+    while eps >= _EPS_FLOOR * 0.999:
         # one system per level: bench/spans.py counts eps levels through replace
         s_eps = replace(sys, epsilon=eps)
         gv = _returns(field, s_eps.epsilon, rs)[0] - rs
@@ -417,4 +417,4 @@ def verify_cycles_ode(sys: PerturbedSystem, eps_start: float = 1e-2,
         prev_count = len(merged)
         eps *= 0.5
     raise NonConvergentError(
-        f"cycle count never stabilized before eps = {eps_floor:g}")
+        f"cycle count never stabilized before eps = {_EPS_FLOOR:g}")

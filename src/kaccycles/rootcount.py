@@ -261,15 +261,14 @@ def count_in_interval(poly, interval: Interval, tol: float = DEFAULT_TOL) -> Roo
 # sweep counting (count-only, batched)
 # ---------------------------------------------------------------------------
 
-def sweep_grid(n: int, t_lo: float = 0.0, t_hi: float | None = None,
-               step: float = SWEEP_STEP, extra_points=()) -> np.ndarray:
-    """Grid in t = -log(1-x) over [t_lo, t_hi], uniform plus pinned points."""
-    if t_hi is None:
-        t_hi = math.log(max(n, 2)) + SWEEP_TAIL
-    base = np.arange(t_lo, t_hi + step, step)
+def sweep_grid(n: int, extra_points=()) -> np.ndarray:
+    """Grid in t = -log(1-x) over [0, log n + SWEEP_TAIL], uniform in steps of
+    SWEEP_STEP plus pinned points."""
+    t_hi = math.log(max(n, 2)) + SWEEP_TAIL
+    base = np.arange(0.0, t_hi + SWEEP_STEP, SWEEP_STEP)
     pts = np.unique(np.concatenate([base, np.asarray(extra_points, dtype=float),
-                                    [t_lo, t_hi]]))
-    return pts[(pts >= t_lo) & (pts <= t_hi)]
+                                    [0.0, t_hi]]))
+    return pts[(pts >= 0.0) & (pts <= t_hi)]
 
 
 def _extremum_exact(coeffs: np.ndarray, deriv: np.ndarray, t: np.ndarray,
@@ -392,6 +391,13 @@ def _span_counts(c: np.ndarray, t: np.ndarray, x: np.ndarray, fx: np.ndarray,
     if x[0] == 0.0 and c.shape[1] >= 2:
         fp[:, 0] = c[:, 1]
     s = np.where(f >= 0.0, np.int8(1), np.int8(-1))
+    if x[0] == 0.0:
+        # f(0) = 0 is a root at x = 0, outside every span (the caller's point
+        # check counts it); the sign just right of it is that of the lowest
+        # nonzero coefficient
+        at_zero = np.nonzero(f[:, 0] == 0.0)[0]
+        lowest = np.argmax(c[at_zero] != 0.0, axis=1)
+        s[at_zero, 0] = np.where(c[at_zero, lowest] < 0.0, -1, 1)
     sp = np.where(fp >= 0.0, np.int8(1), np.int8(-1))
 
     out = np.zeros((b, len(spans)), dtype=int)
@@ -433,7 +439,7 @@ def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
     return pw
 
 
-def sweep_count(coeffs, side: str = "01", step: float = SWEEP_STEP) -> int:
+def sweep_count(coeffs, side: str = "01") -> int:
     """Count roots of one polynomial in (0,1) or, via reversal, (1,inf).
 
     side: "01" counts in (0,1); "1inf" counts in (1,inf) on the reversed
@@ -453,5 +459,5 @@ def sweep_count(coeffs, side: str = "01", step: float = SWEEP_STEP) -> int:
     elif side != "01":
         raise DomainError("side must be '01' or '1inf'")
     n = len(c) - 1
-    t = sweep_grid(n, step=step)
+    t = sweep_grid(n)
     return int(sweep_count_batch(c[None, :], t)[0, 0])

@@ -179,10 +179,10 @@ class PerturbationCoefficients:
         return PerturbationCoefficients(d=len(a), kind="lienard", alpha=a)
 
     @staticmethod
-    def sample_full(d: int, dist: NoiseDistribution, seed: SeedSpec,
-                    materialize: bool = False) -> "PerturbationCoefficients":
-        pc = PerturbationCoefficients(d=d, kind="full", dist=dist, seed=seed)
-        return pc.materialized() if materialize else pc
+    def sample_full(d: int, dist: NoiseDistribution,
+                    seed: SeedSpec) -> "PerturbationCoefficients":
+        """Seeded, not yet materialized: entries are drawn when used."""
+        return PerturbationCoefficients(d=d, kind="full", dist=dist, seed=seed)
 
     @staticmethod
     def sample_lienard(d: int, dist: NoiseDistribution,

@@ -109,6 +109,18 @@ def test_kacrice_row(capsys):
     assert abs(ratio - value / asym) < 1e-12
 
 
+def test_kacrice_takes_every_region(capsys):
+    values = {}
+    for region in ("neg1inf", "1inf"):
+        code, out = run(capsys, "kac-rice", "--scheme", "center", "--degree", "100",
+                        "--region", region)
+        assert code == 0, region
+        row = [l for l in out.splitlines() if l and not l.startswith(("#", "region"))]
+        values[region] = float(row[0].split(",")[1])
+    # only squared coefficients enter: (-inf, -1) mirrors (1, inf)
+    assert values["neg1inf"] == values["1inf"]
+
+
 def test_experiment_run_and_check(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

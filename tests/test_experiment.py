@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kaccycles import experiment
+from kaccycles import experiment, kacrice
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DomainError, InsufficientDataError
 from kaccycles.experiment import (EstimateRow, ExperimentConfig,
@@ -79,6 +79,44 @@ def test_empty_core_interval_counts_zero_on_both_paths():
             assert row.mc_mean == 0.0 and row.failures == 0 and row.kr_value == 0.0
     for key, counts in got["sweep"].items():
         assert np.array_equal(counts, got["companion"][key])
+
+
+def test_kacrice_column_integrates_each_piece_once(monkeypatch):
+    calls = []
+    quad = kacrice.adaptive_gauss_kronrod
+
+    def counted(*args, **kw):
+        calls.append(args[1:3])
+        return quad(*args, **kw)
+
+    monkeypatch.setattr(kacrice, "adaptive_gauss_kronrod", counted)
+    res = run_experiment(small_config(degrees=[20, 100], trials=4,
+                                      regions=["01", "1inf", "sym", "R"]))
+    assert len(calls) == 4
+    for row in res.rows:
+        assert row.kr_value == expected_roots_region(
+            coeff_vector(CoeffScheme.perturbed_center(), row.n), row.region,
+            1e-7)[0]
+
+
+def test_sweep_counts_a_root_at_zero_once(monkeypatch):
+    # a row with c_0 = 0 has a root at x = 0: the point check counts it, and
+    # no span does; both paths agree
+    drawn = experiment._realized_batch
+
+    def root_at_zero(*args):
+        realized = drawn(*args)
+        realized[:, 0] = 0.0
+        return realized
+
+    monkeypatch.setattr(experiment, "_realized_batch", root_at_zero)
+    got = {}
+    for method in ("sweep", "companion"):
+        res = run_experiment(small_config(degrees=[30], trials=16, method=method,
+                                          regions=["01", "sym", "neg", "R"]))
+        got[method] = res.counts
+    for key, counts in got["sweep"].items():
+        assert np.array_equal(counts, got["companion"][key]), key
 
 
 def test_companion_errors_propagate(monkeypatch):

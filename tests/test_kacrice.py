@@ -125,6 +125,55 @@ def test_mirrored_regions_equal():
     assert abs(a - b) < 1e-12
 
 
+def test_split_interval_families_and_points():
+    want = {
+        "01": (["dir"], ()),
+        "1inf": (["rev"], ()),
+        "sym": (["dir", "mdir"], (0.0,)),
+        "neg1inf": (["mrev"], ()),
+        "pos": (["dir", "rev"], (1.0,)),
+        "neg": (["mdir", "mrev"], (-1.0,)),
+        "R": (["dir", "rev", "mdir", "mrev"], (0.0, 1.0, -1.0)),
+        "In": (["dir"], ()),
+        "In_inv": (["rev"], ()),
+    }
+    assert K.REGIONS == tuple(want)
+    for n in (100, 1000, 30000):
+        for region, (families, points) in want.items():
+            pieces, pts = K.split_interval(K.region_interval(region, n))
+            assert [p[0] for p in pieces] == families and pts == points, region
+            assert all(0.0 <= a < b <= 1.0 for _, a, b in pieces), region
+    # a general interval: x in (-4, -1) is -1/x in (1/4, 1)
+    pieces, pts = K.split_interval(Interval(-4.0, 0.5, closed_hi=True))
+    assert pieces == [("dir", 0.0, 0.5), ("mdir", 0.0, 1.0), ("mrev", 0.25, 1.0)]
+    assert pts == (0.0, -1.0)
+    assert K.split_interval(Interval(0.5, 0.5)) == ([], ())
+
+
+def test_mirror_pieces_share_one_quadrature(monkeypatch):
+    cv = coeff_vector(CoeffScheme.perturbed_center(), 300)
+    v01, e01 = K.expected_roots_region(cv, "01", 1e-7)
+    v1i, e1i = K.expected_roots_region(cv, "1inf", 1e-7)
+    calls = []
+    quad = K.adaptive_gauss_kronrod
+
+    def counted(*args, **kw):
+        calls.append(args[1:3])
+        return quad(*args, **kw)
+
+    monkeypatch.setattr(K, "adaptive_gauss_kronrod", counted)
+    # every piece is summed in order, the mirrored ones included
+    assert K.expected_roots_region(cv, "R", 1e-7) == (
+        v01 + v1i + v01 + v1i, e01 + e1i + e01 + e1i)
+    assert len(calls) == 2
+    assert K.expected_roots_region(cv, "sym", 1e-7) == (v01 + v01, e01 + e01)
+    assert len(calls) == 3
+    calls.clear()
+    got = K.expected_roots_regions(cv, ["01", "1inf", "sym", "R"], 1e-7)
+    assert len(calls) == 2
+    assert got["R"] == (v01 + v1i + v01 + v1i, e01 + e1i + e01 + e1i)
+
+
 def test_quad_tol_controls_error():
     cv = coeff_vector(CoeffScheme.perturbed_center(), 2000)
     v1, e1 = K.expected_roots_gaussian_with_error(cv, Interval(0.0, 1.0), 1e-6)

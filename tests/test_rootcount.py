@@ -171,16 +171,23 @@ def test_reversed_zero_polynomial():
 # sweep counter
 # ---------------------------------------------------------------------------
 
+def _companion_counts(c, *intervals):
+    """count_in_interval over several intervals from one eigenvalue solve."""
+    rep = real_roots(c)
+    return [int(sum(m for r, m in zip(rep.roots, rep.multiplicities)
+                    if iv.contains(r))) for iv in intervals]
+
+
 def test_sweep_matches_companion_on_realized_ensembles():
     # exact agreement on both sides for the scheme the Monte Carlo runs use
     scheme = CoeffScheme.perturbed_center()
     for trial in range(120):
         p = sample_polynomial(scheme, NoiseDistribution.GAUSSIAN, 400,
                               SeedSpec(31415, trial=trial))
-        assert (sweep_count(p.realized, "01")
-                == count_in_interval(p.realized, Interval(0, 1)).count), trial
-        assert (sweep_count(p.realized, "1inf")
-                == count_in_interval(p.realized, Interval(1, math.inf)).count), trial
+        in01, in1inf = _companion_counts(p.realized, Interval(0, 1),
+                                         Interval(1, math.inf))
+        assert sweep_count(p.realized, "01") == in01, trial
+        assert sweep_count(p.realized, "1inf") == in1inf, trial
 
 
 def test_sweep_matches_companion_other_schemes():
@@ -189,10 +196,27 @@ def test_sweep_matches_companion_other_schemes():
                          (CoeffScheme.power_law(0.5), NoiseDistribution.UNIFORM_SYM)):
         for trial in range(40):
             p = sample_polynomial(scheme, dist, 300, SeedSpec(27182, trial=trial))
-            assert (sweep_count(p.realized, "01")
-                    == count_in_interval(p.realized, Interval(0, 1)).count)
-            assert (sweep_count(p.realized, "1inf")
-                    == count_in_interval(p.realized, Interval(1, math.inf)).count)
+            in01, in1inf = _companion_counts(p.realized, Interval(0, 1),
+                                             Interval(1, math.inf))
+            assert sweep_count(p.realized, "01") == in01
+            assert sweep_count(p.realized, "1inf") == in1inf
+
+
+def test_sweep_root_at_zero_is_outside_the_spans():
+    # f = x (x/2 - 1): f(0) = 0 and f < 0 on (0, 1); the sign right of 0 is
+    # that of the lowest nonzero coefficient, so (0, 1) holds no root
+    c = np.array([0.0, -1.0, 0.5])
+    assert count_in_interval(c, Interval(0, 1)).count == 0
+    assert sweep_count(c, "01") == 0
+    # the mirror: f = x (x/2 + 1) has f(-x) < 0 on (0, 1), and no root in (-1, 0)
+    c = np.array([0.0, 1.0, 0.5])
+    assert count_in_interval(c, Interval(-1, 0)).count == 0
+    t = rootcount.sweep_grid(2)
+    got = rootcount.sweep_count_batch(c, t, mirror_spans=[(0, len(t) - 1)])
+    assert got.tolist() == [[0, 0]]
+    # a root of order 2 at 0 with a simple root at 1/2 beside it
+    c = np.array([0.0, 0.0, -0.5, 1.0])
+    assert sweep_count(c, "01") == count_in_interval(c, Interval(0, 1)).count == 1
 
 
 def test_sweep_counts_root_beyond_last_grid_point():
