@@ -24,8 +24,9 @@ The cross-validator writes the flow in the clockwise polar angle
 phi = -theta and integrates dr/dphi over phi in [0, 2 pi] with an embedded
 Dormand-Prince 5(4) pair, so P(r0) is r at phi = 2 pi and no section
 crossing has to be located.  Every radius of a grid is one lane of a single
-vector integration; the sign changes of P(r) - r are refined together by
-the Illinois variant of regula falsi.
+vector integration; the sign changes of P(r) - r give each eps level's
+count, and those of the reported level are refined together by the Illinois
+variant of regula falsi.
 """
 
 from __future__ import annotations
@@ -245,9 +246,9 @@ class _PolarField:
         c, s = np.cos(phi), np.sin(phi)
         x, y = r * c, -r * s
         if self.pq is not None:
-            d1 = self.pq.shape[0]
-            xp, yp = np.split(np.vander(np.concatenate([x, y]), d1, increasing=True), 2)
-            p, q = np.einsum("lkj,lj->kl", (xp @ self.pq).reshape(len(r), 2, d1), yp)
+            n, d1 = len(r), self.pq.shape[0]
+            v = np.vander(np.concatenate([x, y]), d1, increasing=True)
+            p, q = np.einsum("lkj,lj->kl", (v[:n] @ self.pq).reshape(n, 2, d1), v[n:])
         else:
             p = -x * polyval(x, self.a)
             q = 0.0
@@ -326,9 +327,21 @@ def poincare_return(sys: PerturbedSystem, r0: float) -> float:
     return float(out[0])
 
 
+def _brackets(gv: np.ndarray) -> np.ndarray:
+    """Mask of the grid cells where g changes sign.
+
+    A cell brackets a fixed point when g is a number at both ends, nonzero at
+    the left end and not of the same sign at the right end; an exact zero is
+    thus bracketed once, by the cell to its left.
+    """
+    ga, gb = gv[:-1], gv[1:]
+    with np.errstate(invalid="ignore"):
+        return ~np.isnan(ga) & ~np.isnan(gb) & (ga != 0.0) & ~(ga * gb > 0.0)
+
+
 def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
                   gv: np.ndarray) -> np.ndarray:
-    """One fixed point of the return map per sign change of gv on the grid rs.
+    """One fixed point of the return map per bracket of gv on the grid rs.
 
     All brackets are refined together by the Illinois variant of regula
     falsi (an end kept twice in a row has its g halved).  A bracket stops
@@ -336,10 +349,8 @@ def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
     narrower than 1e-10 max(1, b), or when g is NaN inside it, and then it
     reports its midpoint.
     """
-    ga, gb = gv[:-1], gv[1:]
-    with np.errstate(invalid="ignore"):
-        sel = ~np.isnan(ga) & ~np.isnan(gb) & (ga != 0.0) & ~(ga * gb > 0.0)
-    a, b, ga, gb = rs[:-1][sel], rs[1:][sel], ga[sel], gb[sel]
+    sel = _brackets(gv)
+    a, b, ga, gb = rs[:-1][sel], rs[1:][sel], gv[:-1][sel], gv[1:][sel]
     root = np.full(a.size, np.nan)
     side = np.zeros(a.size, dtype=int)       # -1: a moved last, +1: b moved last
     act = np.arange(a.size)
@@ -368,17 +379,12 @@ def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
     return root
 
 
-def verify_cycles_ode(sys: PerturbedSystem,
-                      eps_start: float = 1e-2) -> LimitCycleReport:
-    """Fixed points of the return map, stabilized over an eps schedule.
+def _ode_grid(sys: PerturbedSystem):
+    """(rs, res): the radial grid of the ODE cross-check and its merge distance.
 
-    g(r) = P(r) - r is evaluated on a radial grid, all radii in one batched
-    integration; sign changes are refined together to fixed points.  eps
-    halves until the sign-change count agrees on two consecutive levels; the
-    stabilized level's fixed points are reported.  Escaping or non-returning
-    radii contribute no sign information.  The window spans the Melnikov
-    radii, and the grid densifies when they sit close together, so adjacent
-    fixed points stay separated.
+    The window spans the Melnikov radii, and the grid densifies when they sit
+    close together, so adjacent fixed points stay separated.  res is below
+    the grid spacing.
     """
     radii_hint = None
     mp = build_melnikov(sys)
@@ -396,8 +402,32 @@ def verify_cycles_ode(sys: PerturbedSystem,
                 grid = int(min(320, max(_ODE_GRID,
                                         math.ceil(4.0 * (r_hi - r_lo) / min_gap))))
     rs = np.linspace(r_lo, r_hi, grid)
-    res = (r_hi - r_lo) / grid
+    return rs, (r_hi - r_lo) / grid
 
+
+def _refined(field: _PolarField, eps: float, rs: np.ndarray, gv: np.ndarray,
+             res: float) -> np.ndarray:
+    """Sorted fixed points of one level; one within res of the last kept is dropped."""
+    merged = []
+    for r in sorted(_fixed_points(field, eps, rs, gv)):
+        if not merged or r - merged[-1] > res:
+            merged.append(r)
+    return np.array(merged)
+
+
+def verify_cycles_ode(sys: PerturbedSystem,
+                      eps_start: float = 1e-2) -> LimitCycleReport:
+    """Fixed points of the return map, stabilized over an eps schedule.
+
+    g(r) = P(r) - r is evaluated on a radial grid, all radii in one batched
+    integration.  A level's count is its number of sign-change brackets of g;
+    eps halves until the count agrees on two consecutive levels.  Only the
+    stabilized level, which is reported, has its brackets refined to fixed
+    points (and merged within one grid cell), plus any level with brackets
+    in adjacent cells, the one case where the merge can change the count.
+    Escaping or non-returning radii contribute no sign information.
+    """
+    rs, res = _ode_grid(sys)
     field = _PolarField(sys)
     prev_count = None
     eps = eps_start
@@ -405,16 +435,17 @@ def verify_cycles_ode(sys: PerturbedSystem,
         # one system per level: bench/spans.py counts eps levels through replace
         s_eps = replace(sys, epsilon=eps)
         gv = _returns(field, s_eps.epsilon, rs)[0] - rs
-        fixed = _fixed_points(field, s_eps.epsilon, rs, gv)
-        merged = []
-        for r in sorted(fixed):
-            if not merged or r - merged[-1] > res:
-                merged.append(r)
-        if prev_count is not None and prev_count == len(merged):
-            radii = np.array(merged)
-            return LimitCycleReport(len(merged), radii,
-                                    np.ones(len(merged), dtype=bool), "ode")
-        prev_count = len(merged)
+        sel = _brackets(gv)
+        # the grid spacing exceeds res, so only fixed points of brackets in
+        # adjacent cells can merge: only there can refinement change the count
+        radii = _refined(field, s_eps.epsilon, rs, gv, res) \
+            if np.any(sel[:-1] & sel[1:]) else None
+        count = int(sel.sum()) if radii is None else len(radii)
+        if count == prev_count:
+            if radii is None:
+                radii = _refined(field, s_eps.epsilon, rs, gv, res)
+            return LimitCycleReport(count, radii, np.ones(count, dtype=bool), "ode")
+        prev_count = count
         eps *= 0.5
     raise NonConvergentError(
         f"cycle count never stabilized before eps = {_EPS_FLOOR:g}")

@@ -274,3 +274,139 @@ def test_acceptance_12_trial_8_counts_one_cycle():
     s = PerturbedSystem("center", pc)
     assert count_bifurcating_cycles(s).count == 1
     assert verify_cycles_ode(s).count == 1
+
+
+def _acceptance_12_system(trial):
+    d = (3, 5, 7)[trial % 3]
+    seed = SeedSpec(70812, trial=trial)
+    if trial % 2 == 0:
+        return PerturbedSystem("center", PerturbationCoefficients.sample_full(d, G, seed))
+    return PerturbedSystem("lienard", PerturbationCoefficients.sample_lienard(d, G, seed))
+
+
+def _merge_within(fixed, res):
+    merged = []
+    for r in sorted(fixed):
+        if not merged or r - merged[-1] > res:
+            merged.append(r)
+    return np.array(merged)
+
+
+def _refine_every_level(s, eps_start):
+    """The eps loop that refines and merges every level: (count, radii, levels)."""
+    rs, res = melnikov._ode_grid(s)
+    field = melnikov._PolarField(s)
+    prev, eps, levels = None, eps_start, 0
+    while True:
+        levels += 1
+        gv = melnikov._returns(field, eps, rs)[0] - rs
+        merged = _merge_within(melnikov._fixed_points(field, eps, rs, gv), res)
+        if prev is not None and prev == len(merged):
+            return len(merged), merged, levels
+        prev = len(merged)
+        eps *= 0.5
+
+
+# trial None is van der Pol; acceptance-12 trial 0 has no bracket, 2 one,
+# 4 one where Melnikov has two, 17 two, and 22 needs a third eps level
+@pytest.mark.parametrize("trial,eps_start,count,levels", [
+    (None, 1e-3, 1, 2), (0, 1e-2, 0, 2), (2, 1e-2, 1, 2), (4, 1e-2, 1, 2),
+    (17, 1e-2, 2, 2), (22, 1e-2, 1, 3)])
+def test_bracket_counts_match_refining_every_level(trial, eps_start, count, levels):
+    s = van_der_pol() if trial is None else _acceptance_12_system(trial)
+    want_count, want_radii, want_levels = _refine_every_level(s, eps_start)
+    got = verify_cycles_ode(s, eps_start=eps_start)
+    assert (want_count, want_levels) == (count, levels)
+    assert got.count == want_count
+    assert got.radii.tobytes() == want_radii.tobytes()
+
+
+def _record_refinements(monkeypatch):
+    """Patch _fixed_points to record the eps of every call."""
+    calls = []
+    fixed_points = melnikov._fixed_points
+
+    def counted(*args):
+        calls.append(args[1])
+        return fixed_points(*args)
+
+    monkeypatch.setattr(melnikov, "_fixed_points", counted)
+    return calls
+
+
+def test_van_der_pol_refines_only_the_reported_level(monkeypatch):
+    calls = _record_refinements(monkeypatch)
+    rep = verify_cycles_ode(van_der_pol(), eps_start=1e-3)
+    # two levels (1e-3, 5e-4); only the second, reported one is refined
+    assert rep.count == 1 and calls == [5e-4]
+
+
+@pytest.mark.parametrize("roots,count", [((1.49, 1.51), 1), ((1.41, 1.59), 2)])
+def test_adjacent_brackets_are_refined(monkeypatch, roots, count):
+    # g = (r - a)(r - b), the same at every eps, changes sign in the adjacent
+    # cells [1.4, 1.5] and [1.5, 1.6]; res = 1/11 merges the first pair and
+    # keeps the second apart
+    def g(r):
+        return (r - roots[0]) * (r - roots[1])
+
+    rs, res = np.linspace(1.0, 2.0, 11), 1.0 / 11
+    assert np.flatnonzero(melnikov._brackets(g(rs))).tolist() == [4, 5]
+    monkeypatch.setattr(melnikov, "_ode_grid", lambda s: (rs, res))
+    monkeypatch.setattr(melnikov, "_returns",
+                        lambda field, eps, r: (r + g(r), np.zeros(np.size(r), dtype=int)))
+    want_count, want_radii, _ = _refine_every_level(van_der_pol(), 1e-2)
+    calls = _record_refinements(monkeypatch)
+    rep = verify_cycles_ode(van_der_pol())
+    # both levels are refined: the first for its count, the second to report
+    assert calls == [1e-2, 5e-3]
+    assert rep.count == want_count == count
+    assert rep.radii.tobytes() == want_radii.tobytes()
+
+
+def test_brackets_keep_the_nan_and_zero_rule(rng):
+    def old_mask(gv):
+        ga, gb = gv[:-1], gv[1:]
+        with np.errstate(invalid="ignore"):
+            return ~np.isnan(ga) & ~np.isnan(gb) & (ga != 0.0) & ~(ga * gb > 0.0)
+
+    gv = np.array([1.0, np.nan, -1.0, 0.0, -2.0, 3.0, 0.0, 0.0, 1.0, -1.0,
+                   np.nan, np.nan, 2.0, -0.0, 5.0, np.inf, -3.0])
+    assert melnikov._brackets(gv).tolist() == old_mask(gv).tolist()
+    # exact zeros: bracketed once, from the left
+    assert melnikov._brackets(np.array([1.0, 0.0, -1.0])).tolist() == [True, False]
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf])
+    for _ in range(200):
+        gv = rng.choice(values, size=12)
+        assert np.array_equal(melnikov._brackets(gv), old_mask(gv))
+
+
+def _split_field(field, phi, r, eps):
+    """_PolarField.__call__ with the Vandermonde rows taken by np.split."""
+    c, s = np.cos(phi), np.sin(phi)
+    x, y = r * c, -r * s
+    if field.pq is not None:
+        d1 = field.pq.shape[0]
+        xp, yp = np.split(np.vander(np.concatenate([x, y]), d1, increasing=True), 2)
+        p, q = np.einsum("lkj,lj->kl", (xp @ field.pq).reshape(len(r), 2, d1), yp)
+    else:
+        p = -x * np.polynomial.polynomial.polyval(x, field.a)
+        q = 0.0
+    phidot = 1.0 - eps * (c * q + s * p) / r
+    rate = eps * (c * p - s * q) / phidot
+    return rate, (phidot > 0.0) & (r > 0.0) & np.isfinite(rate)
+
+
+@pytest.mark.parametrize("kind,d", [("center", 7), ("lienard", 5)])
+@pytest.mark.parametrize("lanes", [1, 48])
+def test_field_slices_match_split_bitwise(rng, kind, d, lanes):
+    seed = SeedSpec(70812, trial=lanes + d)
+    pc = (PerturbationCoefficients.sample_full(d, G, seed) if kind == "center"
+          else PerturbationCoefficients.sample_lienard(d, G, seed))
+    field = melnikov._PolarField(PerturbedSystem(kind, pc))
+    phi = rng.uniform(0.0, 2.0 * math.pi, lanes)
+    r = rng.uniform(0.05, 5.0, lanes)
+    with np.errstate(all="ignore"):
+        got, got_ok = field(phi, r, 1e-2)
+        want, want_ok = _split_field(field, phi, r, 1e-2)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_ok, want_ok)
