@@ -16,7 +16,9 @@ the same split, and integrates each distinct piece once per degree.
 Trials run in one process, in fixed-size batches merged in index order.
 Every draw is addressed by (seed, trial, index), so the output does not
 depend on the batch size; parallelism comes from the BLAS threads of the
-sweep GEMMs and the eigenvalue solves (``OPENBLAS_NUM_THREADS``).
+sweep GEMMs and the eigenvalue solves (``OPENBLAS_NUM_THREADS``), and from
+:mod:`kaccycles.philox`, which fills a block of more than one tile on every
+core in the process's affinity set.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .coeffs import CoeffScheme, coeff_vector
 from .errors import DomainError, InsufficientDataError
 from .kacrice import REGIONS, asymptotic_prediction, expected_roots_regions, \
     region_interval, split_interval
-from .rootcount import power_matrix, real_roots, sweep_count_batch, sweep_grid
+from .rootcount import deflate_exact_root, power_matrix, real_roots, \
+    sweep_count_batch, sweep_grid
 from .sampler import NoiseDistribution
 
 # families of one-sided sweeps (see kacrice.split_interval), in mirror
@@ -182,14 +185,15 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
         for f, sps in ((fam, spans), (mfam, mspans)):
             fam_counts[f] = {span: next(cols) for span in sps}
 
-    sign = np.ones(n + 1)
-    sign[1::2] = -1.0
-    points = {
-        0.0: (realized[:, 0] == 0.0).astype(int),
-        1.0: (realized.sum(axis=1) == 0.0).astype(int),
-        -1.0: ((realized * sign[None, :]).sum(axis=1) == 0.0).astype(int),
-    }
+    # exact roots at the points, with multiplicity: the zero low
+    # coefficients at 0, and at +-1 what the companion path divides out
     zero_rows = ~realized.any(axis=1)
+    points = {0.0: np.argmax(realized != 0.0, axis=1)}
+    for p in (1.0, -1.0):
+        sign = p ** np.arange(n + 1)
+        points[p] = np.zeros(nt, dtype=int)
+        for i in np.nonzero(((realized * sign).sum(axis=1) == 0.0) & ~zero_rows)[0]:
+            points[p][i] = deflate_exact_root(realized[i], p)[1]
 
     out = {}
     for r, (terms, pts) in plans.items():

@@ -24,9 +24,22 @@ the finishing step (uniforms, Box-Muller, sign bits) writes straight into
 the output.  ``variates_block`` and ``philox4x32`` also take a 1-D array of
 stream keys and then return one row per key, so a batch of trials is one
 call.
+
+Since every tile of keys x counters is a pure function of its keys and
+counters, ``variates_block`` deals the tiles of one call round-robin to the
+calling thread and to a module-level pool, one share per core of the
+process's affinity set, each share with its own kernel buffers.  numpy
+releases the GIL inside the ufunc loops, so the shares run side by side and
+write disjoint parts of the output: the bytes do not depend on the thread
+count.  A call of one tile, or a process on one core, runs every tile on the
+calling thread and never starts a pool thread.  ``variates_at`` and
+``philox4x32`` run on the calling thread alone.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,6 +61,14 @@ _KEY_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
 # cost little next to its arithmetic, small enough that its buffers (56
 # bytes per counter) stay in a per-core L2 cache
 CHUNK = 16384
+
+# tile shares per multi-tile block: the calling thread plus one pool worker
+# per other core; the pool starts its threads on first use
+try:
+    _THREADS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _THREADS = os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(max(_THREADS - 1, 1), thread_name_prefix="philox")
 
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 _SQRT3 = 1.7320508075688772
@@ -258,12 +279,21 @@ def variates_block(dist_name: str, key, count: int, start: int = 0) -> np.ndarra
     nq = (start + count + per - 1) // per - lo if count else 0
     # whole counters, trimmed to [start, start+count) by the returned view
     out = np.empty((len(keys), nq * per))
-    k = _Kernel(keys, len(keys) * nq)
-    for r0, r1, q0, q1 in _tiles(len(keys), nq):
-        z = k.words(r0, r1, np.arange(lo + q0, lo + q1, dtype=np.uint64))
-        # a tile is either whole rows or part of one row: a view either way
-        dst = out[r0:r1, q0 * per:q1 * per].reshape(r1 - r0, q1 - q0, per)
-        finish(k, z, dst)
+    tiles = list(_tiles(len(keys), nq))
+
+    def work(part):
+        k = _Kernel(keys, len(keys) * nq)
+        for r0, r1, q0, q1 in part:
+            z = k.words(r0, r1, np.arange(lo + q0, lo + q1, dtype=np.uint64))
+            # a tile is either whole rows or part of one row: a view either way
+            dst = out[r0:r1, q0 * per:q1 * per].reshape(r1 - r0, q1 - q0, per)
+            finish(k, z, dst)
+
+    shares = max(min(_THREADS, len(tiles)), 1)
+    helpers = [_POOL.submit(work, tiles[i::shares]) for i in range(1, shares)]
+    work(tiles[0::shares])
+    for h in helpers:
+        h.result()
     out = out[:, start - lo * per:start - lo * per + count]
     return out if np.ndim(key) else out[0]
 

@@ -32,8 +32,8 @@ from .sturm import sturm_count
 
 __all__ = [
     "Interval", "RootCountReport", "real_roots", "count_in_interval",
-    "reversed_poly", "sweep_count", "sweep_count_batch", "sweep_grid",
-    "sturm_count",
+    "deflate_exact_root", "reversed_poly", "sweep_count", "sweep_count_batch",
+    "sweep_grid", "sturm_count",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -173,13 +173,34 @@ def _polish_roots(c: np.ndarray, d: np.ndarray, roots: np.ndarray) -> np.ndarray
     return x
 
 
+def deflate_exact_root(c: np.ndarray, r: float):
+    """Divide the exact roots at x = r (r = 1 or -1) out of c.
+
+    A root is exact when sum c_m r^m is exactly 0.  Returns the quotient and
+    the number of roots divided out.  The synthetic division
+    b_k = r^(k+1) sum_{m>k} c_m r^m is exact for integer coefficients.
+    """
+    mult = 0
+    while len(c) > 1:
+        sign = r ** np.arange(len(c))
+        cs = c * sign
+        if cs.sum() != 0.0:
+            break
+        c = sign[1:] * np.cumsum(cs[:0:-1])[::-1]
+        mult += 1
+    return c, mult
+
+
 def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
     """All real roots via companion-matrix eigenvalues.
 
-    An eigenvalue counts as real iff |Im| <= tol * (1 + |Re|); accepted
-    roots are Newton-polished, and clusters closer than
-    10 * tol * (1 + |x|) merge into one root with multiplicity equal to the
-    cluster size.  The all-zero polynomial yields a flagged zero report.
+    Exact roots at 0 (zero low coefficients) and at 1 and -1 (coefficient
+    sum or alternating sum exactly zero) are divided out first and reported
+    at exactly 0, 1 and -1 with their multiplicity.  An eigenvalue of the
+    rest counts as real iff |Im| <= tol * (1 + |Re|); accepted roots are
+    Newton-polished, and clusters closer than 10 * tol * (1 + |x|) merge
+    into one root with multiplicity equal to the cluster size.  The
+    all-zero polynomial yields a flagged zero report.
     """
     c = _as_coeff_array(poly)
     if c.ndim != 1 or c.size == 0:
@@ -188,16 +209,18 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
         return RootCountReport(0, np.empty(0), np.empty(0, dtype=int), "companion",
                                0.0, zero_polynomial=True)
     c = np.trim_zeros(c, "b")
-    scale = np.max(np.abs(c))
-    c = c / scale
 
     # trailing zeros = roots at the origin
     n_zero = 0
     while c[n_zero] == 0.0:
         n_zero += 1
-    c_red = c[n_zero:]
+    c_red, n_one = deflate_exact_root(c[n_zero:], 1.0)
+    c_red, n_minus = deflate_exact_root(c_red, -1.0)
+    scale = np.max(np.abs(c))
+    c = c / scale
+    c_red = c_red / scale
 
-    roots = []
+    roots = [np.full(n_one, 1.0), np.full(n_minus, -1.0)]
     near_boundary = 0
     if len(c_red) > 1:
         lam = _companion_eigenvalues(c_red)
@@ -208,12 +231,8 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
             d_red = c_red[1:] * np.arange(1, len(c_red))
             cand = _polish_roots(c_red, d_red, np.sort(cand))
             roots.append(np.sort(cand))
-    if n_zero:
-        roots.append(np.zeros(n_zero))
-    if roots:
-        allr = np.sort(np.concatenate(roots))
-    else:
-        allr = np.empty(0)
+    roots.append(np.zeros(n_zero))
+    allr = np.sort(np.concatenate(roots))
 
     # merge clusters into multiplicities
     merged, mult = [], []

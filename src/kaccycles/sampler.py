@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import philox
-from .coeffs import CoeffScheme, CoeffVector, coeff_vector, trig_moment_even_row, \
-    variance_lienard_many
+from .coeffs import CoeffScheme, CoeffVector, coeff_vector, log_double_factorial, \
+    log_double_factorial_many, variance_lienard_many
 from .errors import DomainError
 
 _INV_SQRT_8PI = 1.0 / math.sqrt(8.0 * math.pi)
@@ -254,14 +254,22 @@ def _used_layout(d: int):
 
 @lru_cache(maxsize=16)
 def _reduction_weights(d: int):
-    """Flat trig-moment weights over the packed layout plus block offsets."""
+    """Flat trig-moment weights over the packed layout plus block offsets.
+
+    Row m is a_{2i,m} = 2 pi (2m-2i+1)!! (2i-1)!! / (2m+2)!!, i = 0..m+1, the
+    terms of ``trig_moment_even_row(m)`` in the same order, with the n + 2
+    odd double factorials read from one table.
+    """
     n = (d - 1) // 2
     w = np.empty((n + 1) * (n + 2))
     offsets = np.empty(n + 1, dtype=np.int64)
+    odd = log_double_factorial_many(np.arange(-1, 2 * n + 3, 2))   # ln (2j-1)!!
     for m in range(n + 1):
         start = m * (m + 1)
         offsets[m] = start
-        row = trig_moment_even_row(m)           # a_{0,m}, a_{2,m}, ..., a_{2m+2,m}
+        # a_{0,m}, a_{2,m}, ..., a_{2m+2,m}
+        row = 2.0 * math.pi * np.exp(odd[m + 1::-1] + odd[:m + 2]
+                                     - log_double_factorial(2 * m + 2))
         w[start:start + m + 1] = row[:m + 1]    # alpha weights a_{2i,m}
         w[start + m + 1:start + 2 * (m + 1)] = row[1:m + 2]  # beta weights a_{2i+2,m}
     return w, offsets
@@ -280,10 +288,13 @@ def melnikov_noise_from_perturbation(pc: PerturbationCoefficients) -> np.ndarray
         src = np.where(used_is_alpha, pc.alpha[used_pos], pc.beta[used_pos])
         vals = np.empty((n + 1) * (n + 2))
         vals[used_packed.astype(np.int64)] = src
+        vals = w * vals
     else:
         key = pc.seed.key(philox.LANE_PERT)
         vals = philox.variates_block(pc.dist.value, key, (n + 1) * (n + 2))
-    return _INV_SQRT_8PI * np.add.reduceat(w * vals, offsets)
+        # the fresh draw is ours: weight it in place, with no second array
+        np.multiply(vals, w, out=vals)
+    return _INV_SQRT_8PI * np.add.reduceat(vals, offsets)
 
 
 def melnikov_noise_from_lienard(pc: PerturbationCoefficients) -> np.ndarray:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,3 +164,65 @@ def test_multi_key_words_equal_per_key_words():
         for w, single in zip(words, philox.philox4x32(int(key), ctr)):
             assert w.dtype == np.uint32
             assert np.array_equal(w[i], single)
+
+
+# ---------------------------------------------------------------------------
+# tile threads: a block's bytes do not depend on how its tiles are shared
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "rademacher"])
+@pytest.mark.parametrize("keys,start,count", [
+    # one key: many whole tiles, then a ragged last tile, from an odd start
+    (philox.stream_key(3, 0, 1, philox.LANE_PERT), 7, 5 * philox.CHUNK + 1001),
+    # many keys stacked several to a tile, the last tile holding fewer
+    (np.array([philox.stream_key(3, 0, t) for t in range(37)] + [0, 2**64 - 1],
+              dtype=np.uint64), 5, 1999),
+    # a few long rows, each cut into several tiles
+    (np.array([philox.stream_key(3, 1, t) for t in range(3)], dtype=np.uint64),
+     philox.CHUNK + 3, 3 * philox.CHUNK + 17),
+])
+def test_block_does_not_depend_on_thread_count(monkeypatch, dist, keys, start, count):
+    blocks = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(philox, "_THREADS", threads)
+        blocks.append(philox.variates_block(dist, keys, count, start))
+    for b in blocks[1:]:
+        assert b.tobytes() == blocks[0].tobytes()
+
+
+def test_block_under_thread_stress(monkeypatch):
+    # more shares than cores, and a thread switch every few microseconds:
+    # the shares write disjoint parts of one output and must not lose any
+    keys = np.array([philox.stream_key(5, 0, t) for t in range(2)], dtype=np.uint64)
+    count = 6 * philox.CHUNK + 5
+    monkeypatch.setattr(philox, "_THREADS", 1)
+    want = philox.variates_block("gaussian", keys, count, 3)
+    monkeypatch.setattr(philox, "_THREADS", 5)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(target=lambda: got.append(
+            philox.variates_block("gaussian", keys, count, 3)))
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(got) == 1 and got[0].tobytes() == want.tobytes()
+
+
+class _NoPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a one-tile call submitted to the pool")
+
+
+def test_single_tile_call_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(philox, "_THREADS", 4)
+    monkeypatch.setattr(philox, "_POOL", _NoPool())
+    key = philox.stream_key(11)
+    philox.variates_block("gaussian", key, 2 * philox.CHUNK - 1, start=1)
+    philox.variates_block("rademacher", np.array([key, 1], dtype=np.uint64), 50)
+    philox.variates_block("uniform", key, 0)
+    with pytest.raises(AssertionError, match="pool"):
+        philox.variates_block("gaussian", key, 2 * philox.CHUNK + 2)

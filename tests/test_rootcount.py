@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kaccycles import rootcount
+from kaccycles import experiment, rootcount
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DegreeTooLargeError, DomainError, ZeroPolynomialError
+from kaccycles.experiment import ExperimentConfig, run_experiment
+from kaccycles.kacrice import region_interval
 from kaccycles.rootcount import (Interval, count_in_interval, real_roots,
                                  reversed_poly, sturm_count, sweep_count)
 from kaccycles.sampler import NoiseDistribution, SeedSpec, sample_polynomial
@@ -306,3 +308,42 @@ def test_sweep_counts_do_not_see_a_row_sign():
         assert np.array_equal(
             rootcount.sweep_count_batch(c, t, spans=spans, mirror_spans=spans),
             rootcount.sweep_count_batch(-c, t, spans=spans, mirror_spans=spans))
+
+
+# ---------------------------------------------------------------------------
+# exact roots at +-1, counted with multiplicity by both methods
+# ---------------------------------------------------------------------------
+
+_POINT_REGIONS = ["01", "pos", "sym", "R"]
+
+
+def test_double_root_at_one_counts_as_sturm(monkeypatch):
+    # -(x - 1)^2 (x + 1): a double root at 1 and a simple one at -1
+    row = np.array([-1.0, 1.0, 1.0, -1.0])
+    rep = real_roots(row)
+    assert list(rep.roots) == [-1.0, 1.0] and list(rep.multiplicities) == [1, 2]
+    monkeypatch.setattr(experiment, "_realized_batch", lambda *args: row[None, :].copy())
+    swept = experiment._count_batch_sweep(CoeffScheme.power_law(0.0),
+                                          NoiseDistribution.RADEMACHER, 3,
+                                          _POINT_REGIONS, 1, 0, 0, 1)
+    for r in _POINT_REGIONS:
+        iv = region_interval(r, 3)
+        want = sturm_count([-1, 1, 1, -1], iv)
+        assert count_in_interval(row, iv).count == want, r
+        assert swept[r][0] == want, r
+
+
+@pytest.mark.parametrize("method", ["companion", "sweep"])
+@pytest.mark.parametrize("n", [3, 8, 9, 20, 21, 64])
+def test_flat_rademacher_counts_equal_sturm_per_trial(method, n):
+    # +-1 rows of odd degree often vanish at 1 or -1, some to second order
+    scheme, dist = CoeffScheme.power_law(0.0), NoiseDistribution.RADEMACHER
+    trials = 64
+    res = run_experiment(ExperimentConfig(scheme=scheme, dist=dist, degrees=[n],
+                                          regions=_POINT_REGIONS, trials=trials,
+                                          master_seed=7, method=method))
+    rows = experiment._realized_batch(scheme, dist, n, 7, 0, 0, trials)
+    for r in _POINT_REGIONS:
+        iv = region_interval(r, n)
+        want = [sturm_count(row, iv) for row in rows]
+        assert list(res.counts[(n, r)]) == want, r

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kaccycles.coeffs import (CoeffScheme, trig_moment, variance_center_many,
-                              variance_lienard_many)
+from kaccycles import sampler
+from kaccycles.coeffs import (CoeffScheme, trig_moment, trig_moment_even_row,
+                              variance_center_many, variance_lienard_many)
 from kaccycles.errors import DomainError
 from kaccycles.sampler import (NoiseDistribution, PerturbationCoefficients,
                                SeedSpec, draw, melnikov_noise_from_lienard,
@@ -139,3 +140,26 @@ def test_perturbation_validation():
         PerturbationCoefficients(d=0, kind="full", dist=G, seed=SeedSpec(1))
     with pytest.raises(DomainError):
         melnikov_noise_from_lienard(PerturbationCoefficients.from_maps(1, {}, {}))
+
+
+def _reduction_weights_by_rows(d):
+    # the weights as they were built before the odd double factorial table:
+    # one trig_moment_even_row per Melnikov index
+    n = (d - 1) // 2
+    w = np.empty((n + 1) * (n + 2))
+    offsets = np.empty(n + 1, dtype=np.int64)
+    for m in range(n + 1):
+        start = m * (m + 1)
+        offsets[m] = start
+        row = trig_moment_even_row(m)
+        w[start:start + m + 1] = row[:m + 1]
+        w[start + m + 1:start + 2 * (m + 1)] = row[1:m + 2]
+    return w, offsets
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 2001, 2002])
+def test_reduction_weights_equal_the_row_by_row_build(d):
+    w, offsets = sampler._reduction_weights(d)
+    w_ref, offsets_ref = _reduction_weights_by_rows(d)
+    assert w.tobytes() == w_ref.tobytes()
+    assert np.array_equal(offsets, offsets_ref)
