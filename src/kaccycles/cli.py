@@ -252,7 +252,7 @@ def _cmd_experiment(ns, argv) -> int:
     theory = write_outputs(result, ns.out)
     if ns.check:
         if theory is None:
-            raise DomainError("--check needs at least 3 degrees for the fits")
+            raise DomainError("--check needs at least 3 degrees n >= 1 for the fits")
         if not theory.all_passed:
             failed = [c for c in theory.row_checks if not c["passed"]]
             for c in failed:
@@ -262,7 +262,9 @@ def _cmd_experiment(ns, argv) -> int:
     return EXIT_OK
 
 
-def _cycle_rows(ns, argv, with_ode: bool):
+def _cmd_cycles(ns, argv) -> int:
+    """limit-cycles, and ode-verify, which adds the ODE cross-check's count."""
+    with_ode = ns.command == "ode-verify"
     dist = NoiseDistribution.parse(ns.dist)
     rows = []
     for trial in range(ns.trials):
@@ -275,22 +277,9 @@ def _cycle_rows(ns, argv, with_ode: bool):
         rep = count_bifurcating_cycles(sysm)
         ode_count = None
         if with_ode:
-            ode = verify_cycles_ode(sysm, eps_start=ns.epsilon_start)
-            ode_count = ode.count
+            ode_count = verify_cycles_ode(sysm, eps_start=ns.epsilon_start).count
         rows.append([trial, rep.count, ode_count,
                      ";".join(repr(float(r)) for r in rep.radii)])
-    return rows
-
-
-def _cmd_limit_cycles(ns, argv) -> int:
-    rows = _cycle_rows(ns, argv, with_ode=False)
-    _write(_envelope(argv, rows, ["trial", "melnikov_count", "ode_count", "radii"]),
-           ns.out, ns.format, argv)
-    return EXIT_OK
-
-
-def _cmd_ode_verify(ns, argv) -> int:
-    rows = _cycle_rows(ns, argv, with_ode=True)
     _write(_envelope(argv, rows, ["trial", "melnikov_count", "ode_count", "radii"]),
            ns.out, ns.format, argv)
     return EXIT_OK
@@ -302,8 +291,8 @@ _COMMANDS = {
     "count": _cmd_count,
     "kac-rice": _cmd_kacrice,
     "experiment": _cmd_experiment,
-    "limit-cycles": _cmd_limit_cycles,
-    "ode-verify": _cmd_ode_verify,
+    "limit-cycles": _cmd_cycles,
+    "ode-verify": _cmd_cycles,
 }
 
 

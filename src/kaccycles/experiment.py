@@ -3,15 +3,16 @@
 Per (degree, region) the harness samples independent polynomials on
 per-trial counter streams, counts real roots, and aggregates means with
 standard errors next to the Gaussian Kac-Rice value and the closed-form
-asymptotic predictor.  Counting goes through the batched sweep counter
-(degree > companion cutoff) or the companion matrix.  On the sweep path
-every region is cut by ``kacrice.split_interval`` into pieces of four axis
-families (direct, reversed, and their mirrors) plus the points 0, 1, -1;
-the families share one evaluation grid per degree, so every region preset
-is assembled from the same per-trial counts and region additivity holds
-exactly per trial.  A family and its mirror are one sweep: f(x) and f(-x)
-come from the same even/odd half-size products.  The Kac-Rice column reads
-the same split, and integrates each distinct piece once per degree.
+asymptotic predictor.  Every region is cut by ``kacrice.split_interval``
+into pieces of four axis families (direct, reversed, and their mirrors)
+plus the points 0, 1, -1.  Both counting methods, the batched sweep
+(degree > companion cutoff) and the companion matrix, count the pieces;
+the exact roots at the points are counted once for both, so every region
+preset is assembled from the same per-trial counts and region additivity
+holds exactly per trial.  The sweep families share one evaluation grid per
+degree, and a family and its mirror are one sweep: f(x) and f(-x) come from
+the same even/odd half-size products.  The Kac-Rice column reads the same
+split, and integrates each distinct piece once per degree.
 
 Trials run in one process, in fixed-size batches merged in index order.
 Every draw is addressed by (seed, trial, index), so the output does not
@@ -36,7 +37,7 @@ from .coeffs import CoeffScheme, coeff_vector
 from .errors import DomainError, InsufficientDataError
 from .kacrice import REGIONS, asymptotic_prediction, expected_roots_regions, \
     region_interval, split_interval
-from .rootcount import deflate_exact_root, power_matrix, real_roots, \
+from .rootcount import EXACT_POINTS, exact_roots, power_matrix, real_roots, \
     sweep_count_batch, sweep_grid
 from .sampler import NoiseDistribution
 
@@ -135,18 +136,37 @@ def _t_of_x(x: float) -> float:
 # batched counting
 # ---------------------------------------------------------------------------
 
-def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
-                       n: int, regions, master_seed, experiment_id,
-                       t0: int, t1: int) -> dict:
-    """Counts for trials [t0, t1) through the shared sweep families.
+def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
+                 regions, master_seed, experiment_id, t0: int, t1: int,
+                 sweep: bool) -> dict:
+    """Counts for trials [t0, t1) in every region, by the sweep or the companion.
 
-    Each region is the sum of its ``split_interval`` pieces, one family span
-    each, and of its exact-root indicators at the points; the pieces' inner
-    bounds are pinned on the grid.
+    Each region is the sum of its ``split_interval`` pieces, which the method
+    counts, and of the exact roots at the points it holds.  A row the method
+    fails on, and the zero polynomial, whose count is undefined, are NaN.
     """
     splits = {r: split_interval(region_interval(r, n)) for r in regions}
-    pinned = tuple(sorted({_t_of_x(x) for pieces, _ in splits.values()
-                           for _, a, b in pieces for x in (a, b) if 0.0 < x < 1.0}))
+    pieces = list(dict.fromkeys(p for ps, _ in splits.values() for p in ps))
+    realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
+    counts, failed = (_sweep_pieces if sweep else _companion_pieces)(realized, pieces)
+    failed |= ~realized.any(axis=1)
+    at = exact_roots(realized)[1]
+    out = {}
+    for r, (ps, pts) in splits.items():
+        tot = sum([counts[p] for p in ps] + [at[:, EXACT_POINTS.index(p)] for p in pts],
+                  np.zeros(len(realized), dtype=int))
+        out[r] = np.where(failed, math.nan, tot)
+    return out
+
+
+def _sweep_pieces(realized: np.ndarray, pieces) -> tuple:
+    """Per-piece counts of the rows through the shared sweep families.
+
+    The pieces' inner bounds are pinned on the grid; no row fails.
+    """
+    n = realized.shape[1] - 1
+    pinned = tuple(sorted({_t_of_x(x) for _, a, b in pieces for x in (a, b)
+                           if 0.0 < x < 1.0}))
     grid = _grid_for(n, pinned)
     if (n + 1) * len(grid) > 2 * 10**8:
         raise DomainError(
@@ -154,58 +174,52 @@ def _count_batch_sweep(scheme: CoeffScheme, dist: NoiseDistribution,
             "-element power matrix; Monte Carlo is sized for degrees up to ~1e5 "
             "(expected counts at larger n come from the Kac-Rice quadrature)")
     powers = _powers_for(n, pinned)
-    nt = t1 - t0
-    realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
 
     def index(x):
         # u = 1 is the end of the sweep, whose last span reaches on to 1
         return len(grid) - 1 if x == 1.0 else int(np.searchsorted(grid, _t_of_x(x)))
 
-    # each region as (family, grid-index span) terms, and each family's spans
-    plans = {}
-    fam_spans: dict[str, list] = {}
-    for r, (pieces, pts) in splits.items():
-        terms = [(fam, (index(a), index(b))) for fam, a, b in pieces]
-        for fam, span in terms:
-            if span not in fam_spans.setdefault(fam, []):
-                fam_spans[fam].append(span)
-        plans[r] = terms, pts
-
+    spans = {p: (index(p[1]), index(p[2])) for p in pieces}
     # the mirror of the reversed rows is (-1)^n times mrev's rows
     # (c_m (-1)^m reversed): a whole-row sign that moves no root
-    fam_counts: dict[str, dict] = {}
-    for fam, mfam in _MIRROR_PAIRS:
-        spans, mspans = fam_spans.get(fam, []), fam_spans.get(mfam, [])
-        if not spans and not mspans:
+    cols = {}
+    for pair in _MIRROR_PAIRS:
+        fam_spans = [list(dict.fromkeys(s for p, s in spans.items() if p[0] == f))
+                     for f in pair]
+        if not any(fam_spans):
             continue
-        rows = realized if fam == "dir" else realized[:, ::-1]
-        got = sweep_count_batch(rows, grid, powers=powers, spans=spans,
-                                mirror_spans=mspans)
-        cols = iter(got.T)
-        for f, sps in ((fam, spans), (mfam, mspans)):
-            fam_counts[f] = {span: next(cols) for span in sps}
+        rows = realized if pair[0] == "dir" else realized[:, ::-1]
+        got = sweep_count_batch(rows, grid, powers=powers, spans=fam_spans[0],
+                                mirror_spans=fam_spans[1])
+        keys = [(f, s) for f, sps in zip(pair, fam_spans) for s in sps]
+        cols.update(zip(keys, got.T))
+    return ({p: cols[p[0], s] for p, s in spans.items()},
+            np.zeros(len(realized), dtype=bool))
 
-    # exact roots at the points, with multiplicity: the zero low
-    # coefficients at 0, and at +-1 what the companion path divides out
-    zero_rows = ~realized.any(axis=1)
-    points = {0.0: np.argmax(realized != 0.0, axis=1)}
-    for p in (1.0, -1.0):
-        sign = p ** np.arange(n + 1)
-        points[p] = np.zeros(nt, dtype=int)
-        for i in np.nonzero(((realized * sign).sum(axis=1) == 0.0) & ~zero_rows)[0]:
-            points[p][i] = deflate_exact_root(realized[i], p)[1]
 
-    out = {}
-    for r, (terms, pts) in plans.items():
-        tot = np.zeros(nt, dtype=int)
-        for fam, span in terms:
-            tot = tot + fam_counts[fam][span]
-        for p in pts:
-            tot = tot + points[p]
-        out[r] = tot.astype(float)
-        # no count: the zero polynomial's is undefined
-        out[r][zero_rows] = math.nan
-    return out
+def _companion_pieces(realized: np.ndarray, pieces) -> tuple:
+    """Per-piece counts of the rows from one ``real_roots`` call each.
+
+    A root x falls in piece (family, a, b) when a < u < b for its family's
+    variable u (x, 1/x, -x or -1/x); the exact roots at 0 and +-1 map to
+    u = 0 or 1 and fall in no piece.  A row fails only when its eigenvalue
+    iteration does not converge; every other error propagates.
+    """
+    counts = {p: np.zeros(len(realized), dtype=int) for p in pieces}
+    failed = np.zeros(len(realized), dtype=bool)
+    for i, row in enumerate(realized):
+        try:
+            rep = real_roots(row)
+        except np.linalg.LinAlgError:
+            failed[i] = True
+            continue
+        x = rep.roots
+        with np.errstate(divide="ignore"):
+            u = {"dir": x, "rev": 1.0 / x, "mdir": -x, "mrev": -1.0 / x}
+        for p in pieces:
+            fam, a, b = p
+            counts[p][i] = rep.multiplicities[(a < u[fam]) & (u[fam] < b)].sum()
+    return counts, failed
 
 
 def _realized_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
@@ -225,29 +239,6 @@ def _realized_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
 @lru_cache(maxsize=8)
 def _coeffs_cached(scheme: CoeffScheme, n: int):
     return coeff_vector(scheme, n)
-
-
-def _count_batch_companion(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
-                           regions, master_seed, experiment_id,
-                           t0: int, t1: int) -> dict:
-    intervals = {r: region_interval(r, n) for r in regions}
-    realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
-    out = {r: np.empty(t1 - t0) for r in regions}
-    for i, row in enumerate(realized):
-        try:
-            rep = real_roots(row)
-        except np.linalg.LinAlgError:
-            # the eigenvalue iteration did not converge
-            rep = None
-        for r in regions:
-            iv = intervals[r]
-            if rep is None or rep.zero_polynomial:
-                # no count: the zero polynomial's is undefined
-                out[r][i] = math.nan
-            else:
-                keep = [iv.contains(x) for x in rep.roots]
-                out[r][i] = int(rep.multiplicities[keep].sum())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +264,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for n in config.degrees:
         use_sweep = n >= 1 and (config.method == "sweep" or (
             config.method == "auto" and n > COMPANION_CUTOFF))
-        count_batch = _count_batch_sweep if use_sweep else _count_batch_companion
-        results = [count_batch(config.scheme, config.dist, n, config.regions,
-                               config.master_seed, config.experiment_id,
-                               t0, min(t0 + config.batch, config.trials))
+        results = [_count_batch(config.scheme, config.dist, n, config.regions,
+                                config.master_seed, config.experiment_id,
+                                t0, min(t0 + config.batch, config.trials), use_sweep)
                    for t0 in range(0, config.trials, config.batch)]
         per_region = {r: np.concatenate([res[r] for res in results])
                       for r in config.regions}
@@ -351,18 +341,18 @@ def compare_to_theory(rows: list[EstimateRow], band_lo: float = 0.7,
                       band_hi: float = 1.3) -> TheoryReport:
     """Growth-law fit per region plus per-row band checks.
 
-    Fits mc_mean against {log n, sqrt(log n), constant} and reports the
-    best-fitting basis; checks each row's Monte Carlo mean against the
-    Kac-Rice value (3 standard errors, when present) and its asymptotic
-    ratio against [band_lo, band_hi] (when the predictor is usable).
+    Fits mc_mean against {log n, sqrt(log n), constant} over the rows with
+    n >= 1, where log n is defined, and reports the best-fitting basis;
+    checks each row's Monte Carlo mean against the Kac-Rice value (3
+    standard errors, when present) and its asymptotic ratio against
+    [band_lo, band_hi] (when the predictor is usable).
     """
-    regions = sorted({r.region for r in rows})
-    degrees = sorted({r.n for r in rows})
-    if len(degrees) < 3:
-        raise InsufficientDataError("growth fitting needs at least 3 degrees")
+    fit_rows = [r for r in rows if r.n >= 1]
+    if len({r.n for r in fit_rows}) < 3:
+        raise InsufficientDataError("growth fitting needs at least 3 degrees n >= 1")
     fits = []
-    for region in regions:
-        sub = sorted([r for r in rows if r.region == region], key=lambda r: r.n)
+    for region in sorted({r.region for r in fit_rows}):
+        sub = sorted([r for r in fit_rows if r.region == region], key=lambda r: r.n)
         ns = np.array([r.n for r in sub], dtype=float)
         ys = np.array([r.mc_mean for r in sub])
         best = None
@@ -469,7 +459,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> TheoryReport | None
                                                 m.stderr)) + "\n")
     theory = None
     theory_payload = None
-    if len(set(r.n for r in result.rows)) >= 3:
+    if len({r.n for r in result.rows if r.n >= 1}) >= 3:
         theory = compare_to_theory(result.rows, cfg.band_lo, cfg.band_hi)
         theory_payload = {
             "fits": [vars(f) for f in theory.fits],
@@ -493,7 +483,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> TheoryReport | None
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     for region in {r.region for r in result.rows}:
-        sub = sorted((r for r in result.rows if r.region == region),
+        sub = sorted((r for r in result.rows if r.region == region and r.n >= 1),
                      key=lambda r: r.n)
         for tag, xf in (("logn", lambda n: math.log(n)),
                         ("sqrtlogn", lambda n: math.sqrt(math.log(n)))):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coeffs import CoeffVector
 from .errors import DomainError, QuadratureFailureError
-from .rootcount import Interval
+from .rootcount import EXACT_POINTS, Interval
 
 __all__ = [
     "KacRiceIntegrand", "CoreInterval", "AsymptoticPrediction",
@@ -429,7 +429,7 @@ def split_interval(iv: Interval):
         if hi > max(lo, 1.0):
             # x in (lo, hi) within (1, inf)  <->  1/x in (1/hi, 1/lo)
             pieces.append((rev, 1.0 / hi, 1.0 / max(lo, 1.0)))
-    points = tuple(p for p in (0.0, 1.0, -1.0) if iv.contains(p))
+    points = tuple(p for p in EXACT_POINTS if iv.contains(p))
     return pieces, points
 
 

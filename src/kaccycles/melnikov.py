@@ -386,15 +386,10 @@ def _ode_grid(sys: PerturbedSystem):
     close together, so adjacent fixed points stay separated.  res is below
     the grid spacing.
     """
-    radii_hint = None
-    mp = build_melnikov(sys)
-    rep = count_in_interval(mp.fn_coeffs, Interval(0.0, math.inf)) \
-        if np.any(mp.fn_coeffs != 0.0) else None
-    if rep is not None and rep.count > 0:
-        radii_hint = np.sqrt(rep.roots)
+    radii_hint = count_bifurcating_cycles(sys).radii
     r_lo, r_hi = _ODE_WINDOW
     grid = _ODE_GRID
-    if radii_hint is not None:
+    if len(radii_hint):
         r_lo, r_hi = max(1e-3, 0.5 * radii_hint.min()), 1.5 * radii_hint.max()
         if len(radii_hint) > 1:
             min_gap = float(np.min(np.diff(np.sort(radii_hint))))

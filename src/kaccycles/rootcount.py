@@ -32,8 +32,8 @@ from .sturm import sturm_count
 
 __all__ = [
     "Interval", "RootCountReport", "real_roots", "count_in_interval",
-    "deflate_exact_root", "reversed_poly", "sweep_count", "sweep_count_batch",
-    "sweep_grid", "sturm_count",
+    "deflate_exact_root", "exact_roots", "reversed_poly", "sweep_count",
+    "sweep_count_batch", "sweep_grid", "sturm_count",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -182,13 +182,42 @@ def deflate_exact_root(c: np.ndarray, r: float):
     """
     mult = 0
     while len(c) > 1:
-        sign = r ** np.arange(len(c))
-        cs = c * sign
+        cs = np.array(c, dtype=float)      # c_m r^m
+        if r < 0.0:
+            cs[1::2] *= -1.0
         if cs.sum() != 0.0:
             break
-        c = sign[1:] * np.cumsum(cs[:0:-1])[::-1]
+        c = np.cumsum(cs[:0:-1])[::-1]
+        if r < 0.0:
+            c[0::2] *= -1.0
         mult += 1
     return c, mult
+
+
+# the points whose roots are found exactly, in the order exact_roots counts them
+EXACT_POINTS = (0.0, 1.0, -1.0)
+
+
+def exact_roots(rows: np.ndarray):
+    """Divide the exact roots at 0, 1 and -1 out of each coefficient row.
+
+    A root at 0 is a zero low coefficient; one at 1 or -1 a coefficient sum
+    or alternating sum that is exactly zero (see ``deflate_exact_root``).
+    ``rows`` is (k, n+1); the zero row, which has no root count, gets none.
+    Returns the k quotients and a (k, 3) array of the multiplicities at
+    ``EXACT_POINTS``.
+    """
+    alt = np.array(rows, dtype=float)      # c_m (-1)^m
+    alt[:, 1::2] *= -1.0
+    mult = np.zeros((len(rows), len(EXACT_POINTS)), dtype=int)
+    nonzero = rows != 0.0
+    mult[:, 0] = np.argmax(nonzero, axis=1)
+    rests = [row[k:] for row, k in zip(rows, mult[:, 0])]
+    exact = ((rows.sum(axis=1) == 0.0) | (alt.sum(axis=1) == 0.0)) & nonzero.any(axis=1)
+    for i in np.nonzero(exact)[0]:
+        rests[i], mult[i, 1] = deflate_exact_root(rests[i], 1.0)
+        rests[i], mult[i, 2] = deflate_exact_root(rests[i], -1.0)
+    return rests, mult
 
 
 def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
@@ -209,13 +238,8 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
         return RootCountReport(0, np.empty(0), np.empty(0, dtype=int), "companion",
                                0.0, zero_polynomial=True)
     c = np.trim_zeros(c, "b")
-
-    # trailing zeros = roots at the origin
-    n_zero = 0
-    while c[n_zero] == 0.0:
-        n_zero += 1
-    c_red, n_one = deflate_exact_root(c[n_zero:], 1.0)
-    c_red, n_minus = deflate_exact_root(c_red, -1.0)
+    rests, mult = exact_roots(c[None, :])
+    c_red, (n_zero, n_one, n_minus) = rests[0], mult[0]
     scale = np.max(np.abs(c))
     c = c / scale
     c_red = c_red / scale

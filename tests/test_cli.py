@@ -145,6 +145,26 @@ def test_experiment_run_and_check(capsys, tmp_path):
     assert code == 3
 
 
+def test_experiment_with_degree_zero_writes_every_file(capsys, tmp_path):
+    # log n is undefined at n = 0: the fits and plot files use the rows with
+    # n >= 1, of which there are three
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("scheme = center\ndist = gauss\ndegrees = 0, 5, 10, 20\n"
+                   "regions = 01, R\ntrials = 64\nmaster_seed = 3\n")
+    out_dir = tmp_path / "out"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    for name in ("estimates.csv", "moments.csv", "report.json"):
+        assert (out_dir / name).exists(), name
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [r["n"] for r in report["rows"]] == [0, 0, 5, 5, 10, 10, 20, 20]
+    assert len(report["theory"]["fits"]) == 2
+    assert len(report["theory"]["row_checks"]) == 8
+    for region in ("01", "R"):
+        for tag in ("logn", "sqrtlogn"):
+            lines = (out_dir / f"plot_{region}_{tag}.csv").read_text().splitlines()
+            assert len(lines) == 4, (region, tag)
+
+
 def test_experiment_requires_seed(capsys, tmp_path):
     cfg = tmp_path / "noseed.cfg"
     cfg.write_text("scheme = center\ndist = gauss\ndegrees = 60\n"

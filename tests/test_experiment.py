@@ -128,6 +128,31 @@ def test_companion_errors_propagate(monkeypatch):
         run_experiment(small_config(degrees=[20], trials=4, method="companion"))
 
 
+def test_companion_eigensolver_failure_is_nan_in_every_region(monkeypatch):
+    # a row whose eigenvalue iteration does not converge has no count: its
+    # trial is NaN in every region, and the other trials are counted
+    cfg = small_config(degrees=[20], trials=8, method="companion",
+                       regions=list(kacrice.REGIONS))
+    want = run_experiment(cfg).counts
+    bad = experiment._realized_batch(cfg.scheme, cfg.dist, 20, cfg.master_seed,
+                                     0, 0, cfg.trials)[3]
+    roots = experiment.real_roots
+
+    def fails_on_one_row(row):
+        if np.array_equal(row, bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return roots(row)
+
+    monkeypatch.setattr(experiment, "real_roots", fails_on_one_row)
+    res = run_experiment(cfg)
+    for key, counts in res.counts.items():
+        assert np.isnan(counts[3]), key
+        rest = np.delete(counts, 3)
+        assert not np.isnan(rest).any(), key
+        assert np.array_equal(rest, np.delete(want[key], 3)), key
+    assert all(row.failures == 1 and row.trials == cfg.trials - 1 for row in res.rows)
+
+
 def test_monte_carlo_matches_kacrice_both_paths():
     # n=40 runs through the companion path, n=200 through the sweep
     cfg = small_config(degrees=[40, 200], trials=1500,
@@ -179,13 +204,13 @@ def test_power_scheme_keeps_its_exponent():
 def test_batches_run_in_the_calling_process(monkeypatch):
     # workers is accepted and ignored: every batch is counted here
     pids = []
-    count = experiment._count_batch_sweep
+    count = experiment._count_batch
 
     def recording(*args):
         pids.append(os.getpid())
         return count(*args)
 
-    monkeypatch.setattr(experiment, "_count_batch_sweep", recording)
+    monkeypatch.setattr(experiment, "_count_batch", recording)
     run_experiment(small_config(workers=4, trials=40, batch=16))
     assert pids == [os.getpid()] * 3
 

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from kaccycles import experiment, rootcount
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DegreeTooLargeError, DomainError, ZeroPolynomialError
 from kaccycles.experiment import ExperimentConfig, run_experiment
-from kaccycles.kacrice import region_interval
+from kaccycles.kacrice import REGIONS, region_interval
 from kaccycles.rootcount import (Interval, count_in_interval, real_roots,
                                  reversed_poly, sturm_count, sweep_count)
 from kaccycles.sampler import NoiseDistribution, SeedSpec, sample_polynomial
@@ -317,15 +318,45 @@ def test_sweep_counts_do_not_see_a_row_sign():
 _POINT_REGIONS = ["01", "pos", "sym", "R"]
 
 
+def _deflate_with_powers(c, r):
+    # reference: the synthetic division with the signs r^m taken as powers
+    mult = 0
+    while len(c) > 1:
+        sign = r ** np.arange(len(c))
+        cs = c * sign
+        if cs.sum() != 0.0:
+            break
+        c = sign[1:] * np.cumsum(cs[:0:-1])[::-1]
+        mult += 1
+    return c, mult
+
+
+def test_deflate_exact_root_matches_the_power_form():
+    x1, xm = np.array([-1.0, 1.0]), np.array([1.0, 1.0])
+    rng = np.random.default_rng(11)
+    rows = [P.polymul(P.polymul(x1, x1), P.polymul(xm, [2.0, -3.0, 5.0])),
+            P.polymul(P.polymul(xm, xm), P.polymul(xm, x1)),
+            rng.choice([-1.0, 1.0], size=22), rng.normal(size=9), np.array([4.0])]
+    rows += [rng.choice([-1.0, 1.0], size=n) for n in range(2, 30)]
+    for c in rows:
+        for r in (1.0, -1.0):
+            got, want = rootcount.deflate_exact_root(c, r), _deflate_with_powers(c, r)
+            assert got[1] == want[1] and np.array_equal(got[0], want[0]), (c, r)
+    shifted = np.concatenate([[0.0, 0.0], rows[0]])
+    rests, mult = rootcount.exact_roots(np.stack([shifted, np.zeros(8), shifted[::-1]]))
+    assert mult.tolist() == [[2, 2, 1], [0, 0, 0], [0, 2, 1]]
+    assert np.array_equal(rests[0], [2.0, -3.0, 5.0])
+
+
 def test_double_root_at_one_counts_as_sturm(monkeypatch):
     # -(x - 1)^2 (x + 1): a double root at 1 and a simple one at -1
     row = np.array([-1.0, 1.0, 1.0, -1.0])
     rep = real_roots(row)
     assert list(rep.roots) == [-1.0, 1.0] and list(rep.multiplicities) == [1, 2]
     monkeypatch.setattr(experiment, "_realized_batch", lambda *args: row[None, :].copy())
-    swept = experiment._count_batch_sweep(CoeffScheme.power_law(0.0),
-                                          NoiseDistribution.RADEMACHER, 3,
-                                          _POINT_REGIONS, 1, 0, 0, 1)
+    swept = experiment._count_batch(CoeffScheme.power_law(0.0),
+                                    NoiseDistribution.RADEMACHER, 3,
+                                    _POINT_REGIONS, 1, 0, 0, 1, True)
     for r in _POINT_REGIONS:
         iv = region_interval(r, 3)
         want = sturm_count([-1, 1, 1, -1], iv)
@@ -340,10 +371,10 @@ def test_flat_rademacher_counts_equal_sturm_per_trial(method, n):
     scheme, dist = CoeffScheme.power_law(0.0), NoiseDistribution.RADEMACHER
     trials = 64
     res = run_experiment(ExperimentConfig(scheme=scheme, dist=dist, degrees=[n],
-                                          regions=_POINT_REGIONS, trials=trials,
+                                          regions=list(REGIONS), trials=trials,
                                           master_seed=7, method=method))
     rows = experiment._realized_batch(scheme, dist, n, 7, 0, 0, trials)
-    for r in _POINT_REGIONS:
+    for r in REGIONS:
         iv = region_interval(r, n)
         want = [sturm_count(row, iv) for row in rows]
         assert list(res.counts[(n, r)]) == want, r
