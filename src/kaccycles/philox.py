@@ -33,13 +33,16 @@ releases the GIL inside the ufunc loops, so the shares run side by side and
 write disjoint parts of the output: the bytes do not depend on the thread
 count.  A call of one tile, or a process on one core, runs every tile on the
 calling thread and never starts a pool thread.  ``variates_at`` and
-``philox4x32`` run on the calling thread alone.
+``philox4x32`` run on the calling thread alone.  ``deal``, the loop that
+shares the work out, is also how long Kac-Rice panels (``kacrice``) split
+their node evaluations: the process has this one pool.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -62,13 +65,21 @@ _KEY_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
 # bytes per counter) stay in a per-core L2 cache
 CHUNK = 16384
 
-# tile shares per multi-tile block: the calling thread plus one pool worker
-# per other core; the pool starts its threads on first use
+# shares per dealt call: the calling thread plus one pool worker per other
+# core; the pool starts its threads on first use
 try:
     _THREADS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
     _THREADS = os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(max(_THREADS - 1, 1), thread_name_prefix="philox")
+_ON_POOL = threading.local()
+
+
+def _mark_pool_thread():
+    _ON_POOL.flag = True
+
+
+_POOL = ThreadPoolExecutor(max(_THREADS - 1, 1), thread_name_prefix="philox",
+                           initializer=_mark_pool_thread)
 
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 _SQRT3 = 1.7320508075688772
@@ -261,6 +272,31 @@ def _tiles(nkeys: int, ncounters: int):
 
 
 # ---------------------------------------------------------------------------
+# shares on the calling thread and the pool
+# ---------------------------------------------------------------------------
+
+def deal(work, items):
+    """Run ``work`` over ``items`` in shares on the calling thread and the pool.
+
+    Share i is ``items[i::k]``, with k = min(_THREADS, len(items)) shares:
+    share 0 runs on the calling thread, the others on the pool.  Returns
+    when every share is done, re-raising the error of the lowest share that
+    failed.  On a pool thread everything runs on the calling thread, so
+    work that runs on the pool never submits to it.
+    """
+    shares = max(min(_THREADS, len(items)), 1)
+    if getattr(_ON_POOL, "flag", False):
+        shares = 1
+    helpers = [_POOL.submit(work, items[i::shares]) for i in range(1, shares)]
+    try:
+        work(items[0::shares])
+    finally:
+        wait(helpers)
+    for h in helpers:
+        h.result()
+
+
+# ---------------------------------------------------------------------------
 # sampling entry points
 # ---------------------------------------------------------------------------
 
@@ -289,11 +325,7 @@ def variates_block(dist_name: str, key, count: int, start: int = 0) -> np.ndarra
             dst = out[r0:r1, q0 * per:q1 * per].reshape(r1 - r0, q1 - q0, per)
             finish(k, z, dst)
 
-    shares = max(min(_THREADS, len(tiles)), 1)
-    helpers = [_POOL.submit(work, tiles[i::shares]) for i in range(1, shares)]
-    work(tiles[0::shares])
-    for h in helpers:
-        h.result()
+    deal(work, tiles)
     out = out[:, start - lo * per:start - lo * per + count]
     return out if np.ndim(key) else out[0]
 

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from kaccycles import kacrice as K
+from kaccycles import philox
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DomainError, QuadratureFailureError
 from kaccycles.rootcount import Interval
@@ -174,12 +177,137 @@ def test_mirror_pieces_share_one_quadrature(monkeypatch):
     assert got["R"] == (v01 + v1i + v01 + v1i, e01 + e1i + e01 + e1i)
 
 
+def test_leading_zero_coefficients():
+    # c_0 = 0: x (xi_1 + xi_2 x / 2) has one random root -2 xi_1 / xi_2, a
+    # scaled Cauchy variable, so E N(0, 1) = atan(1/2) / pi and E N(R) = 1
+    c = np.array([0.0, 1.0, 0.5])
+    v = K.expected_roots_gaussian(c, Interval(0.0, 1.0), 1e-10)
+    assert abs(v - math.atan(0.5) / math.pi) < 1e-12
+    assert abs(K.expected_roots_gaussian(c, Interval.reals(), 1e-10) - 1.0) < 1e-12
+    assert K.pqr([0.0, 1.0, 1.0], 0.5) == (0.3125, 2.0, 0.75)
+    # x^k f(x) has the zeros of f away from 0, and the sums of x^k f
+    # start at its first nonzero term
+    cv = coeff_vector(CoeffScheme.perturbed_center(), 400)
+    for k in (1, 300):
+        shifted = np.concatenate([np.zeros(k), cv.values])
+        for region in ("01", "1inf", "R"):
+            want = K.expected_roots_region(cv, region, 1e-10)[0]
+            got = K.expected_roots_region(shifted, region, 1e-10)[0]
+            assert abs(got - want) < 1e-9, (k, region)
+        p, q, r = K.pqr(shifted, 0.5)
+        i = np.arange(k, k + 401, dtype=float)
+        w = cv.values**2 * 0.25**i
+        assert abs(p / np.sum(w) - 1.0) < 1e-12
+        assert abs(q / (np.sum(i**2 * w) / 0.25) - 1.0) < 1e-12
+        assert abs(r / (np.sum(i * w) / 0.5) - 1.0) < 1e-12
+    with pytest.raises(DomainError):
+        K.pqr([0.0, 0.0, 0.0], 0.5)
+    with pytest.raises(DomainError):
+        K.expected_roots_region(np.zeros(4), "1inf")
+
+
+def test_trailing_zero_coefficients_lower_the_degree():
+    # c_n = 0: (1, inf) reverses the polynomial of degree n - 1
+    got = K.expected_roots_gaussian_with_error([1.0, 0.5, 0.0], Interval(1.0, math.inf))
+    assert got == K.expected_roots_gaussian_with_error([1.0, 0.5], Interval(1.0, math.inf))
+    assert got[0] == 0.3524163823495668
+
+
 def test_quad_tol_controls_error():
     cv = coeff_vector(CoeffScheme.perturbed_center(), 2000)
     v1, e1 = K.expected_roots_gaussian_with_error(cv, Interval(0.0, 1.0), 1e-6)
     v2, e2 = K.expected_roots_gaussian_with_error(cv, Interval(0.0, 1.0), 5e-7)
     assert abs(v1 - v2) <= e1 + e2
     assert e2 <= 5e-7 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# panels split between the calling thread and the pool
+# ---------------------------------------------------------------------------
+
+def _regions_bits(monkeypatch, cv, threads):
+    monkeypatch.setattr(philox, "_THREADS", threads)
+    got = K.expected_roots_regions(cv, K.REGIONS, 1e-7)
+    return {r: (repr(v), repr(e)) for r, (v, e) in got.items()}
+
+
+@pytest.mark.parametrize("scheme", [CoeffScheme.perturbed_center(),
+                                    CoeffScheme.power_law(0.0)])
+def test_split_panels_do_not_change_a_bit(monkeypatch, scheme):
+    cv = coeff_vector(scheme, 10**5)
+    assert cv.n + 1 > K._POOL_TERMS
+    serial = _regions_bits(monkeypatch, cv, 1)
+    for threads in (2, 3):
+        assert _regions_bits(monkeypatch, cv, threads) == serial
+
+
+class _NoPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("a short series submitted to the pool")
+
+
+def test_short_series_stay_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(philox, "_THREADS", 4)
+    monkeypatch.setattr(philox, "_POOL", _NoPool())
+    for n in (1000, K._POOL_TERMS - 1):
+        K.expected_roots_regions(coeff_vector(CoeffScheme.perturbed_center(), n),
+                                 K.REGIONS)
+    with pytest.raises(AssertionError, match="pool"):
+        K.expected_roots_region(
+            coeff_vector(CoeffScheme.perturbed_center(), K._POOL_TERMS), "01")
+
+
+class _ThreadAware(K.KacRiceIntegrand):
+    """Records the threads that evaluate it; may fail on all but the main one."""
+
+    def __init__(self, values, fail_on_pool=False):
+        super().__init__(values)
+        self.fail_on_pool = fail_on_pool
+        self.threads = set()
+
+    def density_t(self, t):
+        thread = threading.current_thread()
+        self.threads.add(thread.name)
+        if self.fail_on_pool and thread is not threading.main_thread():
+            raise ZeroDivisionError("node on the pool")
+        return super().density_t(t)
+
+
+def test_pool_node_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(philox, "_THREADS", 2)
+    values = coeff_vector(CoeffScheme.perturbed_center(), K._POOL_TERMS).values
+    with pytest.raises(ZeroDivisionError, match="node on the pool"):
+        K.adaptive_gauss_kronrod(_ThreadAware(values, True).density_t, 0.0, 5.0, 1e-7)
+    # the pool still takes a share of the next panel's nodes
+    kr = _ThreadAware(values)
+    threaded = K._gk_panel(kr.density_t, 0.0, 5.0)
+    assert len(kr.threads) == 2
+    monkeypatch.setattr(philox, "_THREADS", 1)
+    assert K._gk_panel(kr.density_t, 0.0, 5.0) == threaded
+
+
+def test_concurrent_density_calls_use_their_own_buffers():
+    kr = K.KacRiceIntegrand(coeff_vector(CoeffScheme.perturbed_center(), 50000).values)
+    ts = np.linspace(0.5, 12.0, 40)
+    want = [repr(kr.density_t(t)) for t in ts]
+    got = [None] * 3
+
+    def run(slot):
+        got[slot] = [repr(kr.density_t(t)) for t in ts]
+
+    # more threads than cores, and a thread switch every few microseconds
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runners = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for r in runners:
+            r.start()
+        for r in runners:
+            r.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(r.is_alive() for r in runners)
+    assert got == [want] * 3
 
 
 # ---------------------------------------------------------------------------

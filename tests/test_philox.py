@@ -226,3 +226,18 @@ def test_single_tile_call_stays_on_the_calling_thread(monkeypatch):
     philox.variates_block("uniform", key, 0)
     with pytest.raises(AssertionError, match="pool"):
         philox.variates_block("gaussian", key, 2 * philox.CHUNK + 2)
+
+
+def test_deal_on_a_pool_thread_never_submits(monkeypatch):
+    # work that runs on the pool and deals again keeps every share itself
+    monkeypatch.setattr(philox, "_THREADS", 3)
+    pool = philox._POOL
+    monkeypatch.setattr(philox, "_POOL", _NoPool())
+    seen = []
+
+    def work(part):
+        seen.append((threading.current_thread().name, list(part)))
+
+    pool.submit(philox.deal, work, range(6)).result(timeout=60)
+    assert len(seen) == 1 and seen[0][1] == list(range(6))
+    assert seen[0][0].startswith("philox")
