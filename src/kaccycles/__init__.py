@@ -12,8 +12,8 @@ f_n(x) = sum c_{m,n} xi_m x^m:
 
 __version__ = "0.1.0"
 
-from .coeffs import (CoeffScheme, CoeffVector, coeff_vector, log_double_factorial,
-                     trig_moment, variance_center, variance_lienard)
+from .coeffs import (CoeffScheme, CoeffVector, coeff_vector, trig_moment,
+                     variance_center, variance_lienard)
 from .errors import (DegreeTooLargeError, DomainError, EscapeError,
                      InsufficientDataError, KaccyclesError, NonConvergentError,
                      NoReturnError, QuadratureFailureError, ZeroPolynomialError)

@@ -215,6 +215,10 @@ class KacRiceIntegrand:
             raise DomainError("all coefficients are zero")
         # the running sum is at least its first nonzero term c_k^2 y^k
         self._lead = int(nonzero[0])
+        # for x > 0, x^k g(x) has the zeros of g, whose sums neither
+        # underflow nor cancel near x = 0; the density is that of g
+        self._shifted = KacRiceIntegrand(v[self._lead:]) if self._lead else None
+        self.degree = self.n - self._lead   # of g
         mx = float(np.max(self.sq))
         mn = float(self.sq[self._lead])
         # terms i^2 c_i^2 y^i: log-margin covers the coefficient spread and
@@ -272,7 +276,13 @@ class KacRiceIntegrand:
         return s0, s2 / y, s1 / x
 
     def density_t(self, t: float) -> float:
-        """Zero density in t = -log(1-x); integrand of the expected count."""
+        """Zero density in t = -log(1-x); integrand of the expected count.
+
+        It is evaluated from the lowest nonzero coefficient c_k on, so at
+        t = 0 it is |c_{k+1}| / (pi |c_k|).
+        """
+        if self._shifted is not None:
+            return self._shifted.density_t(t)
         x = 1.0 - math.exp(-t)
         if x <= 0.0:
             if self.n < 1:
@@ -308,7 +318,7 @@ def _gk_panel(f, a: float, b: float):
     # a long Kac-Rice series shares its nodes with the pool; each share
     # writes only its own slots of fx
     integrand = getattr(f, "__self__", None)
-    if isinstance(integrand, KacRiceIntegrand) and integrand.n + 1 > _POOL_TERMS:
+    if isinstance(integrand, KacRiceIntegrand) and integrand.degree + 1 > _POOL_TERMS:
         philox.deal(work, range(len(xs)))
     else:
         work(range(len(xs)))
@@ -370,14 +380,13 @@ def _t_of_x(x: float, n: int) -> float:
 def _count_01(values: np.ndarray, x_lo: float, x_hi: float, quad_tol: float):
     """Expected zeros in (x_lo, x_hi) within [0, 1].
 
-    Leading zero coefficients are dropped: away from 0, x^k g(x) has the
-    zeros of g, whose sums neither underflow nor cancel near x = 0.
+    The integrand's density and degree are those of g, where the vector is
+    x^k g(x) with g(0) != 0.
     """
-    values = np.trim_zeros(values, "f")
-    n = len(values) - 1
+    kr = KacRiceIntegrand(values)
+    n = kr.degree
     if n < 1:
         return 0.0, 0.0
-    kr = KacRiceIntegrand(values)
     t_lo = _t_of_x(x_lo, n)
     t_hi = min(_t_of_x(x_hi, n), math.log(max(n, 2)) + _T_SAT_PAD)
     if t_hi <= t_lo:

@@ -114,7 +114,6 @@ class RootCountReport:
     method: str
     max_residual: float
     zero_polynomial: bool = False
-    near_boundary: int = 0
     interval: Interval = field(default_factory=Interval.reals)
 
 
@@ -245,11 +244,9 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
     c_red = c_red / scale
 
     roots = [np.full(n_one, 1.0), np.full(n_minus, -1.0)]
-    near_boundary = 0
     if len(c_red) > 1:
         lam = _companion_eigenvalues(c_red)
         im_ratio = np.abs(lam.imag) / (1.0 + np.abs(lam.real))
-        near_boundary = int(np.sum((im_ratio > 0.1 * tol) & (im_ratio <= 10.0 * tol)))
         cand = lam.real[im_ratio <= tol]
         if cand.size:
             d_red = c_red[1:] * np.arange(1, len(c_red))
@@ -278,8 +275,7 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
             max_res = float(np.max(fvals / np.maximum(scales, 1e-300)))
     else:
         max_res = 0.0
-    return RootCountReport(int(mult_a.sum()), merged_a, mult_a, "companion",
-                           max_res, near_boundary=near_boundary)
+    return RootCountReport(int(mult_a.sum()), merged_a, mult_a, "companion", max_res)
 
 
 def count_in_interval(poly, interval: Interval, tol: float = DEFAULT_TOL) -> RootCountReport:
@@ -296,8 +292,7 @@ def count_in_interval(poly, interval: Interval, tol: float = DEFAULT_TOL) -> Roo
     roots = rep.roots[keep]
     mult = rep.multiplicities[keep]
     return RootCountReport(int(mult.sum()), roots, mult, rep.method,
-                           rep.max_residual, near_boundary=rep.near_boundary,
-                           interval=interval)
+                           rep.max_residual, interval=interval)
 
 
 # ---------------------------------------------------------------------------

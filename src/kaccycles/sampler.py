@@ -30,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import philox
-from .coeffs import CoeffScheme, CoeffVector, coeff_vector, log_double_factorial, \
-    log_double_factorial_many, variance_lienard_many
+from .coeffs import CoeffScheme, CoeffVector, _a0_anchor, _walk_even_row, coeff_vector, \
+    variance_lienard_many
 from .errors import DomainError
 
 _INV_SQRT_8PI = 1.0 / math.sqrt(8.0 * math.pi)
@@ -257,19 +257,23 @@ def _reduction_weights(d: int):
     """Flat trig-moment weights over the packed layout plus block offsets.
 
     Row m is a_{2i,m} = 2 pi (2m-2i+1)!! (2i-1)!! / (2m+2)!!, i = 0..m+1, the
-    terms of ``trig_moment_even_row(m)`` in the same order, with the n + 2
-    odd double factorials read from one table.
+    terms of ``trig_moment_even_row(m)`` in the same order and to the bit:
+    the one ratio walk of :mod:`kaccycles.coeffs` from the anchor A_0(m) to
+    the middle of the row, mirrored past it.  Its steps multiply by correctly
+    rounded quotients of small integers, so each weight in the normal float
+    range is a few ulp from its exact value.  The n + 1 anchors come
+    from one table, and each row is walked in one reused buffer of n + 2.
     """
     n = (d - 1) // 2
     w = np.empty((n + 1) * (n + 2))
     offsets = np.empty(n + 1, dtype=np.int64)
-    odd = log_double_factorial_many(np.arange(-1, 2 * n + 3, 2))   # ln (2j-1)!!
+    a0 = _a0_anchor(np.arange(n + 1))
+    odd = np.arange(1.0, 2 * n + 2, 2.0)      # 2l+1, l = 0..n
+    row = np.empty(n + 2)
     for m in range(n + 1):
         start = m * (m + 1)
         offsets[m] = start
-        # a_{0,m}, a_{2,m}, ..., a_{2m+2,m}
-        row = 2.0 * math.pi * np.exp(odd[m + 1::-1] + odd[:m + 2]
-                                     - log_double_factorial(2 * m + 2))
+        _walk_even_row(a0[m], odd[:m + 1], row[:m + 2])  # a_{0,m}, a_{2,m}, ..., a_{2m+2,m}
         w[start:start + m + 1] = row[:m + 1]    # alpha weights a_{2i,m}
         w[start + m + 1:start + 2 * (m + 1)] = row[1:m + 2]  # beta weights a_{2i+2,m}
     return w, offsets

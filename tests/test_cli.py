@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from kaccycles.cli import dispatch
 
@@ -195,3 +199,14 @@ def test_ode_verify_row(capsys):
     rows = [l for l in out.splitlines() if l and not l.startswith(("#", "trial"))]
     fields = rows[0].split(",")
     assert int(fields[1]) >= 0 and int(fields[2]) >= 0
+
+
+def test_import_loads_no_scipy():
+    # the package depends on numpy alone; scipy serves only the benchmark oracles
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, kaccycles, kaccycles.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

@@ -5,44 +5,8 @@ import numpy as np
 import pytest
 
 from kaccycles import coeffs as C
+from kaccycles import sampler
 from kaccycles.errors import DomainError
-
-
-# ---------------------------------------------------------------------------
-# double factorials
-# ---------------------------------------------------------------------------
-
-def test_double_factorial_conventions():
-    assert C.log_double_factorial(-1) == 0.0
-    assert C.log_double_factorial(0) == 0.0
-    assert abs(C.log_double_factorial(5) - math.log(15)) < 1e-14
-
-
-def test_log_double_factorial_against_bigint_oracle():
-    for k in range(0, 401):
-        exact = C.exact_double_factorial(k)
-        want = math.log(exact) if exact > 1 else 0.0
-        got = C.log_double_factorial(k)
-        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), k
-
-
-def test_double_factorial_recurrence():
-    # k!! = k * (k-2)!!; exponentiated form up to the overflow edge, log form beyond
-    for k in range(2, 250):
-        lhs = math.exp(C.log_double_factorial(k))
-        rhs = k * math.exp(C.log_double_factorial(k - 2))
-        assert abs(lhs / rhs - 1.0) < 1e-12, k
-    for k in (251, 333, 400, 1001, 10**6):
-        diff = C.log_double_factorial(k) - C.log_double_factorial(k - 2)
-        # errors are relative to the log values themselves, which grow ~ k log k
-        assert abs(diff - math.log(k)) < 1e-14 * C.log_double_factorial(k) + 1e-12
-
-
-def test_vectorized_matches_scalar():
-    k = np.array([-1, 0, 1, 2, 3, 10, 101, 400])
-    got = C.log_double_factorial_many(k)
-    want = [C.log_double_factorial(int(x)) for x in k]
-    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +41,27 @@ def test_trig_moment_domain_errors():
         C.trig_moment(9, 3)
     with pytest.raises(DomainError):
         C.trig_moment(-1, 3)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 40, 200, 600, 1100])
+def test_trig_moments_against_exact_double_factorial_ratios(m):
+    # a_{2l,m} = 2 pi (2m-2l+1)!! (2l-1)!! / (2m+2)!!; Python's int / int is
+    # correctly rounded, so `exact` is the ratio to half an ulp.  Near the
+    # middle of a row with m > ~1020 the ratio is below the normal float
+    # range, and there the error is measured against the smallest normal float.
+    den = C.exact_double_factorial(2 * m + 2)
+    exact = np.array([2.0 * math.pi * (C.exact_double_factorial(2 * m - 2 * l + 1)
+                                       * C.exact_double_factorial(2 * l - 1) / den)
+                      for l in range(m + 2)])
+    scale = 1e-14 * np.maximum(exact, np.finfo(float).tiny)
+    row = C.trig_moment_even_row(m)
+    assert np.all(np.abs(row - exact) <= scale)
+    # the Melnikov reduction weights of degree 2201 (rows m = 0..1100):
+    # alpha a_{2i,m}, then beta a_{2i+2,m}
+    w, offsets = sampler._reduction_weights(2201)
+    start = offsets[m]
+    assert np.all(np.abs(w[start:start + m + 1] - exact[:m + 1]) <= scale[:m + 1])
+    assert np.all(np.abs(w[start + m + 1:start + 2 * m + 2] - exact[1:]) <= scale[1:])
 
 
 def test_trig_moment_extremal_structure():

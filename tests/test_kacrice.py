@@ -206,6 +206,19 @@ def test_leading_zero_coefficients():
         K.expected_roots_region(np.zeros(4), "1inf")
 
 
+def test_density_with_leading_zero_coefficients():
+    # away from x = 0, x g(x) has the zero density of g = 1 + x / 2, which
+    # is 0.5 / (pi (1 + x^2 / 4)) in x; at t = 0 it is |c_2| / (pi |c_1|)
+    shifted = K.KacRiceIntegrand(np.array([0.0, 1.0, 0.5]))
+    plain = K.KacRiceIntegrand(np.array([1.0, 0.5]))
+    assert shifted.density_t(0.0) == 0.5 / math.pi
+    for t in (0.0, 1e-9, 1e-6, 0.1):
+        x = -math.expm1(-t)
+        want = 0.5 * math.exp(-t) / (math.pi * (1.0 + 0.25 * x * x))
+        assert shifted.density_t(t) == plain.density_t(t), t
+        assert abs(shifted.density_t(t) / want - 1.0) < 1e-14, t
+
+
 def test_trailing_zero_coefficients_lower_the_degree():
     # c_n = 0: (1, inf) reverses the polynomial of degree n - 1
     got = K.expected_roots_gaussian_with_error([1.0, 0.5, 0.0], Interval(1.0, math.inf))
