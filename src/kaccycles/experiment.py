@@ -118,16 +118,6 @@ class ExperimentResult:
     counts: dict = field(default_factory=dict)   # (n, region) -> per-trial array
 
 
-@lru_cache(maxsize=8)
-def _grid_for(n: int, pinned: tuple) -> np.ndarray:
-    return sweep_grid(n, extra_points=pinned)
-
-
-@lru_cache(maxsize=1)
-def _powers_for(n: int, pinned: tuple) -> np.ndarray:
-    return power_matrix(n, _grid_for(n, pinned))
-
-
 def _t_of_x(x: float) -> float:
     return -math.log(1.0 - x)
 
@@ -136,10 +126,27 @@ def _t_of_x(x: float) -> float:
 # batched counting
 # ---------------------------------------------------------------------------
 
+def _sweep_grid(regions, n: int) -> tuple:
+    """The sweep grid of degree n, with the pieces' inner bounds pinned on it,
+    and its power matrix, which every batch of the degree shares."""
+    pinned = sorted({_t_of_x(x) for r in regions
+                     for _, a, b in split_interval(region_interval(r, n))[0]
+                     for x in (a, b) if 0.0 < x < 1.0})
+    grid = sweep_grid(n, extra_points=pinned)
+    if (n + 1) * len(grid) > 2 * 10**8:
+        raise DomainError(
+            f"sweep counting at degree {n} would need a {(n + 1) * len(grid):.1e}"
+            "-element power matrix; Monte Carlo is sized for degrees up to ~1e5 "
+            "(expected counts at larger n come from the Kac-Rice quadrature)")
+    return grid, power_matrix(n, grid)
+
+
 def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
                  regions, master_seed, experiment_id, t0: int, t1: int,
-                 sweep: bool) -> dict:
-    """Counts for trials [t0, t1) in every region, by the sweep or the companion.
+                 sweep: tuple | None) -> dict:
+    """Counts for trials [t0, t1) in every region, by the sweep on ``sweep``
+    (a grid and its power matrix from ``_sweep_grid``) or, when it is None,
+    by the companion.
 
     Each region is the sum of its ``split_interval`` pieces, which the method
     counts, and of the exact roots at the points it holds.  A row the method
@@ -148,7 +155,8 @@ def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
     splits = {r: split_interval(region_interval(r, n)) for r in regions}
     pieces = list(dict.fromkeys(p for ps, _ in splits.values() for p in ps))
     realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
-    counts, failed = (_sweep_pieces if sweep else _companion_pieces)(realized, pieces)
+    counts, failed = (_companion_pieces(realized, pieces) if sweep is None
+                      else _sweep_pieces(realized, pieces, *sweep))
     failed |= ~realized.any(axis=1)
     at = exact_roots(realized)[1]
     out = {}
@@ -159,22 +167,12 @@ def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
     return out
 
 
-def _sweep_pieces(realized: np.ndarray, pieces) -> tuple:
+def _sweep_pieces(realized: np.ndarray, pieces, grid: np.ndarray,
+                  powers: np.ndarray) -> tuple:
     """Per-piece counts of the rows through the shared sweep families.
 
     The pieces' inner bounds are pinned on the grid; no row fails.
     """
-    n = realized.shape[1] - 1
-    pinned = tuple(sorted({_t_of_x(x) for _, a, b in pieces for x in (a, b)
-                           if 0.0 < x < 1.0}))
-    grid = _grid_for(n, pinned)
-    if (n + 1) * len(grid) > 2 * 10**8:
-        raise DomainError(
-            f"sweep counting at degree {n} would need a {(n + 1) * len(grid):.1e}"
-            "-element power matrix; Monte Carlo is sized for degrees up to ~1e5 "
-            "(expected counts at larger n come from the Kac-Rice quadrature)")
-    powers = _powers_for(n, pinned)
-
     def index(x):
         # u = 1 is the end of the sweep, whose last span reaches on to 1
         return len(grid) - 1 if x == 1.0 else int(np.searchsorted(grid, _t_of_x(x)))
@@ -264,10 +262,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for n in config.degrees:
         use_sweep = n >= 1 and (config.method == "sweep" or (
             config.method == "auto" and n > COMPANION_CUTOFF))
+        sweep = _sweep_grid(config.regions, n) if use_sweep else None
         results = [_count_batch(config.scheme, config.dist, n, config.regions,
                                 config.master_seed, config.experiment_id,
-                                t0, min(t0 + config.batch, config.trials), use_sweep)
+                                t0, min(t0 + config.batch, config.trials), sweep)
                    for t0 in range(0, config.trials, config.batch)]
+        del sweep       # the power matrix goes before the next degree's is built
         per_region = {r: np.concatenate([res[r] for res in results])
                       for r in config.regions}
         # one call for all regions, which share their integrated pieces

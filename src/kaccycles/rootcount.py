@@ -7,16 +7,14 @@ Three methods with different contracts:
   for moderate degree and whenever root positions are needed.
 * ``sturm_count`` (re-exported from :mod:`kaccycles.sturm`) — exact integer
   arithmetic oracle for degree <= 64.
-* ``sweep_count`` / ``sweep_count_batch`` — counts sign crossings of f and
-  checks interior extrema of like-signed cells on a grid that is uniform in
-  t = -log(1-x), where the root flow of these ensembles has bounded density.
-  Count-only, O(n * grid) per polynomial and BLAS-batchable across trials,
-  which is what makes 10^4-trial Monte Carlo runs at degree 10^4 feasible.
-  The even and odd coefficients go through separate half-size products,
-  E(x) and O(x), so one sweep also counts the mirrored polynomial
-  f(-x) = E(x) - O(x), i.e. the roots of f on the negative axis.
-  Validated against the companion path (exact agreement on reference
-  batches) before the Monte Carlo harness trusts it.
+* ``sweep_count`` / ``sweep_count_batch`` — counts the roots of f cell by
+  cell on a grid uniform in t = -log(1-x), where the root flow of these
+  ensembles has bounded density, plus one cell on to x = 1.  Each cell is
+  certified root-free or monotone, rounding included, or bisected on its
+  row until it is (``_resolve`` names the one case floating point cannot
+  settle).  Count-only, O(n * grid) per polynomial and BLAS-batchable, so
+  10^4-trial Monte Carlo runs at degree 10^4 are feasible; the half-size
+  products of the even and odd parts also count the mirror f(-x).
 """
 
 from __future__ import annotations
@@ -40,9 +38,10 @@ DEFAULT_TOL = 1e-8
 # Grid spacing in t = -log(1-x); root density per unit t stays below ~0.26
 # for every scheme in scope, so cells carry ~0.005 expected roots.
 SWEEP_STEP = 0.02
-# Sweep upper cutoff t_max = log(n) + SWEEP_TAIL; the expected number of
-# roots with t beyond that is O(e^-SWEEP_TAIL / sqrt(log n)).
+# Last finite grid point t = log(n) + SWEEP_TAIL; one cell runs on to x = 1.
 SWEEP_TAIL = 9.0
+# open pieces of a row in a bisection level past which none is split
+_CROWDED = 1024
 
 
 @dataclass(frozen=True)
@@ -301,71 +300,12 @@ def count_in_interval(poly, interval: Interval, tol: float = DEFAULT_TOL) -> Roo
 
 def sweep_grid(n: int, extra_points=()) -> np.ndarray:
     """Grid in t = -log(1-x) over [0, log n + SWEEP_TAIL], uniform in steps of
-    SWEEP_STEP plus pinned points."""
+    SWEEP_STEP plus pinned points, and t = inf: the last cell reaches x = 1."""
     t_hi = math.log(max(n, 2)) + SWEEP_TAIL
     base = np.arange(0.0, t_hi + SWEEP_STEP, SWEEP_STEP)
     pts = np.unique(np.concatenate([base, np.asarray(extra_points, dtype=float),
                                     [0.0, t_hi]]))
-    return pts[(pts >= 0.0) & (pts <= t_hi)]
-
-
-def _extremum_exact(coeffs: np.ndarray, deriv: np.ndarray, t: np.ndarray,
-                    s_cell: int, sp_cell: int, i: int) -> int:
-    """Bisect f' to the interior extremum and read f's sign there."""
-    a, b = t[i], t[i + 1]
-    for _ in range(40):
-        mid = 0.5 * (a + b)
-        fm = P.polyval(1.0 - math.exp(-mid), deriv)
-        if (1 if fm >= 0 else -1) == sp_cell:
-            a = mid
-        else:
-            b = mid
-    xm = 1.0 - math.exp(-0.5 * (a + b))
-    return 2 if (1 if P.polyval(xm, coeffs) >= 0 else -1) != s_cell else 0
-
-
-def _hidden_pair_counts(c: np.ndarray, t: np.ndarray, f: np.ndarray,
-                        fp: np.ndarray, s: np.ndarray, sp: np.ndarray,
-                        rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Extra crossings from like-signed cells containing an extremum.
-
-    The cubic Hermite model on each suspicious cell (values and t-derivatives
-    at both ends, from f and f' on the grid) screens for an interior dip toward
-    zero; only screened cells pay for an exact bisection of f'.  A true
-    hidden pair makes the Hermite extremum cross zero decisively, so the
-    screen keeps exactness while the typical benign extremum costs nothing.
-    """
-    extra = np.zeros(len(rows), dtype=int)
-    if len(rows) == 0:
-        return extra
-    h = t[cells + 1] - t[cells]
-    f0, f1 = f[rows, cells], f[rows, cells + 1]
-    dxdt = np.exp(-t)   # df/dt = f'(x) dx/dt
-    d0 = fp[rows, cells] * dxdt[cells] * h
-    d1 = fp[rows, cells + 1] * dxdt[cells + 1] * h
-    # H(tau) = f0 + d0 tau + a2 tau^2 + a3 tau^3 on tau in [0, 1]
-    a2 = -3.0 * f0 - 2.0 * d0 + 3.0 * f1 - d1
-    a3 = 2.0 * f0 + d0 - 2.0 * f1 + d1
-    sgn = np.where(f0 >= 0.0, 1.0, -1.0)
-    floor = 0.25 * np.minimum(np.abs(f0), np.abs(f1))
-    need = np.zeros(len(rows), dtype=bool)
-    # critical points: 3 a3 tau^2 + 2 a2 tau + d0 = 0
-    aa, bb, cc = 3.0 * a3, 2.0 * a2, d0
-    disc = bb * bb - 4.0 * aa * cc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        for root in ((-bb + sq) / (2.0 * aa), (-bb - sq) / (2.0 * aa),
-                     -cc / np.where(bb == 0.0, 1.0, bb)):
-            tau = np.where(np.abs(aa) > 1e-300, root, -cc / np.where(bb == 0.0, 1.0, bb))
-            ok = np.isfinite(tau) & (tau > 0.0) & (tau < 1.0) & (disc >= 0.0)
-            hval = f0 + tau * (d0 + tau * (a2 + tau * a3))
-            need |= ok & (sgn * hval < floor)
-    for j in np.nonzero(need)[0]:
-        r, i = int(rows[j]), int(cells[j])
-        n = c.shape[1] - 1
-        deriv = c[r, 1:] * np.arange(1, n + 1)
-        extra[j] = _extremum_exact(c[r], deriv, t, int(s[r, i]), int(sp[r, i]), i)
-    return extra
+    return np.append(pts[(pts >= 0.0) & (pts <= t_hi)], np.inf)
 
 
 def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
@@ -375,84 +315,224 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     """Count roots with x in (x(t[lo]), x(t[hi])) for a batch of polynomials.
 
     ``coeff_rows`` is (batch, n+1) realized coefficients; ``t`` the sweep
-    grid; ``powers`` an optional precomputed (n+1, len(t)) matrix of x^m
-    values (reused across batches); ``spans`` a list of (lo_idx, hi_idx)
-    grid index pairs, one count per span per row.  A span that ends at the
-    last grid point reaches on to x = 1 (open): the tail (x(t[-1]), 1)
-    adds the parity of its roots, read from the sign of f(1) = sum c_m.
+    grid, from t = 0 (``sweep_grid``); ``powers`` an optional precomputed
+    (n+1, len(t)) matrix of x^m values (reused across batches); ``spans`` a
+    list of (lo_idx, hi_idx) grid index pairs, one count per span per row.
+    The exact roots at 0, 1 and -1 (``exact_roots``) are divided out of the
+    rows first, so they fall in no span.  The zero row counts 0.
 
     f and x f' come from the even and odd coefficients, each pair stacked
     into one half-size product, [c_even; (m c)_even] @ powers[0::2] and
     [c_odd; (m c)_odd] @ powers[1::2]; then f(x) = E(x) + O(x).  The same
     products give the mirror f(-x) = E(x) - O(x), so ``mirror_spans``
     counts the roots of the mirrored rows c_m (-1)^m, i.e. of f on
-    (-x(t[hi]), -x(t[lo])), at no extra GEMM cost.
+    (-x(t[hi]), -x(t[lo])), at no extra GEMM cost.  Four more stacked rows,
+    m^k w_m (k = 0, 1, 2) and m (m-1) (m-2) (m-3) w_m with w_m the batch
+    maximum of |c_m|, give the majorants A_k(x) = sum m^k w_m x^m, which
+    bound the rounding of the rows and their mirrors, and x^4 M4(x) >=
+    x^4 |f''''(x)|.  A cell that ``_certify`` settles holds as many roots
+    as f changes sign across it; ``_resolve`` counts the others.
+
+    Rounding (u = 2^-53, g = 1.01 (n + 22) u), at each x in [0, 1]: the
+    products, E + O included, are within gamma_(n+2) A_0(x) of f in any
+    order (Higham, "Accuracy and Stability of Numerical Algorithms", 2002,
+    3.1).  exp(m log x), with log and exp within 4 ulp, is within 8.01u +
+    9.02u m |log x| of x^m relatively: 8.01u A_0(x) + 9.02u |log x| A_1(x)
+    more.  The flush below 1e-300 adds 1e-300 ||c||_1.  So f is within
+    e(x) = g A_0 + 9.02u |log x| A_1, and x f' within the same with A_1 and
+    A_2; f' = (x f')/x is within that over x (g covers the division's u).
+    At x = 0, f = c_0 and f' = c_1 are exact.  The computed A_k are within
+    gamma_(n+1) + 1e-11 of their sums (m |log x| <= 691 above the flush).
+    ``_resolve`` evaluates the same way, with the row's own |c_m| for w_m.
+    The bounds shrink with x as f does: an l1 bound g ||m c||_1 / x on f'
+    near x = 0 would leave cells there uncertified at every scale.
+
     Returns an array of shape (batch, len(spans) + len(mirror_spans)),
     the mirror counts last.
     """
-    c = np.ascontiguousarray(np.atleast_2d(coeff_rows), dtype=float)
+    c = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
     n = c.shape[1] - 1
+    m = np.arange(n + 1, dtype=float)
+    g = 1.01 * (n + 22) * 2.0 ** -53
+    k4 = np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)])
+    a = np.abs(c)
+    # exact_roots finds roots only where c_0 = 0 or where it sums c_m or
+    # c_m (-1)^m to 0; summed in another order those are within 2 g ||c||_1
+    if np.any((c[:, 0] == 0.0) | (np.abs(c @ np.stack([k4[0], (-1.0) ** m], 1))
+                                  <= 2.0 * g * a.sum(axis=1)[:, None]).any(axis=1)):
+        c = np.array([np.pad(r, (0, n + 1 - len(r))) for r in exact_roots(c)[0]])
+        a = np.abs(c)
     if powers is None:
         powers = power_matrix(n, t)
     if spans is None:
         spans = [(0, len(t) - 1)]
-    m = np.arange(n + 1, dtype=float)
+    w = k4 * a.max(axis=0)
     # strided row views of powers go to BLAS as they are (lda = 2 len(t))
-    fx, odd = (np.concatenate([c[:, k::2], c[:, k::2] * m[k::2]]) @ powers[k::2]
-               for k in (0, 1))
-    # f = E + O in place, and the mirror E - O.  Large temporaries are kept
-    # few: each one is memory that is faulted in afresh on every call
-    gx = fx - odd if mirror_spans else None
-    fx += odd
-    del odd
+    ev, od = (np.concatenate([c[:, k::2], c[:, k::2] * m[k::2], w[:, k::2]])
+              @ powers[k::2] for k in (0, 1))
     x = 1.0 - np.exp(-t)
-    out = [_span_counts(c, t, x, fx, spans)]
-    del fx
+    cols = _bounds(ev[-4:] + od[-4:], x, w.sum(axis=1)[:, None], g)
+    # f = E + O in place, and the mirror E - O: every large temporary is
+    # memory faulted in afresh on each call
+    gx = ev[:-4] - od[:-4] if mirror_spans else None
+    ev += od
+    del od
+    out = [_span_counts(c, x, ev[:-4], cols, (k4, g), spans)]
     if mirror_spans:
-        sign = np.ones(n + 1)
-        sign[1::2] = -1.0
-        out.append(_span_counts(c * sign, t, x, gx, mirror_spans))
+        out.append(_span_counts(c * (-1.0) ** m, x, gx, cols, (k4, g),
+                                mirror_spans))
     return np.concatenate(out, axis=1)
 
 
-def _span_counts(c: np.ndarray, t: np.ndarray, x: np.ndarray, fx: np.ndarray,
-                 spans) -> np.ndarray:
-    """Per-span counts of the rows ``c``, given ``fx`` = [f; x f'] on the grid.
+def _bounds(s, x, l, g):
+    """The rounding bounds e of f and e' of f', and M4 >= |f''''|, at x in
+    [0, 1] from the computed majorants s = (A_0, A_1, A_2, x^4 M4) at x and
+    l, the same at x = 1 (``sweep_count_batch`` derives them).  Where x^4
+    is below 1e-300 the flushed terms alone bound M4 by M4(1)."""
+    s = s * (1.0 + 2.0 * g + 1e-11) + 1e-300 * l
+    lg = -np.log(np.where(x > 0.0, x, 1.0)) * 9.02 * 2.0 ** -53
+    return (g * s[0] + lg * s[1], (g * s[1] + lg * s[2]) / np.where(x > 0.0, x, np.inf),
+            s[3] / np.maximum(x ** 4, 1e-300))
 
-    ``fx`` is overwritten.  The tail sign and the exact extremum bisection
-    read ``c`` itself, so a mirror count passes the mirrored rows.
+
+def _certify(f, fp, x, m4, e, e1):
+    """Exclusion and inclusion tests of subdivision root isolation (Becker,
+    Sagraloff, Sharma & Yap, J. Symb. Comp. 2018) on the cells [a, b]
+    between consecutive columns of f and f' at x (within e and e' at each
+    column), with m4 >= |f''''| on each cell.
+
+    f = H + r, H the cubic Hermite interpolant of f, f' at a and b, and
+    r = f''''(xi) (x-a)^2 (x-b)^2 / 24, so |r| <= m4 dx^4/384; r' vanishes at
+    a, b and (Rolle) some eta, so r' = f''''(xi) (x-a) (x-eta) (x-b) / 6 and
+    |r'| <= m4 dx^3/24.  H lies in the hull of its Bernstein coefficients
+    f_a, f_a + f'_a dx/3, f_b - f'_b dx/3, f_b, and H' in that of f'_a, f'_b,
+    3 (f_b - f_a)/dx - f'_a - f'_b.  Zero-free: f_a, f_b of one sign and
+    min(|f_a|, |f_b|) - max(e) - max(|f'| + e') dx/3 above m4 dx^4/384 (so
+    both ends are known, |f| > e).  Monotone (tested where that fails): for
+    a sign d each d b'_i less its rounding above m4 dx^3/24, so f has at
+    most one root.  Returns whether each cell is zero-free, and for the
+    others their index, d where monotone (else 0) and whether each end is
+    known.
     """
-    b = c.shape[0]
-    f, fp = fx[:b], fx[b:]
-    # f'(x) = (sum m c_m x^m)/x, in place; x=0 column handled apart
-    fp /= np.where(x > 0.0, x, 1.0)
-    if x[0] == 0.0 and c.shape[1] >= 2:
-        fp[:, 0] = c[:, 1]
-    s = np.where(f >= 0.0, np.int8(1), np.int8(-1))
-    if x[0] == 0.0:
-        # f(0) = 0 is a root at x = 0, outside every span (the caller's point
-        # check counts it); the sign just right of it is that of the lowest
-        # nonzero coefficient
-        at_zero = np.nonzero(f[:, 0] == 0.0)[0]
-        lowest = np.argmax(c[at_zero] != 0.0, axis=1)
-        s[at_zero, 0] = np.where(c[at_zero, lowest] < 0.0, -1, 1)
-    sp = np.where(fp >= 0.0, np.int8(1), np.int8(-1))
+    dx = np.diff(x, axis=-1)
+    rest = m4 * dx ** 3 / 24.0
+    # few large temporaries, each written over in place where it can be
+    low, high = np.abs(f), np.abs(fp)
+    high += e1
+    low = np.minimum(low[..., :-1], low[..., 1:])
+    high = np.maximum(high[..., :-1], high[..., 1:])
+    high *= dx / 3.0
+    low -= high
+    low -= np.maximum(e[..., :-1], e[..., 1:])
+    zero_free = low > rest * dx / 16.0
+    pos = f >= 0.0
+    zero_free &= pos[..., :-1] == pos[..., 1:]
+    o = np.unravel_index(np.flatnonzero(~zero_free), zero_free.shape)
+    fa, fb, pa, pb, ea, eb, qa, qb, h, r = (np.broadcast_to(v, zero_free.shape)[o] for v in (
+        f[..., :-1], f[..., 1:], fp[..., :-1], fp[..., 1:], e[..., :-1], e[..., 1:],
+        e1[..., :-1], e1[..., 1:], dx, rest))
+    d = np.where(np.abs(pa) >= np.abs(pb), np.sign(pa), np.sign(pb))
+    inner = d * (3.0 * (fb - fa) / h - pa - pb) - 3.0 * (ea + eb) / h - qa - qb
+    slope = d * (np.minimum(np.minimum(d * pa - qa, d * pb - qb), inner) > r)
+    return zero_free, o, slope, np.abs(fa) > ea, np.abs(fb) > eb
 
-    out = np.zeros((b, len(spans)), dtype=int)
-    cum = np.zeros(f.shape, dtype=np.int64)
-    np.cumsum(s[:, 1:] != s[:, :-1], axis=1, out=cum[:, 1:])
-    suspicious = (s[:, 1:] == s[:, :-1]) & (sp[:, 1:] != sp[:, :-1])
-    f_one = c.sum(axis=1)
-    tail = ((f_one != 0.0) & (np.where(f_one > 0.0, 1, -1) != s[:, -1])).astype(int)
+
+def _span_counts(c: np.ndarray, x: np.ndarray, fx: np.ndarray, cols, rows,
+                 spans) -> np.ndarray:
+    """Per-span counts of the rows ``c``, given ``fx`` = [f; x f'] (which is
+    overwritten) and the batch's (e, e', M4) ``cols`` on the grid ``x``.
+    ``_resolve`` reads ``c`` itself, so a mirror count passes its rows."""
+    b = c.shape[0]
+    e, e1, m4 = cols
+    f, fp = fx[:b], fx[b:]
+    fp /= np.where(x > 0.0, x, 1.0)
+    if x[0] == 0.0 and c.shape[1] > 1:
+        fp[:, 0] = c[:, 1]
+    settled, o, slope, ka, kb = _certify(f, fp, x, m4[1:], e, e1)
+    settled[o] = (slope != 0.0) & ka & kb
+    settled[~c.any(axis=1)] = True      # the zero row
+    s = f >= 0.0
+    cum = np.zeros(f.shape, dtype=np.int32)
+    np.cumsum((s[:, 1:] != s[:, :-1]) & settled, axis=1, out=cum[:, 1:])
+    r, i = np.nonzero(~settled)
+    row, cell, extra = _resolve(c, rows, np.array(
+        [r, i, x[i], x[i + 1], f[r, i], f[r, i + 1], fp[r, i], fp[r, i + 1],
+         e[i], e[i + 1], e1[i], e1[i + 1], m4[i + 1]], dtype=float))
+    out = np.empty((b, len(spans)), dtype=int)
     for j, (lo, hi) in enumerate(spans):
-        out[:, j] = cum[:, hi] - cum[:, lo]
-        if hi == len(t) - 1:
-            out[:, j] += tail
-        rr, ii = np.nonzero(suspicious[:, lo:hi])
-        if len(rr):
-            extra = _hidden_pair_counts(c, t, f, fp, s, sp, rr, ii + lo)
-            np.add.at(out[:, j], rr, extra)
+        inside = (cell >= lo) & (cell < hi)
+        out[:, j] = cum[:, hi] - cum[:, lo] + np.bincount(
+            row[inside], extra[inside], minlength=b).astype(int)
     return out
+
+
+def _resolve(c: np.ndarray, rows, items: np.ndarray):
+    """Root counts of the cells ``_certify`` leaves open, by bisection.
+
+    ``items`` holds a column per cell: row, cell, a, b, f and f' at both
+    ends, their rounding bounds e and e' at both ends, and the majorant at
+    b; the bounds at b are first taken afresh from the cell's own row.
+    All open pieces are bisected a level at a time, each midpoint
+    evaluated on its row; a piece stops when certified, when no float lies
+    inside it, or when its row has over _CROWDED pieces in the level.  The
+    pieces between two consecutive known points of a row form a gap: one
+    root if f changes sign across it, else none if it is one piece or f'
+    keeps one sign at all its pieces' ends.  Otherwise f comes within
+    rounding of zero at an extremum: a cluster that floating point cannot
+    separate, the one uncertified case, counted as a double root.  Only
+    signs are read, so f and -f count the same.  Returns (row, cell, count)
+    per gap, in the cell of its last piece.
+    """
+    if not items.size:
+        return items[0].astype(int), items[1].astype(int), items[0]
+    items[[9, 11, 12]] = _point_values(c, rows, items[0].astype(int), items[3])[2:]
+    leaves = []
+    while items.shape[1]:
+        row, cell, a, b, fa, fb, pa, pb, ea, eb, qa, qb, m4 = items
+        r = row.astype(int)
+        leaf, (o, _), d, known, _ = _certify(*(np.stack(v, 1) for v in (
+            (fa, fb), (pa, pb), (a, b), (m4,), (ea, eb), (qa, qb))))
+        leaf, ka, slope = leaf[:, 0], leaf[:, 0].copy(), np.zeros(len(r))
+        leaf[o], ka[o], slope[o] = d != 0.0, known, d
+        # the sign of f' at each end: d on a monotone piece, 0 within rounding
+        da, db = (np.where(leaf, slope, np.sign(p) * (np.abs(p) > q))
+                  for p, q in ((pa, qa), (pb, qb)))
+        mid = 0.5 * (a + b)
+        split = ~leaf & (a < mid) & (mid < b) & (np.bincount(r)[r] <= _CROWDED)
+        leaves.append(np.array([row, cell, a, ka, fa >= 0.0, fb >= 0.0, da, db])[:, ~split])
+        fm, pm, em, qm, mm = _point_values(c, rows, r[split], mid[split])
+        row, cell, a, b, fa, fb, pa, pb, ea, eb, qa, qb, m4, mid = (
+            v[split] for v in (*items, mid))
+        items = np.concatenate([[row, cell, a, mid, fa, fm, pa, pm, ea, em, qa, qm, mm],
+                                [row, cell, mid, b, fm, fb, pm, pb, em, eb, qm, qb, m4]],
+                               axis=1)
+    leaves = np.concatenate(leaves, axis=1)
+    row, cell, a, ka, sa, sb, da, db = leaves[:, np.lexsort(leaves[[2, 0]])]
+    first = np.flatnonzero((ka > 0) | np.r_[True, row[1:] != row[:-1]])
+    last = np.r_[first[1:], len(row)] - 1
+    lo = np.minimum.reduceat(np.minimum(da, db), first)
+    steady = (lo != 0.0) & (lo == np.maximum.reduceat(np.maximum(da, db), first))
+    count = np.where(sa[first] != sb[last], 1.0, 2.0 * ((last > first) & ~steady))
+    return row[last].astype(int), cell[last].astype(int), count
+
+
+def _point_values(c: np.ndarray, rows, r: np.ndarray, x: np.ndarray):
+    """f, f', their rounding bounds e and e', and the majorant of |f''''| of
+    the rows c[r] at x in (0, 1], from the powers exp(m log x) flushed below
+    1e-300, as in power_matrix.  ``rows`` holds the weights m^k of the
+    majorants and g."""
+    k4, g = rows
+    out = np.empty((10, len(r)))
+    step = max(1, 2 ** 19 // c.shape[1])        # a 4 MB block of powers
+    for j in range(0, len(r), step):
+        cr, xs = c[r[j:j + step]], x[j:j + step]
+        pw = np.exp(np.log(xs)[:, None] * k4[1])
+        pw[pw < 1e-300] = 0.0
+        out[:2, j:j + step] = k4[:2] @ (cr * pw).T
+        cr = np.abs(cr)
+        pw *= cr
+        out[2:, j:j + step] = np.concatenate([k4 @ pw.T, k4 @ cr.T])
+    return np.stack([out[0], out[1] / x, *_bounds(out[2:6], x, out[6:], g)])
 
 
 def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
@@ -470,8 +550,6 @@ def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
         np.multiply(m, logx, out=pw)
         np.exp(pw, out=pw)
     pw[:, x <= 0.0] = 0.0
-    if x.size and x[0] <= 0.0:
-        pw[0, x <= 0.0] = 1.0
     pw[0, :] = 1.0
     pw[pw < 1e-300] = 0.0
     return pw
@@ -487,15 +565,8 @@ def sweep_count(coeffs, side: str = "01") -> int:
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if c.size == 0:
         raise ZeroPolynomialError("all coefficients are zero")
-    if c.size == 1:
-        return 0
-    if side == "1inf":
-        c = c[::-1].copy()
-        c = np.trim_zeros(c, "b")
-        if c.size <= 1:
-            return 0
-    elif side != "01":
+    if side not in ("01", "1inf"):
         raise DomainError("side must be '01' or '1inf'")
-    n = len(c) - 1
-    t = sweep_grid(n)
-    return int(sweep_count_batch(c[None, :], t)[0, 0])
+    if side == "1inf":
+        c = c[::-1]
+    return int(sweep_count_batch(c[None, :], sweep_grid(len(c) - 1))[0, 0])

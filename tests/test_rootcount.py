@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,8 +224,8 @@ def test_sweep_root_at_zero_is_outside_the_spans():
 
 
 def test_sweep_counts_root_beyond_last_grid_point():
-    # the grid stops at t = log(100) + 9, i.e. x = 1 - 1.2e-6; a root at
-    # x = 0.999999 lies past it and is seen only through the sign of f(1)
+    # the last finite grid point is t = log(100) + 9, i.e. x = 1 - 1.2e-6; a
+    # root at x = 0.999999 lies past it, in the last cell, which runs on to 1
     rng = np.random.default_rng(5)
     q = coeff_vector(CoeffScheme.perturbed_center(), 99).values * rng.standard_normal(100)
     c = np.polynomial.polynomial.polymul([-0.999999, 1.0], q)
@@ -234,14 +235,54 @@ def test_sweep_counts_root_beyond_last_grid_point():
     assert sweep_count(c, "01") == companion.count
 
 
-def test_extremum_bisection_finds_hidden_pair():
-    # f = (x - 1/2)^2 - delta: a like-signed cell around x = 1/2 holds two
-    # roots when delta > 0 and none when delta < 0
-    t = -np.log1p(-np.array([0.4, 0.6]))
+def test_sweep_certifies_a_root_near_zero_without_deep_bisection(monkeypatch):
+    # f = -1e-7 + 1e-5 x + sum_{m >= 500} x^m rises through one root at
+    # x = 0.01, where f' = 1e-5 and the terms from x^500 on vanish; a bound
+    # ||m c||_1 (1 + 1/x) u (n + 22) = 1.5e-4 on the rounding of f' there
+    # would certify no piece around the root at any scale.  The bounds
+    # follow f down to x = 0.
+    c = np.ones(3001)
+    c[:500] = 0.0
+    c[:2] = -1e-7, 1e-5
+    points = []
+    evaluate = rootcount._point_values
+
+    def counted(c, rows, r, x):
+        points.append(len(r))
+        return evaluate(c, rows, r, x)
+
+    monkeypatch.setattr(rootcount, "_point_values", counted)
+    for row in (c, -c):
+        assert sweep_count(row, "01") == 1
+    assert sum(points) <= 64, points
+
+
+def test_sweep_counts_hidden_pair():
+    # f = (x - 1/2)^2 - delta: the cell around x = 1/2 has f > 0 at both
+    # ends and holds two roots when delta > 0, none when delta < 0
     for delta, want in ((1e-8, 2), (-1e-8, 0)):
         c = np.array([0.25 - delta, -1.0, 1.0])
-        deriv = np.array([-1.0, 2.0])
-        assert rootcount._extremum_exact(c, deriv, t, 1, -1, 0) == want
+        for row in (c, -c):
+            assert sweep_count(row, "01") == want, (delta, row)
+
+
+@pytest.mark.parametrize("cell", [35, 60, 100])
+def test_sweep_counts_a_bump_inside_one_cell(cell):
+    # f = eps - D (1 - u^2)^2, u = (x - mid)/w, dips inside one cell of the
+    # degree-4 grid: f(mid) < 0, f(mid +- w) = eps > 0 and f < 0 beyond, so
+    # exact rational values change sign four times
+    t = rootcount.sweep_grid(4)
+    x = 1.0 - np.exp(-t)
+    mid, w = 0.5 * (x[cell] + x[cell + 1]), 0.4 * (x[cell + 1] - x[cell])
+    u = np.polynomial.Polynomial([-mid / w, 1.0 / w])
+    c = (1e-6 - 1e-3 * (1.0 - u ** 2) ** 2).coef
+    exact = [sum(Fraction(v) * Fraction(p) ** m for m, v in enumerate(c))
+             for p in (mid - 1.1 * w, mid - w, mid, mid + w, mid + 1.1 * w)]
+    assert sum((a > 0) != (b > 0) for a, b in zip(exact, exact[1:])) == 4
+    assert sweep_count(c, "01") == 4
+    got = rootcount.sweep_count_batch(_mirror(c), t, spans=[],
+                                      mirror_spans=[(0, len(t) - 1)])
+    assert got.tolist() == [[4]]
 
 
 def _center_rows(n, count, seed):
@@ -273,7 +314,7 @@ def test_sweep_mirror_columns_count_the_mirrored_rows(n):
 
 def test_sweep_mirror_counts_root_beyond_last_grid_point():
     # the mirror of test_sweep_counts_root_beyond_last_grid_point: the root
-    # at x = -0.999999 is seen only through the sign of f(-1)
+    # at x = -0.999999 lies in the mirror's last cell, which runs on to -1
     t = rootcount.sweep_grid(100)
     for seed in range(5, 11):
         rng = np.random.default_rng(seed)
@@ -309,6 +350,13 @@ def test_sweep_counts_do_not_see_a_row_sign():
         assert np.array_equal(
             rootcount.sweep_count_batch(c, t, spans=spans, mirror_spans=spans),
             rootcount.sweep_count_batch(-c, t, spans=spans, mirror_spans=spans))
+    # a double root at x = 1/2, which floating point cannot split: +-(2x-1)^2
+    # and +-(2x-1)^2 (x-2) count it twice on (0, 1), as Sturm does
+    for c in ([1, -4, 4], [-2, 9, -12, 4]):
+        want = sturm_count(c, Interval(0, 1))
+        assert want == 2
+        for row in (np.array(c, dtype=float), -np.array(c, dtype=float)):
+            assert sweep_count(row, "01") == want, row
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +404,8 @@ def test_double_root_at_one_counts_as_sturm(monkeypatch):
     monkeypatch.setattr(experiment, "_realized_batch", lambda *args: row[None, :].copy())
     swept = experiment._count_batch(CoeffScheme.power_law(0.0),
                                     NoiseDistribution.RADEMACHER, 3,
-                                    _POINT_REGIONS, 1, 0, 0, 1, True)
+                                    _POINT_REGIONS, 1, 0, 0, 1,
+                                    experiment._sweep_grid(_POINT_REGIONS, 3))
     for r in _POINT_REGIONS:
         iv = region_interval(r, 3)
         want = sturm_count([-1, 1, 1, -1], iv)
