@@ -5,9 +5,8 @@ per-trial counter streams, counts real roots, and aggregates means with
 standard errors next to the Gaussian Kac-Rice value and the closed-form
 asymptotic predictor.  Every region is cut by ``kacrice.split_interval``
 into pieces of four axis families (direct, reversed, and their mirrors)
-plus the points 0, 1, -1.  Both counting methods, the batched sweep
-(degree > companion cutoff) and the companion matrix, count the pieces;
-the exact roots at the points are counted once for both, so every region
+plus the points 0, 1, -1.  The certified sweep counts the pieces at every
+degree, and the exact roots at the points are counted once, so every region
 preset is assembled from the same per-trial counts and region additivity
 holds exactly per trial.  The sweep families share one evaluation grid per
 degree, and a family and its mirror are one sweep: f(x) and f(-x) come from
@@ -17,9 +16,9 @@ split, and integrates each distinct piece once per degree.
 Trials run in one process, in fixed-size batches merged in index order.
 Every draw is addressed by (seed, trial, index), so the output does not
 depend on the batch size; parallelism comes from the BLAS threads of the
-sweep GEMMs and the eigenvalue solves (``OPENBLAS_NUM_THREADS``), and from
-:mod:`kaccycles.philox`, which fills a block of more than one tile on every
-core in the process's affinity set.
+sweep GEMMs (``OPENBLAS_NUM_THREADS``), and from :mod:`kaccycles.philox`,
+which fills a block of more than one tile on every core in the process's
+affinity set.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .coeffs import CoeffScheme, coeff_vector
 from .errors import DomainError, InsufficientDataError
 from .kacrice import REGIONS, asymptotic_prediction, expected_roots_regions, \
     region_interval, split_interval
-from .rootcount import EXACT_POINTS, exact_roots, power_matrix, real_roots, \
+from .rootcount import EXACT_POINTS, exact_roots, power_matrix, \
     sweep_count_batch, sweep_grid
 from .sampler import NoiseDistribution
 
@@ -45,15 +44,15 @@ from .sampler import NoiseDistribution
 # pairs; each pair is counted by one sweep
 _MIRROR_PAIRS = (("dir", "mdir"), ("rev", "mrev"))
 
-COMPANION_CUTOFF = 64
 DEFAULT_BATCH = 64
 _RATIO_FLOOR = 0.1
 
 
 @dataclass
 class ExperimentConfig:
-    """One Monte Carlo grid.  ``workers`` is accepted and ignored: trials run
-    in one process, and the output does not depend on it."""
+    """One Monte Carlo grid, counted by the certified sweep at every degree.
+    ``workers`` is accepted and ignored: trials run in one process, and the
+    output does not depend on it."""
 
     scheme: CoeffScheme
     dist: NoiseDistribution
@@ -64,7 +63,6 @@ class ExperimentConfig:
     workers: int = 1
     experiment_id: int = 0
     moments: tuple[int, ...] = ()
-    method: str = "auto"          # "auto" | "companion" | "sweep"
     quad_tol: float = 1e-7
     batch: int = DEFAULT_BATCH
     band_lo: float = 0.7
@@ -78,8 +76,6 @@ class ExperimentConfig:
         for r in self.regions:
             if r not in REGIONS:
                 raise DomainError(f"unknown region {r!r}")
-        if self.method not in ("auto", "companion", "sweep"):
-            raise DomainError(f"unknown method {self.method!r}")
         if self.batch < 1:
             raise DomainError(f"batch must be at least 1, got {self.batch}")
         # master_seed may stay None until the CLI injects --seed; run_experiment
@@ -143,21 +139,19 @@ def _sweep_grid(regions, n: int) -> tuple:
 
 def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
                  regions, master_seed, experiment_id, t0: int, t1: int,
-                 sweep: tuple | None) -> dict:
+                 sweep: tuple) -> dict:
     """Counts for trials [t0, t1) in every region, by the sweep on ``sweep``
-    (a grid and its power matrix from ``_sweep_grid``) or, when it is None,
-    by the companion.
+    (a grid and its power matrix from ``_sweep_grid``).
 
-    Each region is the sum of its ``split_interval`` pieces, which the method
-    counts, and of the exact roots at the points it holds.  A row the method
-    fails on, and the zero polynomial, whose count is undefined, are NaN.
+    Each region is the sum of its ``split_interval`` pieces, which the sweep
+    counts, and of the exact roots at the points it holds.  The zero
+    polynomial, whose count is undefined, is NaN.
     """
     splits = {r: split_interval(region_interval(r, n)) for r in regions}
     pieces = list(dict.fromkeys(p for ps, _ in splits.values() for p in ps))
     realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
-    counts, failed = (_companion_pieces(realized, pieces) if sweep is None
-                      else _sweep_pieces(realized, pieces, *sweep))
-    failed |= ~realized.any(axis=1)
+    counts = _sweep_pieces(realized, pieces, *sweep)
+    failed = ~realized.any(axis=1)
     at = exact_roots(realized)[1]
     out = {}
     for r, (ps, pts) in splits.items():
@@ -168,10 +162,10 @@ def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
 
 
 def _sweep_pieces(realized: np.ndarray, pieces, grid: np.ndarray,
-                  powers: np.ndarray) -> tuple:
+                  powers: np.ndarray) -> dict:
     """Per-piece counts of the rows through the shared sweep families.
 
-    The pieces' inner bounds are pinned on the grid; no row fails.
+    The pieces' inner bounds are pinned on the grid.
     """
     def index(x):
         # u = 1 is the end of the sweep, whose last span reaches on to 1
@@ -191,33 +185,7 @@ def _sweep_pieces(realized: np.ndarray, pieces, grid: np.ndarray,
                                 mirror_spans=fam_spans[1])
         keys = [(f, s) for f, sps in zip(pair, fam_spans) for s in sps]
         cols.update(zip(keys, got.T))
-    return ({p: cols[p[0], s] for p, s in spans.items()},
-            np.zeros(len(realized), dtype=bool))
-
-
-def _companion_pieces(realized: np.ndarray, pieces) -> tuple:
-    """Per-piece counts of the rows from one ``real_roots`` call each.
-
-    A root x falls in piece (family, a, b) when a < u < b for its family's
-    variable u (x, 1/x, -x or -1/x); the exact roots at 0 and +-1 map to
-    u = 0 or 1 and fall in no piece.  A row fails only when its eigenvalue
-    iteration does not converge; every other error propagates.
-    """
-    counts = {p: np.zeros(len(realized), dtype=int) for p in pieces}
-    failed = np.zeros(len(realized), dtype=bool)
-    for i, row in enumerate(realized):
-        try:
-            rep = real_roots(row)
-        except np.linalg.LinAlgError:
-            failed[i] = True
-            continue
-        x = rep.roots
-        with np.errstate(divide="ignore"):
-            u = {"dir": x, "rev": 1.0 / x, "mdir": -x, "mrev": -1.0 / x}
-        for p in pieces:
-            fam, a, b = p
-            counts[p][i] = rep.multiplicities[(a < u[fam]) & (u[fam] < b)].sum()
-    return counts, failed
+    return {p: cols[p[0], s] for p, s in spans.items()}
 
 
 def _realized_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
@@ -260,9 +228,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     moment_rows: list[MomentRow] = []
     counts_store: dict = {}
     for n in config.degrees:
-        use_sweep = n >= 1 and (config.method == "sweep" or (
-            config.method == "auto" and n > COMPANION_CUTOFF))
-        sweep = _sweep_grid(config.regions, n) if use_sweep else None
+        sweep = _sweep_grid(config.regions, n)
         results = [_count_batch(config.scheme, config.dist, n, config.regions,
                                 config.master_seed, config.experiment_id,
                                 t0, min(t0 + config.batch, config.trials), sweep)
@@ -383,12 +349,17 @@ def compare_to_theory(rows: list[EstimateRow], band_lo: float = 0.7,
 # config files and output
 # ---------------------------------------------------------------------------
 
+_CONFIG_KEYS = frozenset((
+    "scheme", "dist", "degrees", "regions", "trials", "master_seed", "workers",
+    "experiment_id", "moments", "quad_tol", "batch", "band_lo", "band_hi"))
+
+
 def parse_config_file(path: str) -> ExperimentConfig:
     """Plain key-value config: `key = value`, '#' comments.
 
     Keys: scheme, dist, degrees, regions, trials, master_seed, workers
-    (accepted and ignored), moments, method, quad_tol, batch, band_lo,
-    band_hi, experiment_id.
+    (accepted and ignored), moments, quad_tol, batch, band_lo, band_hi,
+    experiment_id.  Any other key is a ``DomainError``.
     """
     kv = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -406,6 +377,9 @@ def parse_config_file(path: str) -> ExperimentConfig:
                 if len(parts) == 2:
                     kv[parts[0].strip().lower()] = parts[1].strip()
                     break
+    unknown = sorted(set(kv) - _CONFIG_KEYS)
+    if unknown:
+        raise DomainError("unknown config key " + ", ".join(map(repr, unknown)))
     def want(key):
         if key not in kv:
             raise DomainError(f"config file is missing {key!r}")
@@ -420,7 +394,6 @@ def parse_config_file(path: str) -> ExperimentConfig:
         workers=int(kv.get("workers", "1")),
         experiment_id=int(kv.get("experiment_id", "0")),
         moments=tuple(int(x) for x in kv.get("moments", "").replace(",", " ").split()),
-        method=kv.get("method", "auto"),
         quad_tol=float(kv.get("quad_tol", "1e-7")),
         batch=int(kv.get("batch", str(DEFAULT_BATCH))),
         band_lo=float(kv.get("band_lo", "0.7")),
@@ -441,7 +414,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> TheoryReport | None
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
     header = (f"# kaccycles experiment scheme={cfg.scheme.label()} dist={cfg.dist.value} "
-              f"seed={cfg.master_seed} trials={cfg.trials} method={cfg.method}\n")
+              f"seed={cfg.master_seed} trials={cfg.trials}\n")
     with open(os.path.join(out_dir, "estimates.csv"), "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.write("n,region,mc_mean,mc_stderr,kr_value,asymptotic,"
@@ -471,7 +444,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> TheoryReport | None
             "scheme": cfg.scheme.label(), "dist": cfg.dist.value,
             "degrees": cfg.degrees, "regions": list(cfg.regions),
             "trials": cfg.trials, "master_seed": cfg.master_seed,
-            "workers": cfg.workers, "method": cfg.method,
+            "workers": cfg.workers,
             "moments": list(cfg.moments), "quad_tol": cfg.quad_tol,
             "batch": cfg.batch,
         },

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import os
 from pathlib import Path
@@ -11,7 +13,8 @@ from kaccycles.errors import DomainError, InsufficientDataError
 from kaccycles.experiment import (EstimateRow, ExperimentConfig,
                                   compare_to_theory, parse_config_file,
                                   run_experiment, write_outputs)
-from kaccycles.kacrice import expected_roots_region
+from kaccycles.kacrice import expected_roots_region, region_interval
+from kaccycles.rootcount import count_in_interval
 from kaccycles.sampler import NoiseDistribution
 
 
@@ -31,26 +34,9 @@ def test_constant_polynomial_has_no_roots():
     assert res.rows[0].mc_mean == 0.0 and res.rows[0].failures == 0
 
 
-def test_companion_zero_row_is_a_failure(monkeypatch):
-    # the zero polynomial has no root count: its trial is NaN, not 0
-    drawn = experiment._realized_batch
-
-    def zero_first_row(*args):
-        realized = drawn(*args)
-        realized[0] = 0.0
-        return realized
-
-    monkeypatch.setattr(experiment, "_realized_batch", zero_first_row)
-    res = run_experiment(small_config(degrees=[20], regions=["01", "R"], trials=8,
-                                      batch=4, method="companion"))
-    for row in res.rows:
-        assert row.failures == 2 and row.trials == 6
-        counts = res.counts[(20, row.region)]
-        assert np.isnan(counts[[0, 4]]).all() and not np.isnan(counts[[1, 2, 3, 5]]).any()
-
-
 def test_sweep_zero_row_is_a_failure(monkeypatch):
-    # the sweep's point checks at 0, 1 and -1 must not count the zero polynomial
+    # the zero polynomial has no root count: its trial is NaN, not 0, and the
+    # point checks at 0, 1 and -1 must not count it
     drawn = experiment._realized_batch
 
     def zero_first_row(*args):
@@ -60,25 +46,54 @@ def test_sweep_zero_row_is_a_failure(monkeypatch):
 
     monkeypatch.setattr(experiment, "_realized_batch", zero_first_row)
     res = run_experiment(small_config(degrees=[20], regions=["01", "pos", "neg", "R"],
-                                      trials=8, batch=4, method="sweep"))
+                                      trials=8, batch=4))
     for row in res.rows:
         assert row.failures == 2 and row.trials == 6
         counts = res.counts[(20, row.region)]
         assert np.isnan(counts[[0, 4]]).all() and not np.isnan(counts[[1, 2, 3, 5]]).any()
 
 
-def test_empty_core_interval_counts_zero_on_both_paths():
-    # the core interval is empty below n = 11: both paths and the Kac-Rice
-    # column give 0
-    got = {}
-    for method in ("sweep", "companion"):
-        res = run_experiment(small_config(degrees=[1, 10], regions=["In", "In_inv"],
-                                          trials=4, method=method))
-        got[method] = res.counts
+@pytest.mark.parametrize("root_at_zero", [False, True], ids=["drawn", "c0_zero"])
+def test_small_degree_counts_equal_the_companion_oracle(monkeypatch, root_at_zero):
+    # per trial in every region, the sweep's count is the companion count on
+    # the same row.  With c_0 = 0 every row has a root at x = 0, which the
+    # point check counts once and no span does; at degree 0 that row is the
+    # zero polynomial, NaN in every region
+    drawn = experiment._realized_batch
+    if root_at_zero:
+        def drawn_with_c0_zero(*args):
+            realized = drawn(*args)
+            realized[:, 0] = 0.0
+            return realized
+
+        monkeypatch.setattr(experiment, "_realized_batch", drawn_with_c0_zero)
+        cases = [(CoeffScheme.perturbed_center(), NoiseDistribution.GAUSSIAN)]
+    else:
+        cases = [(scheme, dist) for scheme in (CoeffScheme.perturbed_center(),
+                                               CoeffScheme.power_law(-1.0))
+                 for dist in (NoiseDistribution.GAUSSIAN, NoiseDistribution.UNIFORM_SYM)]
+    degrees, regions = [0, 1, 2, 3, 5, 16, 64], list(kacrice.REGIONS)
+    for scheme, dist in cases:
+        cfg = small_config(scheme=scheme, dist=dist, degrees=degrees,
+                           regions=regions, trials=64)
+        res = run_experiment(cfg)
+        for n in degrees:
+            rows = experiment._realized_batch(scheme, dist, n, cfg.master_seed, 0,
+                                              0, cfg.trials)
+            for r in regions:
+                want = []
+                for row in rows:
+                    rep = count_in_interval(row, region_interval(r, n))
+                    want.append(math.nan if rep.zero_polynomial else rep.count)
+                np.testing.assert_array_equal(res.counts[(n, r)], want,
+                                              err_msg=f"{scheme.label()} {dist} {n} {r}")
+        # the core interval is empty below n = 11: the sweep and the Kac-Rice
+        # column give 0
         for row in res.rows:
-            assert row.mc_mean == 0.0 and row.failures == 0 and row.kr_value == 0.0
-    for key, counts in got["sweep"].items():
-        assert np.array_equal(counts, got["companion"][key])
+            if 1 <= row.n < 11 and row.region in ("In", "In_inv"):
+                assert row.mc_mean == 0.0 and row.failures == 0, vars(row)
+                assert row.kr_value == (0.0 if dist is NoiseDistribution.GAUSSIAN
+                                        else None), vars(row)
 
 
 def test_kacrice_column_integrates_each_piece_once(monkeypatch):
@@ -99,62 +114,7 @@ def test_kacrice_column_integrates_each_piece_once(monkeypatch):
             1e-7)[0]
 
 
-def test_sweep_counts_a_root_at_zero_once(monkeypatch):
-    # a row with c_0 = 0 has a root at x = 0: the point check counts it, and
-    # no span does; both paths agree
-    drawn = experiment._realized_batch
-
-    def root_at_zero(*args):
-        realized = drawn(*args)
-        realized[:, 0] = 0.0
-        return realized
-
-    monkeypatch.setattr(experiment, "_realized_batch", root_at_zero)
-    got = {}
-    for method in ("sweep", "companion"):
-        res = run_experiment(small_config(degrees=[30], trials=16, method=method,
-                                          regions=["01", "sym", "neg", "R"]))
-        got[method] = res.counts
-    for key, counts in got["sweep"].items():
-        assert np.array_equal(counts, got["companion"][key]), key
-
-
-def test_companion_errors_propagate(monkeypatch):
-    def broken(_row):
-        raise RuntimeError("not a counting failure")
-
-    monkeypatch.setattr(experiment, "real_roots", broken)
-    with pytest.raises(RuntimeError):
-        run_experiment(small_config(degrees=[20], trials=4, method="companion"))
-
-
-def test_companion_eigensolver_failure_is_nan_in_every_region(monkeypatch):
-    # a row whose eigenvalue iteration does not converge has no count: its
-    # trial is NaN in every region, and the other trials are counted
-    cfg = small_config(degrees=[20], trials=8, method="companion",
-                       regions=list(kacrice.REGIONS))
-    want = run_experiment(cfg).counts
-    bad = experiment._realized_batch(cfg.scheme, cfg.dist, 20, cfg.master_seed,
-                                     0, 0, cfg.trials)[3]
-    roots = experiment.real_roots
-
-    def fails_on_one_row(row):
-        if np.array_equal(row, bad):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return roots(row)
-
-    monkeypatch.setattr(experiment, "real_roots", fails_on_one_row)
-    res = run_experiment(cfg)
-    for key, counts in res.counts.items():
-        assert np.isnan(counts[3]), key
-        rest = np.delete(counts, 3)
-        assert not np.isnan(rest).any(), key
-        assert np.array_equal(rest, np.delete(want[key], 3)), key
-    assert all(row.failures == 1 and row.trials == cfg.trials - 1 for row in res.rows)
-
-
 def test_monte_carlo_matches_kacrice_both_paths():
-    # n=40 runs through the companion path, n=200 through the sweep
     cfg = small_config(degrees=[40, 200], trials=1500,
                        regions=["01", "1inf", "pos", "neg", "R"])
     res = run_experiment(cfg)
@@ -277,11 +237,42 @@ def test_parse_config_file(tmp_path):
         parse_config_file(str(bad))
 
 
-@pytest.mark.parametrize("preset", sorted(
-    (Path(__file__).parent.parent / "configs").glob("*.cfg")), ids=lambda p: p.name)
+@pytest.mark.parametrize("line", ["moment = 2", "band_low = 0.1", "method = companion"])
+def test_parse_config_file_rejects_unknown_keys(tmp_path, line):
+    # a misspelt or retired key would otherwise leave its default in place
+    path = tmp_path / "exp.cfg"
+    path.write_text("scheme = center\ndist = gauss\ndegrees = 100\nregions = 01\n"
+                    f"trials = 8\nworkers = 2\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(DomainError, match=repr(key)):
+        parse_config_file(str(path))
+
+
+_CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("preset", sorted(_CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
 def test_shipped_presets_parse(preset):
     cfg = parse_config_file(str(preset))
     assert cfg.master_seed is not None and cfg.degrees and cfg.regions
+
+
+# SHA-256 of the per-trial counts of configs/demo.cfg at its own seed; the
+# counts depend on numpy's float kernels, so CI pins the numpy version
+_DEMO_COUNTS_SHA256 = "2b6033cb39fa62d0214f9af3fa88c2496d61ec9526cdeeaca37ac658e145b4ad"
+
+
+def test_demo_preset_counts_are_pinned():
+    cfg = dataclasses.replace(parse_config_file(str(_CONFIGS / "demo.cfg")), workers=1)
+    assert cfg.master_seed == 20250808
+    res = run_experiment(cfg)
+    h = hashlib.sha256()
+    for key in sorted(res.counts):
+        counts = res.counts[key]
+        assert not np.isnan(counts).any(), key
+        h.update(repr(key).encode())
+        h.update(counts.astype(np.int64).tobytes())
+    assert h.hexdigest() == _DEMO_COUNTS_SHA256
 
 
 def _rows_from(ns, values, region="01", stderrs=None, asym=None):
