@@ -12,23 +12,21 @@ f_n(x) = sum c_{m,n} xi_m x^m:
 
 __version__ = "0.1.0"
 
-from .coeffs import (CoeffScheme, CoeffVector, coeff_vector, trig_moment,
-                     variance_center, variance_lienard)
+from .coeffs import CoeffScheme, CoeffVector, coeff_vector, trig_moment
 from .errors import (DegreeTooLargeError, DomainError, EscapeError,
                      InsufficientDataError, KaccyclesError, NonConvergentError,
                      NoReturnError, QuadratureFailureError, ZeroPolynomialError)
 from .kacrice import (AsymptoticPrediction, CoreInterval, KacRiceIntegrand,
                       asymptotic_prediction, core_interval,
-                      expected_roots_gaussian, expected_roots_gaussian_reversed,
-                      expected_roots_region, pqr)
+                      expected_roots_gaussian_with_error, expected_roots_region)
 from .melnikov import (LimitCycleReport, MelnikovPoly, PerturbedSystem,
                        build_melnikov, count_bifurcating_cycles,
                        melnikov_flux_quadrature, poincare_return,
                        verify_cycles_ode)
 from .rootcount import (Interval, RootCountReport, count_in_interval, real_roots,
-                        reversed_poly, sturm_count, sweep_count)
+                        sturm_count, sweep_count)
 from .sampler import (NoiseDistribution, PerturbationCoefficients, RandomPoly,
-                      SeedSpec, draw, melnikov_noise_from_lienard,
+                      SeedSpec, melnikov_noise_from_lienard,
                       melnikov_noise_from_perturbation, sample_polynomial)
 from .experiment import (EstimateRow, ExperimentConfig, ExperimentResult,
                          MomentRow, compare_to_theory, run_experiment)

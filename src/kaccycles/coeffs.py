@@ -212,7 +212,8 @@ def _sum_a_squared(m: np.ndarray, a0: np.ndarray, steps: int) -> np.ndarray:
 
 
 def variance_center_many(m: np.ndarray) -> np.ndarray:
-    """Vectorized perturbed-center variance c_m^2."""
+    """Perturbed-center variance c_m^2 for each m (double sum of squared
+    double-factorial ratios, weighted pi/2)."""
     m = np.asarray(m)
     if np.any(m < 0):
         raise DomainError("variance index m must be nonnegative")
@@ -228,12 +229,6 @@ def variance_center_many(m: np.ndarray) -> np.ndarray:
     if np.any(~small):
         out[~small] = math.pi * _sum_a_squared(flat[~small], a0[~small], _END_TERMS)
     return out.reshape(m.shape)
-
-
-def variance_center(m: int) -> float:
-    """Perturbed-center variance c_m^2 (double sum of squared
-    double-factorial ratios, weighted pi/2)."""
-    return float(variance_center_many(np.array([m]))[0])
 
 
 def variance_center_exact(m: int) -> Fraction:
@@ -265,10 +260,6 @@ def variance_lienard_many(m: np.ndarray) -> np.ndarray:
     flat = m.reshape(-1).astype(int)
     a0 = _a0_anchor(flat)
     return (math.pi * a0 * a0).reshape(m.shape)
-
-
-def variance_lienard(m: int) -> float:
-    return float(variance_lienard_many(np.array([m]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .sampler import NoiseDistribution
 # pairs; each pair is counted by one sweep
 _MIRROR_PAIRS = (("dir", "mdir"), ("rev", "mrev"))
 
-DEFAULT_BATCH = 64
 _RATIO_FLOOR = 0.1
 
 
@@ -64,7 +63,7 @@ class ExperimentConfig:
     experiment_id: int = 0
     moments: tuple[int, ...] = ()
     quad_tol: float = 1e-7
-    batch: int = DEFAULT_BATCH
+    batch: int = 64
     band_lo: float = 0.7
     band_hi: float = 1.3
 
@@ -349,34 +348,39 @@ def compare_to_theory(rows: list[EstimateRow], band_lo: float = 0.7,
 # config files and output
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = frozenset((
-    "scheme", "dist", "degrees", "regions", "trials", "master_seed", "workers",
-    "experiment_id", "moments", "quad_tol", "batch", "band_lo", "band_hi"))
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.replace(",", " ").split()]
+
+
+# the optional keys besides master_seed, with their parsers; an absent key
+# keeps its ExperimentConfig default
+_OPTIONAL_KEYS = {
+    "workers": int, "experiment_id": int, "moments": lambda v: tuple(_ints(v)),
+    "quad_tol": float, "batch": int, "band_lo": float, "band_hi": float}
+_CONFIG_KEYS = frozenset(("scheme", "dist", "degrees", "regions", "trials",
+                          "master_seed", *_OPTIONAL_KEYS))
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
     """Plain key-value config: `key = value`, '#' comments.
 
-    Keys: scheme, dist, degrees, regions, trials, master_seed, workers
-    (accepted and ignored), moments, quad_tol, batch, band_lo, band_hi,
-    experiment_id.  Any other key is a ``DomainError``.
+    The separator is the first of '=', ':' and whitespace that the line
+    holds.  Keys: scheme, dist, degrees, regions, trials, master_seed,
+    workers (accepted and ignored), moments, quad_tol, batch, band_lo,
+    band_hi, experiment_id.  Any other key, and a key with no value, is a
+    ``DomainError``.
     """
     kv = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            for sep in ("=", ":", None):
-                if sep is None:
-                    parts = line.split(None, 1)
-                elif sep in line:
-                    parts = line.split(sep, 1)
-                else:
-                    continue
-                if len(parts) == 2:
-                    kv[parts[0].strip().lower()] = parts[1].strip()
-                    break
+            sep = next((c for c in "=:" if c in line), None)
+            parts = line.split(sep, 1)
+            if len(parts) != 2 or not parts[1].strip():
+                raise DomainError(f"config line {lineno} ({line!r}) has no value")
+            kv[parts[0].strip().lower()] = parts[1].strip()
     unknown = sorted(set(kv) - _CONFIG_KEYS)
     if unknown:
         raise DomainError("unknown config key " + ", ".join(map(repr, unknown)))
@@ -387,18 +391,11 @@ def parse_config_file(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         scheme=CoeffScheme.parse(want("scheme")),
         dist=NoiseDistribution.parse(want("dist")),
-        degrees=[int(x) for x in want("degrees").replace(",", " ").split()],
-        regions=[x for x in want("regions").replace(",", " ").split()],
+        degrees=_ints(want("degrees")),
+        regions=want("regions").replace(",", " ").split(),
         trials=int(want("trials")),
         master_seed=int(kv["master_seed"]) if "master_seed" in kv else None,
-        workers=int(kv.get("workers", "1")),
-        experiment_id=int(kv.get("experiment_id", "0")),
-        moments=tuple(int(x) for x in kv.get("moments", "").replace(",", " ").split()),
-        quad_tol=float(kv.get("quad_tol", "1e-7")),
-        batch=int(kv.get("batch", str(DEFAULT_BATCH))),
-        band_lo=float(kv.get("band_lo", "0.7")),
-        band_hi=float(kv.get("band_hi", "1.3")),
-    )
+        **{k: parse(kv[k]) for k, parse in _OPTIONAL_KEYS.items() if k in kv})
 
 
 def _fmt(v) -> str:

@@ -42,9 +42,8 @@ from .rootcount import EXACT_POINTS, Interval
 
 __all__ = [
     "KacRiceIntegrand", "CoreInterval", "AsymptoticPrediction",
-    "pqr", "core_interval", "asymptotic_prediction",
-    "expected_roots_gaussian", "expected_roots_gaussian_with_error",
-    "expected_roots_gaussian_reversed", "expected_roots_region",
+    "core_interval", "asymptotic_prediction",
+    "expected_roots_gaussian_with_error", "expected_roots_region",
     "expected_roots_regions", "region_interval", "split_interval", "REGIONS",
     "adaptive_gauss_kronrod",
 ]
@@ -102,14 +101,6 @@ class CoreInterval:
     lo: float
     hi: float
     empty: bool
-
-    @property
-    def t_lo(self) -> float:
-        return math.log(max(self.n, 2)) ** 0.2
-
-    @property
-    def t_hi(self) -> float:
-        return math.log(max(self.n, 2)) - math.log(max(self.n, 2)) ** 0.2
 
 
 def core_interval(n: int) -> CoreInterval:
@@ -296,11 +287,6 @@ class KacRiceIntegrand:
         return math.sqrt(disc) / (math.pi * s0) * math.exp(-t)
 
 
-def pqr(coeffs, x: float):
-    """P, Q, R of the Gaussian covariance at x (|x| < 1)."""
-    return KacRiceIntegrand(_coeff_values(coeffs)).pqr(x)
-
-
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod
 # ---------------------------------------------------------------------------
@@ -427,18 +413,6 @@ def expected_roots_gaussian_with_error(coeffs, interval, quad_tol: float = 1e-8)
     """
     return _sum_pieces(_coeff_values(coeffs), split_interval(interval)[0],
                        quad_tol, {})
-
-
-def expected_roots_gaussian(coeffs, interval, quad_tol: float = 1e-8) -> float:
-    """Expected number of real zeros in an interval (Gaussian noise)."""
-    return expected_roots_gaussian_with_error(coeffs, interval, quad_tol)[0]
-
-
-def expected_roots_gaussian_reversed(coeffs, quad_tol: float = 1e-8) -> float:
-    """Expected zeros in (1, inf) via the reversed coefficient vector."""
-    values = _coeff_values(coeffs)
-    v, _ = _count_01(_reversed_values(values), 0.0, 1.0, quad_tol)
-    return v
 
 
 # Region presets by name.  "In" is the core interval and "In_inv" its image

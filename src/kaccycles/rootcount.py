@@ -3,8 +3,8 @@
 Three methods with different contracts:
 
 * ``real_roots`` / ``count_in_interval`` — eigenvalues of the balanced
-  companion matrix, Newton-polished; locates every root, O(n^3), the default
-  for moderate degree and whenever root positions are needed.
+  companion matrix, Newton-polished; locates every root, O(n^3), where
+  root positions are needed (the Melnikov radii, CLI ``count``).
 * ``sturm_count`` (re-exported from :mod:`kaccycles.sturm`) — exact integer
   arithmetic oracle for degree <= 64.
 * ``sweep_count`` / ``sweep_count_batch`` — counts the roots of f cell by
@@ -30,11 +30,12 @@ from .sturm import sturm_count
 
 __all__ = [
     "Interval", "RootCountReport", "real_roots", "count_in_interval",
-    "deflate_exact_root", "exact_roots", "reversed_poly", "sweep_count",
+    "deflate_exact_root", "exact_roots", "sweep_count",
     "sweep_count_batch", "sweep_grid", "sturm_count",
 ]
 
-DEFAULT_TOL = 1e-8
+# an eigenvalue is real when |Im| <= _REAL_TOL (1 + |Re|)
+_REAL_TOL = 1e-8
 # Grid spacing in t = -log(1-x); root density per unit t stays below ~0.26
 # for every scheme in scope, so cells carry ~0.005 expected roots.
 SWEEP_STEP = 0.02
@@ -124,23 +125,6 @@ def _as_coeff_array(poly) -> np.ndarray:
     return np.asarray(poly, dtype=float)
 
 
-def reversed_poly(poly):
-    """Coefficient reversal x^n f(1/x); maps roots in (1, inf) to (0, 1).
-
-    On a plain array the coefficients are reversed after trimming.  When the
-    input carries scheme coefficients (a ``values`` attribute) the reversal
-    is normalized by the leading coefficient, d_m = c_{n-m} / c_n.
-    """
-    c = _as_coeff_array(poly)
-    c = np.trim_zeros(c, "b")
-    if c.size == 0:
-        raise ZeroPolynomialError("all coefficients are zero")
-    rev = c[::-1].copy()
-    if hasattr(poly, "values") and not hasattr(poly, "realized"):
-        rev = rev / c[-1]
-    return rev
-
-
 def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the monic companion matrix (LAPACK balances + QR)."""
     n = len(c) - 1
@@ -218,16 +202,16 @@ def exact_roots(rows: np.ndarray):
     return rests, mult
 
 
-def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
+def real_roots(poly) -> RootCountReport:
     """All real roots via companion-matrix eigenvalues.
 
     Exact roots at 0 (zero low coefficients) and at 1 and -1 (coefficient
     sum or alternating sum exactly zero) are divided out first and reported
     at exactly 0, 1 and -1 with their multiplicity.  An eigenvalue of the
-    rest counts as real iff |Im| <= tol * (1 + |Re|); accepted roots are
-    Newton-polished, and clusters closer than 10 * tol * (1 + |x|) merge
-    into one root with multiplicity equal to the cluster size.  The
-    all-zero polynomial yields a flagged zero report.
+    rest counts as real iff |Im| <= tol * (1 + |Re|), tol = ``_REAL_TOL``;
+    accepted roots are Newton-polished, and clusters closer than
+    10 * tol * (1 + |x|) merge into one root with multiplicity equal to the
+    cluster size.  The all-zero polynomial yields a flagged zero report.
     """
     c = _as_coeff_array(poly)
     if c.ndim != 1 or c.size == 0:
@@ -246,7 +230,7 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
     if len(c_red) > 1:
         lam = _companion_eigenvalues(c_red)
         im_ratio = np.abs(lam.imag) / (1.0 + np.abs(lam.real))
-        cand = lam.real[im_ratio <= tol]
+        cand = lam.real[im_ratio <= _REAL_TOL]
         if cand.size:
             d_red = c_red[1:] * np.arange(1, len(c_red))
             cand = _polish_roots(c_red, d_red, np.sort(cand))
@@ -259,7 +243,7 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
     i = 0
     while i < len(allr):
         j = i + 1
-        while j < len(allr) and allr[j] - allr[i] <= 10.0 * tol * (1.0 + abs(allr[j])):
+        while j < len(allr) and allr[j] - allr[i] <= 10.0 * _REAL_TOL * (1.0 + abs(allr[j])):
             j += 1
         merged.append(float(np.mean(allr[i:j])))
         mult.append(j - i)
@@ -277,13 +261,13 @@ def real_roots(poly, tol: float = DEFAULT_TOL) -> RootCountReport:
     return RootCountReport(int(mult_a.sum()), merged_a, mult_a, "companion", max_res)
 
 
-def count_in_interval(poly, interval: Interval, tol: float = DEFAULT_TOL) -> RootCountReport:
+def count_in_interval(poly, interval: Interval) -> RootCountReport:
     """Filter the full real-root report by interval membership.
 
     Endpoint membership (decided after polishing) honors the open/closed
     flags.
     """
-    rep = real_roots(poly, tol=tol)
+    rep = real_roots(poly)
     if rep.zero_polynomial:
         return RootCountReport(0, rep.roots, rep.multiplicities, rep.method, 0.0,
                                zero_polynomial=True, interval=interval)

@@ -14,10 +14,11 @@ the radial Melnikov polynomial is
 
 with a_{k,m} the full-circle trigonometric moments (zero at odd k, so only
 half of each odd diagonal contributes, and even diagonals never do).  Those
-contributing entries get a packed, degree-independent counter layout; the
-same (j,k) therefore reproduces the same draw whether the perturbation is
-materialized in full (for flux quadrature at small d) or sampled sparsely
-(degree 2001 Monte Carlo draws only the ~d^2/4 entries that matter).
+contributing entries are one stream in a degree-independent order
+(``_used_layout``); the same (j,k) therefore reproduces the same draw
+whether the perturbation is materialized in full (for flux quadrature at
+small d) or sampled sparsely (degree 2001 Monte Carlo draws only the ~d^2/4
+entries that matter).
 """
 
 from __future__ import annotations
@@ -57,12 +58,16 @@ class NoiseDistribution(enum.Enum):
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Addressed randomness: (master_seed, experiment, trial, index)."""
+    """Addressed randomness: (master_seed, experiment, trial).
+
+    ``key(lane)`` names one counter stream of the trial; each sampler draws
+    a block of its lane, and the index of a variate is its place in that
+    block.
+    """
 
     master_seed: int
     experiment: int = 0
     trial: int = 0
-    index: int = 0
 
     def key(self, lane: int) -> int:
         return philox.stream_key(self.master_seed, self.experiment, self.trial, lane)
@@ -83,22 +88,11 @@ class RandomPoly:
         return self.coeffs.n
 
 
-def draw(dist: NoiseDistribution, seed: SeedSpec) -> float:
-    """One variate of the coefficient-noise stream at seed.index."""
-    key = seed.key(philox.LANE_XI)
-    return float(philox.variates_at(dist.value, key, np.array([seed.index]))[0])
-
-
-def noise_vector(dist: NoiseDistribution, seed: SeedSpec, count: int) -> np.ndarray:
-    """xi_0 .. xi_{count-1} for one (experiment, trial) stream."""
-    return philox.variates_block(dist.value, seed.key(philox.LANE_XI), count)
-
-
 def sample_polynomial(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
                       seed: SeedSpec) -> RandomPoly:
-    """Realize f_n(x) = sum c_{m,n} xi_m x^m."""
+    """Realize f_n(x) = sum c_{m,n} xi_m x^m, xi_m the m-th LANE_XI variate."""
     cv = coeff_vector(scheme, n)
-    noise = noise_vector(dist, seed, n + 1)
+    noise = philox.variates_block(dist.value, seed.key(philox.LANE_XI), n + 1)
     return RandomPoly(coeffs=cv, noise=noise, realized=cv.values * noise,
                       dist=dist, seed=seed)
 
@@ -150,14 +144,6 @@ class PerturbationCoefficients:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def full(d: int, alpha: np.ndarray, beta: np.ndarray) -> "PerturbationCoefficients":
-        a = np.asarray(alpha, dtype=float)
-        b = np.asarray(beta, dtype=float)
-        if a.shape != (pair_count(d),) or b.shape != (pair_count(d),):
-            raise DomainError("alpha/beta must be flat arrays over all pair ranks")
-        return PerturbationCoefficients(d=d, kind="full", alpha=a, beta=b)
-
-    @staticmethod
     def from_maps(d: int, alpha_map: dict, beta_map: dict) -> "PerturbationCoefficients":
         """Build from {(j,k): value} maps; absent pairs are zero."""
         a = np.zeros(pair_count(d))
@@ -195,20 +181,21 @@ class PerturbationCoefficients:
     # -- materialization ----------------------------------------------------
 
     def materialized(self) -> "PerturbationCoefficients":
-        """Full flat alpha/beta arrays with the packed-counter values.
+        """Full flat alpha/beta arrays of the seeded draw.
 
-        Entries that feed the Melnikov reduction come from LANE_PERT at
-        their packed index; the rest from LANE_PERT_UNUSED in canonical
-        order, so sparse and materialized sampling agree entry by entry.
+        Entries that feed the Melnikov reduction are the LANE_PERT block in
+        ``_used_layout`` order, the block the sparse reduction draws; the
+        rest come from LANE_PERT_UNUSED in canonical order, so sparse and
+        materialized sampling agree entry by entry.
         """
         if self.kind != "full":
             raise DomainError("only full perturbations materialize")
         if self.alpha is not None:
             return self
         total = pair_count(self.d)
-        used_pos, used_packed, used_is_alpha = _used_layout(self.d)
+        used_pos, used_is_alpha = _used_layout(self.d)
         key_used = self.seed.key(philox.LANE_PERT)
-        used_vals = philox.variates_at(self.dist.value, key_used, used_packed)
+        used_vals = philox.variates_block(self.dist.value, key_used, len(used_pos))
         alpha = np.zeros(total)
         beta = np.zeros(total)
         a_sel = used_is_alpha
@@ -228,33 +215,24 @@ class PerturbationCoefficients:
 
 @lru_cache(maxsize=16)
 def _used_layout(d: int):
-    """(canonical rank, packed index, is_alpha) for contributing entries.
+    """(canonical rank, is_alpha) of the contributing entries, in draw order.
 
-    Packed block m occupies [m(m+1), (m+1)(m+2)): first the m+1 alpha
-    entries (k = 0, 2, ..., 2m), then the m+1 beta entries
-    (k = 1, 3, ..., 2m+1).
+    Entry i is variate i of the LANE_PERT stream.  Block m occupies
+    [m(m+1), (m+1)(m+2)): first the m+1 alpha entries (j, k) with
+    j + k = 2m+1 and k = 0, 2, ..., 2m, then the m+1 beta entries
+    (k = 1, 3, ..., 2m+1).  No block depends on d.
     """
     n = (d - 1) // 2
-    pos, packed, is_alpha = [], [], []
-    for m in range(n + 1):
-        s = 2 * m + 1
-        base = (s - 1) * (s + 2) // 2
-        start = m * (m + 1)
-        for i in range(m + 1):
-            pos.append(base + 2 * i)          # alpha pair (j, k=2i)
-            packed.append(start + i)
-            is_alpha.append(True)
-        for i in range(m + 1):
-            pos.append(base + 2 * i + 1)      # beta pair (j, k=2i+1)
-            packed.append(start + m + 1 + i)
-            is_alpha.append(False)
-    return (np.array(pos, dtype=np.int64), np.array(packed, dtype=np.uint64),
-            np.array(is_alpha, dtype=bool))
+    m = np.repeat(np.arange(n + 1), 2 * np.arange(1, n + 2))
+    i = np.arange(m.size) - m * (m + 1)       # place within block m
+    is_alpha = i <= m
+    k = np.where(is_alpha, 2 * i, 2 * (i - m) - 1)
+    return m * (2 * m + 3) + k, is_alpha      # pair_rank(2m+1-k, k)
 
 
 @lru_cache(maxsize=16)
 def _reduction_weights(d: int):
-    """Flat trig-moment weights over the packed layout plus block offsets.
+    """Flat trig-moment weights over ``_used_layout`` plus block offsets.
 
     Row m is a_{2i,m} = 2 pi (2m-2i+1)!! (2i-1)!! / (2m+2)!!, i = 0..m+1, the
     terms of ``trig_moment_even_row(m)`` in the same order and to the bit:
@@ -285,17 +263,13 @@ def melnikov_noise_from_perturbation(pc: PerturbationCoefficients) -> np.ndarray
         raise DomainError("expected a full bivariate perturbation")
     if pc.d < 1:
         raise DomainError("perturbation degree must be >= 1")
-    n = pc.melnikov_degree
     w, offsets = _reduction_weights(pc.d)
     if pc.alpha is not None:
-        used_pos, used_packed, used_is_alpha = _used_layout(pc.d)
-        src = np.where(used_is_alpha, pc.alpha[used_pos], pc.beta[used_pos])
-        vals = np.empty((n + 1) * (n + 2))
-        vals[used_packed.astype(np.int64)] = src
-        vals = w * vals
+        used_pos, used_is_alpha = _used_layout(pc.d)
+        vals = w * np.where(used_is_alpha, pc.alpha[used_pos], pc.beta[used_pos])
     else:
         key = pc.seed.key(philox.LANE_PERT)
-        vals = philox.variates_block(pc.dist.value, key, (n + 1) * (n + 2))
+        vals = philox.variates_block(pc.dist.value, key, w.size)
         # the fresh draw is ours: weight it in place, with no second array
         np.multiply(vals, w, out=vals)
     return _INV_SQRT_8PI * np.add.reduceat(vals, offsets)

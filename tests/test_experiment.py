@@ -237,9 +237,11 @@ def test_parse_config_file(tmp_path):
         parse_config_file(str(bad))
 
 
-@pytest.mark.parametrize("line", ["moment = 2", "band_low = 0.1", "method = companion"])
+@pytest.mark.parametrize("line", ["moment = 2", "band_low = 0.1", "method = companion",
+                                  "moment", "band_lo =", "band_lo"])
 def test_parse_config_file_rejects_unknown_keys(tmp_path, line):
-    # a misspelt or retired key would otherwise leave its default in place
+    # a misspelt or retired key, or one whose value was deleted, would
+    # otherwise leave its default in place
     path = tmp_path / "exp.cfg"
     path.write_text("scheme = center\ndist = gauss\ndegrees = 100\nregions = 01\n"
                     f"trials = 8\nworkers = 2\n{line}\n")

@@ -22,6 +22,9 @@ def test_block_matches_indexed_access():
         block = philox.variates_block(dist, key, 37, start=5)
         indexed = philox.variates_at(dist, key, np.arange(5, 42))
         assert np.array_equal(block, indexed)
+        # one variate at a time, as addressed
+        for i in (5, 8, 41):
+            assert philox.variates_at(dist, key, np.array([i]))[0] == block[i - 5]
 
 
 def test_streams_disjoint_and_deterministic():

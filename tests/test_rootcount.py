@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from kaccycles import experiment, rootcount
+from kaccycles import experiment, kacrice, rootcount
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DegreeTooLargeError, DomainError, ZeroPolynomialError
 from kaccycles.experiment import ExperimentConfig, run_experiment
-from kaccycles.kacrice import REGIONS, region_interval
+from kaccycles.kacrice import REGIONS, _reversed_values, region_interval
 from kaccycles.rootcount import (Interval, count_in_interval, real_roots,
-                                 reversed_poly, sturm_count, sweep_count)
+                                 sturm_count, sweep_count)
 from kaccycles.sampler import NoiseDistribution, SeedSpec, sample_polynomial
+
+
+@pytest.mark.parametrize("module", [kacrice, rootcount], ids=lambda m: m.__name__)
+def test_all_lists_only_names_that_exist(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -136,24 +141,26 @@ def test_companion_agrees_with_sturm(rng):
 
 
 # ---------------------------------------------------------------------------
-# reversal
+# reversal d_m = c_{n-m} / c_n, as the Kac-Rice pieces in (1, inf) take it
 # ---------------------------------------------------------------------------
 
 def test_reversal_examples():
-    rev = reversed_poly([1.0, 0.0, -4.0])        # roots +-1/2 -> +-2
+    rev = _reversed_values(np.array([1.0, 0.0, -4.0]))   # roots +-1/2 -> +-2
     rep = real_roots(rev)
     assert np.allclose(np.sort(rep.roots), [-2.0, 2.0], atol=1e-10)
     pal = np.array([2.0, -5.0, 2.0])             # palindromic
-    assert np.allclose(reversed_poly(pal), pal)
+    assert np.allclose(_reversed_values(pal), pal / 2.0)
+    # trailing zeros lower the degree
+    assert np.array_equal(_reversed_values(np.array([1.0, 0.5, 0.0])), [1.0, 2.0])
 
 
 def test_reversal_bijection_and_involution(rng):
     for _ in range(30):
         c = rng.standard_normal(21)
         a = count_in_interval(c, Interval(1.0, math.inf)).count
-        b = count_in_interval(reversed_poly(c), Interval(0.0, 1.0)).count
+        b = count_in_interval(_reversed_values(c), Interval(0.0, 1.0)).count
         assert a == b
-        back = reversed_poly(reversed_poly(c))
+        back = _reversed_values(_reversed_values(c))
         for iv in (Interval(0.25, 0.75), Interval(1.5, 4.0), Interval(-2.0, -0.5)):
             assert (count_in_interval(back, iv).count
                     == count_in_interval(c, iv).count)
@@ -161,14 +168,9 @@ def test_reversal_bijection_and_involution(rng):
 
 def test_reversed_coeff_vector_normalized():
     cv = coeff_vector(CoeffScheme.perturbed_center(), 6)
-    rev = reversed_poly(cv)
+    rev = _reversed_values(cv.values)
     assert abs(rev[-1] - cv.values[0] / cv.values[-1]) < 1e-15
     assert abs(rev[0] - 1.0) < 1e-15
-
-
-def test_reversed_zero_polynomial():
-    with pytest.raises(ZeroPolynomialError):
-        reversed_poly([0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from kaccycles import sampler
+from kaccycles import philox, sampler
 from kaccycles.coeffs import (CoeffScheme, trig_moment, trig_moment_even_row,
                               variance_center_many, variance_lienard_many)
 from kaccycles.errors import DomainError
 from kaccycles.sampler import (NoiseDistribution, PerturbationCoefficients,
-                               SeedSpec, draw, melnikov_noise_from_lienard,
+                               SeedSpec, melnikov_noise_from_lienard,
                                melnikov_noise_from_perturbation, pair_count,
                                pair_rank, sample_polynomial)
 
@@ -18,11 +19,16 @@ U = NoiseDistribution.UNIFORM_SYM
 
 
 def test_draw_supports_and_determinism():
-    s = SeedSpec(99, experiment=1, trial=5, index=3)
-    assert draw(R, s) in (-1.0, 1.0)
-    assert abs(draw(U, s)) <= math.sqrt(3.0)
-    assert draw(G, s) == draw(G, s)
-    assert draw(G, s) != draw(G, SeedSpec(99, 1, 5, 4))
+    # xi_index of a trial is entry `index` of sample_polynomial's noise
+    def draw(dist, seed, index):
+        return sample_polynomial(CoeffScheme.power_law(0.0), dist, index, seed).noise[index]
+
+    s = SeedSpec(99, experiment=1, trial=5)
+    assert draw(R, s, 3) in (-1.0, 1.0)
+    assert abs(draw(U, s, 3)) <= math.sqrt(3.0)
+    assert draw(G, s, 3) == draw(G, s, 3)
+    assert draw(G, s, 3) != draw(G, s, 4)
+    assert draw(G, s, 3) == philox.variates_at("gaussian", s.key(philox.LANE_XI), np.array([3]))[0]
 
 
 def test_sample_polynomial_deterministic_and_prefix_stable():
@@ -92,6 +98,25 @@ def test_melnikov_lazy_matches_materialized():
     assert np.allclose(melnikov_noise_from_perturbation(pc),
                        melnikov_noise_from_perturbation(pc.materialized()),
                        rtol=0, atol=0)
+
+
+# SHA-256 of seeded perturbations: the materialized alpha and beta, and the
+# Melnikov reduction of the seeded and the materialized form.  Like the
+# Philox golden hashes it depends on numpy's float kernels.
+_PERTURBATION_SHA256 = "cfde0a0f9d4d815c60f3a09c6989e63e6787af5116f617475dd4344b759aaa60"
+
+
+def test_perturbation_draw_is_pinned():
+    h = hashlib.sha256()
+    for dist in (G, R, U):
+        for d in (1, 2, 3, 5, 7, 21):
+            for trial in range(6):
+                pc = PerturbationCoefficients.sample_full(d, dist, SeedSpec(70812, trial=trial))
+                full = pc.materialized()
+                for a in (full.alpha, full.beta, melnikov_noise_from_perturbation(pc),
+                          melnikov_noise_from_perturbation(full)):
+                    h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert h.hexdigest() == _PERTURBATION_SHA256
 
 
 def test_lienard_entries():
