@@ -24,7 +24,7 @@ from .melnikov import (LimitCycleReport, MelnikovPoly, PerturbedSystem,
                        melnikov_flux_quadrature, poincare_return,
                        verify_cycles_ode)
 from .rootcount import (Interval, RootCountReport, count_in_interval, real_roots,
-                        sturm_count, sweep_count)
+                        sturm_count, sweep_roots)
 from .sampler import (NoiseDistribution, PerturbationCoefficients, RandomPoly,
                       SeedSpec, melnikov_noise_from_lienard,
                       melnikov_noise_from_perturbation, sample_polynomial)

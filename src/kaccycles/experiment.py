@@ -149,9 +149,9 @@ def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
     splits = {r: split_interval(region_interval(r, n)) for r in regions}
     pieces = list(dict.fromkeys(p for ps, _ in splits.values() for p in ps))
     realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
-    counts = _sweep_pieces(realized, pieces, *sweep)
+    direct, rev, at = exact_roots(realized)
+    counts = _sweep_pieces((direct, rev), pieces, *sweep)
     failed = ~realized.any(axis=1)
-    at = exact_roots(realized)[1]
     out = {}
     for r, (ps, pts) in splits.items():
         tot = sum([counts[p] for p in ps] + [at[:, EXACT_POINTS.index(p)] for p in pts],
@@ -160,11 +160,13 @@ def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
     return out
 
 
-def _sweep_pieces(realized: np.ndarray, pieces, grid: np.ndarray,
+def _sweep_pieces(divided: tuple, pieces, grid: np.ndarray,
                   powers: np.ndarray) -> dict:
     """Per-piece counts of the rows through the shared sweep families.
 
-    The pieces' inner bounds are pinned on the grid.
+    ``divided`` is the rows and the reversed rows of ``exact_roots``, so the
+    sweep finds no exact root to divide out.  The pieces' inner bounds are
+    pinned on the grid.
     """
     def index(x):
         # u = 1 is the end of the sweep, whose last span reaches on to 1
@@ -179,9 +181,8 @@ def _sweep_pieces(realized: np.ndarray, pieces, grid: np.ndarray,
                      for f in pair]
         if not any(fam_spans):
             continue
-        rows = realized if pair[0] == "dir" else realized[:, ::-1]
-        got = sweep_count_batch(rows, grid, powers=powers, spans=fam_spans[0],
-                                mirror_spans=fam_spans[1])
+        got = sweep_count_batch(divided[pair[0] == "rev"], grid, powers=powers,
+                                spans=fam_spans[0], mirror_spans=fam_spans[1])
         keys = [(f, s) for f, sps in zip(pair, fam_spans) for s in sps]
         cols.update(zip(keys, got.T))
     return {p: cols[p[0], s] for p, s in spans.items()}

@@ -97,7 +97,6 @@ _TAIL_REL = 1e-18
 class CoreInterval:
     """Subinterval of (0,1) where almost all real zeros concentrate."""
 
-    n: int
     lo: float
     hi: float
     empty: bool
@@ -110,7 +109,7 @@ def core_interval(n: int) -> CoreInterval:
     u = math.log(n) ** 0.2
     lo = 1.0 - math.exp(-u)
     hi = 1.0 - math.exp(u) / n
-    return CoreInterval(n=n, lo=lo, hi=hi, empty=not (0.0 < lo < hi < 1.0))
+    return CoreInterval(lo=lo, hi=hi, empty=not (0.0 < lo < hi < 1.0))
 
 
 @dataclass
@@ -186,7 +185,8 @@ def asymptotic_prediction(rho: float, region: str, n: int) -> AsymptoticPredicti
 # ---------------------------------------------------------------------------
 
 class KacRiceIntegrand:
-    """Evaluator for P, Q, R of one coefficient vector.
+    """Kac-Rice moments S0, S1, S2 of one coefficient vector (P = S0,
+    Q = S2/x^2, R = S1/x) and the zero density they give.
 
     Series are truncated once the positive geometric tail falls below
     1e-18 of the running sum; near x = 1 the full length is forced.  Each
@@ -253,18 +253,6 @@ class KacRiceIntegrand:
         iw *= i
         s2 = float(np.sum(iw))
         return s0, s1, s2
-
-    def pqr(self, x: float):
-        """(P, Q, R) at x; |x| must be < 1."""
-        if abs(x) >= 1.0:
-            raise DomainError("pqr is defined for |x| < 1; use the reversed "
-                              "polynomial for (1, inf)")
-        y = x * x
-        if y == 0.0:
-            q = float(self.sq[1]) if self.n >= 1 else 0.0
-            return float(self.sq[0]), q, 0.0
-        s0, s1, s2 = self.moments(x)
-        return s0, s2 / y, s1 / x
 
     def density_t(self, t: float) -> float:
         """Zero density in t = -log(1-x); integrand of the expected count.

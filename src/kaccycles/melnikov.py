@@ -39,14 +39,11 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import (DomainError, EscapeError, NoReturnError,
                      NonConvergentError)
-from .rootcount import Interval, count_in_interval
+from .rootcount import sweep_roots
 from .sampler import (PerturbationCoefficients, melnikov_noise_from_lienard,
                       melnikov_noise_from_perturbation)
 
 SQRT_8PI = math.sqrt(8.0 * math.pi)
-
-# nondegeneracy: |M'(r)| must exceed this times prefactor * ||f_n||_2
-NONDEGENERATE_RTOL = 1e-8
 
 
 @dataclass
@@ -73,23 +70,14 @@ class MelnikovPoly:
     """M(r) = prefactor * r^2 * f_n(r^2)."""
 
     fn_coeffs: np.ndarray
-    n: int
     prefactor: float
     ode_sign: float    # orientation factor s in P(r) - r ~ eps s M(r) / r
 
     def f(self, x):
         return polyval(x, self.fn_coeffs)
 
-    def f_prime(self, x):
-        deriv = np.arange(1, self.n + 1) * self.fn_coeffs[1:]
-        return polyval(x, deriv if self.n else [0.0])
-
     def value(self, r: float) -> float:
         return self.prefactor * r * r * self.f(r * r)
-
-    def derivative(self, r: float) -> float:
-        x = r * r
-        return self.prefactor * (2.0 * r * self.f(x) + 2.0 * r * x * self.f_prime(x))
 
 
 @dataclass
@@ -107,9 +95,9 @@ def build_melnikov(sys: PerturbedSystem) -> MelnikovPoly:
     """Melnikov polynomial coefficients for one perturbed system."""
     if sys.kind == "center":
         coeffs = melnikov_noise_from_perturbation(sys.pc)
-        return MelnikovPoly(coeffs, len(coeffs) - 1, SQRT_8PI, +1.0)
+        return MelnikovPoly(coeffs, SQRT_8PI, +1.0)
     coeffs = melnikov_noise_from_lienard(sys.pc)
-    return MelnikovPoly(coeffs, len(coeffs) - 1, 1.0, -1.0)
+    return MelnikovPoly(coeffs, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +148,19 @@ def melnikov_flux_quadrature(sys: PerturbedSystem, r: float) -> float:
 
 
 def count_bifurcating_cycles(sys: PerturbedSystem) -> LimitCycleReport:
-    """Cycle count and radii from the positive zeros of M.
-
-    Radii are sqrt of the positive roots of f_n; a root is flagged
-    nondegenerate when |M'(r)| exceeds NONDEGENERATE_RTOL times the
-    coefficient scale.  An identically-zero M comes back as a flagged zero
-    count (the one-to-one correspondence assumes M not identically zero).
+    """Cycle count and radii from the positive zeros of M: sqrt x at the
+    roots x of f_n in (0, inf) from ``rootcount.sweep_roots``, as often as
+    the sweep counts them.  A radius is nondegenerate (M'(r) != 0) when its
+    root lies in a certified monotone bracket.  An identically-zero M comes
+    back as a flagged zero count (the one-to-one correspondence assumes M
+    not identically zero).
     """
     mp = build_melnikov(sys)
     if not np.any(mp.fn_coeffs != 0.0):
         return LimitCycleReport(0, np.empty(0), np.empty(0, dtype=bool),
                                 "melnikov", zero_polynomial=True)
-    rep = count_in_interval(mp.fn_coeffs, Interval(0.0, math.inf))
-    radii = np.sqrt(rep.roots)
-    scale = mp.prefactor * float(np.linalg.norm(mp.fn_coeffs))
-    nd = np.array([abs(mp.derivative(r)) > NONDEGENERATE_RTOL * scale
-                   for r in radii], dtype=bool)
-    # multiplicity > 1 is degenerate by definition
-    nd &= rep.multiplicities == 1
-    count = int(rep.multiplicities.sum())
-    return LimitCycleReport(count, radii, nd, "melnikov")
+    x, simple = sweep_roots(mp.fn_coeffs)
+    return LimitCycleReport(len(x), np.sqrt(x), simple, "melnikov")
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,18 @@
 Three methods with different contracts:
 
 * ``real_roots`` / ``count_in_interval`` — eigenvalues of the balanced
-  companion matrix, Newton-polished; locates every root, O(n^3), where
-  root positions are needed (the Melnikov radii, CLI ``count``).
+  companion matrix, Newton-polished; locates every root, O(n^3), with no
+  certificate: CLI ``count``, and the tests' oracle.
 * ``sturm_count`` (re-exported from :mod:`kaccycles.sturm`) — exact integer
   arithmetic oracle for degree <= 64.
-* ``sweep_count`` / ``sweep_count_batch`` — counts the roots of f cell by
-  cell on a grid uniform in t = -log(1-x), where the root flow of these
-  ensembles has bounded density, plus one cell on to x = 1.  Each cell is
-  certified root-free or monotone, rounding included, or bisected on its
-  row until it is (``_resolve`` names the one case floating point cannot
-  settle).  Count-only, O(n * grid) per polynomial and BLAS-batchable, so
-  10^4-trial Monte Carlo runs at degree 10^4 are feasible; the half-size
-  products of the even and odd parts also count the mirror f(-x).
+* ``sweep_count_batch`` / ``sweep_roots`` — the roots of f cell by cell on
+  a grid uniform in t = -log(1-x), where the root flow of these ensembles
+  has bounded density, plus one cell on to x = 1.  Each cell is certified
+  root-free or monotone, rounding included, or bisected on its row until
+  it is (``_resolve`` names the one case floating point cannot settle).
+  O(n * grid) per polynomial and BLAS-batchable; the half-size products of
+  the even and odd parts also count the mirror f(-x).  ``sweep_roots``
+  locates the roots of one polynomial in (0, inf) (the Melnikov radii).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .sturm import sturm_count
 
 __all__ = [
     "Interval", "RootCountReport", "real_roots", "count_in_interval",
-    "deflate_exact_root", "exact_roots", "sweep_count",
-    "sweep_count_batch", "sweep_grid", "sturm_count",
+    "deflate_exact_root", "exact_roots", "sweep_count_batch", "sweep_grid",
+    "sweep_roots", "sturm_count",
 ]
 
 # an eigenvalue is real when |Im| <= _REAL_TOL (1 + |Re|)
@@ -117,14 +117,6 @@ class RootCountReport:
     interval: Interval = field(default_factory=Interval.reals)
 
 
-def _as_coeff_array(poly) -> np.ndarray:
-    if hasattr(poly, "realized"):
-        return np.asarray(poly.realized, dtype=float)
-    if hasattr(poly, "values"):
-        return np.asarray(poly.values, dtype=float)
-    return np.asarray(poly, dtype=float)
-
-
 def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
     """Eigenvalues of the monic companion matrix (LAPACK balances + QR)."""
     n = len(c) - 1
@@ -186,20 +178,27 @@ def exact_roots(rows: np.ndarray):
     A root at 0 is a zero low coefficient; one at 1 or -1 a coefficient sum
     or alternating sum that is exactly zero (see ``deflate_exact_root``).
     ``rows`` is (k, n+1); the zero row, which has no root count, gets none.
-    Returns the k quotients and a (k, 3) array of the multiplicities at
-    ``EXACT_POINTS``.
+    Returns the quotients and those of the reversed rows, both (k, n+1)
+    with zeros padded at the top (reversal maps a top zero to a root at 0
+    and fixes 1 and -1, up to a sign that moves no root), and a (k, 3)
+    array of the multiplicities at ``EXACT_POINTS``.
     """
     alt = np.array(rows, dtype=float)      # c_m (-1)^m
     alt[:, 1::2] *= -1.0
     mult = np.zeros((len(rows), len(EXACT_POINTS)), dtype=int)
     nonzero = rows != 0.0
     mult[:, 0] = np.argmax(nonzero, axis=1)
-    rests = [row[k:] for row, k in zip(rows, mult[:, 0])]
     exact = ((rows.sum(axis=1) == 0.0) | (alt.sum(axis=1) == 0.0)) & nonzero.any(axis=1)
-    for i in np.nonzero(exact)[0]:
-        rests[i], mult[i, 1] = deflate_exact_root(rests[i], 1.0)
-        rests[i], mult[i, 2] = deflate_exact_root(rests[i], -1.0)
-    return rests, mult
+    hit = np.flatnonzero((mult[:, 0] > 0) | exact | (rows[:, -1] == 0.0))
+    direct, rev = (rows.copy(), rows[:, ::-1].copy()) if hit.size else (rows, rows[:, ::-1])
+    for i in hit:
+        q = rows[i, mult[i, 0]:]
+        if exact[i]:
+            q, mult[i, 1] = deflate_exact_root(q, 1.0)
+            q, mult[i, 2] = deflate_exact_root(q, -1.0)
+        q = np.trim_zeros(q, "b")
+        direct[i], rev[i] = (np.pad(v, (0, rows.shape[1] - len(q))) for v in (q, q[::-1]))
+    return direct, rev, mult
 
 
 def real_roots(poly) -> RootCountReport:
@@ -213,15 +212,15 @@ def real_roots(poly) -> RootCountReport:
     10 * tol * (1 + |x|) merge into one root with multiplicity equal to the
     cluster size.  The all-zero polynomial yields a flagged zero report.
     """
-    c = _as_coeff_array(poly)
+    c = np.asarray(poly, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise DomainError("expected a one-dimensional coefficient array")
     if not np.any(c != 0.0):
         return RootCountReport(0, np.empty(0), np.empty(0, dtype=int), "companion",
                                0.0, zero_polynomial=True)
     c = np.trim_zeros(c, "b")
-    rests, mult = exact_roots(c[None, :])
-    c_red, (n_zero, n_one, n_minus) = rests[0], mult[0]
+    direct, _, mult = exact_roots(c[None, :])
+    c_red, (n_zero, n_one, n_minus) = np.trim_zeros(direct[0], "b"), mult[0]
     scale = np.max(np.abs(c))
     c = c / scale
     c_red = c_red / scale
@@ -251,13 +250,9 @@ def real_roots(poly) -> RootCountReport:
     merged_a = np.array(merged)
     mult_a = np.array(mult, dtype=int)
 
-    if merged_a.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            fvals = np.abs(P.polyval(merged_a, c))
-            scales = P.polyval(np.abs(merged_a), np.abs(c))
-            max_res = float(np.max(fvals / np.maximum(scales, 1e-300)))
-    else:
-        max_res = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_res = float(np.max(np.abs(P.polyval(merged_a, c)) / np.maximum(
+            P.polyval(np.abs(merged_a), np.abs(c)), 1e-300), initial=0.0))
     return RootCountReport(int(mult_a.sum()), merged_a, mult_a, "companion", max_res)
 
 
@@ -268,14 +263,10 @@ def count_in_interval(poly, interval: Interval) -> RootCountReport:
     flags.
     """
     rep = real_roots(poly)
-    if rep.zero_polynomial:
-        return RootCountReport(0, rep.roots, rep.multiplicities, rep.method, 0.0,
-                               zero_polynomial=True, interval=interval)
     keep = np.array([interval.contains(r) for r in rep.roots], dtype=bool)
-    roots = rep.roots[keep]
     mult = rep.multiplicities[keep]
-    return RootCountReport(int(mult.sum()), roots, mult, rep.method,
-                           rep.max_residual, interval=interval)
+    return RootCountReport(int(mult.sum()), rep.roots[keep], mult, rep.method,
+                           rep.max_residual, rep.zero_polynomial, interval)
 
 
 # ---------------------------------------------------------------------------
@@ -335,43 +326,71 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     the mirror counts last.
     """
     c = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
+    out = []
+    for (row, cell, count, *_), sp in zip(
+            _sweep_cells(c, t, powers, bool(mirror_spans))[1],
+            ([(0, len(t) - 1)] if spans is None else spans, mirror_spans)):
+        for lo, hi in sp:
+            inside = (cell >= lo) & (cell < hi)
+            out.append(np.bincount(row[inside], count[inside], minlength=len(c)).astype(int))
+    return np.stack(out, axis=1) if out else np.zeros((len(c), 0), dtype=int)
+
+
+def _sweep_cells(c: np.ndarray, t: np.ndarray, powers: np.ndarray | None, mirror: bool):
+    """The weights m^k of the majorants and g, and the root brackets of the
+    rows c, their exact roots divided out (``exact_roots``), on the grid t,
+    and of their mirrors c_m (-1)^m when ``mirror``: per family, the cells
+    certified monotone that f crosses (one root each) and ``_resolve``'s
+    gaps, as arrays (row, cell, count, a, b, f(a) >= 0, monotone)."""
     n = c.shape[1] - 1
     m = np.arange(n + 1, dtype=float)
-    g = 1.01 * (n + 22) * 2.0 ** -53
-    k4 = np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)])
-    a = np.abs(c)
+    k4, g = rows = (np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)]),
+                    1.01 * (n + 22) * 2.0 ** -53)
     # exact_roots finds roots only where c_0 = 0 or where it sums c_m or
     # c_m (-1)^m to 0; summed in another order those are within 2 g ||c||_1
     if np.any((c[:, 0] == 0.0) | (np.abs(c @ np.stack([k4[0], (-1.0) ** m], 1))
-                                  <= 2.0 * g * a.sum(axis=1)[:, None]).any(axis=1)):
-        c = np.array([np.pad(r, (0, n + 1 - len(r))) for r in exact_roots(c)[0]])
-        a = np.abs(c)
+                                  <= 2.0 * g * np.abs(c).sum(axis=1)[:, None]).any(axis=1)):
+        c = exact_roots(c)[0]
     if powers is None:
         powers = power_matrix(n, t)
-    if spans is None:
-        spans = [(0, len(t) - 1)]
-    w = k4 * a.max(axis=0)
+    w = k4 * np.abs(c).max(axis=0)
     # strided row views of powers go to BLAS as they are (lda = 2 len(t))
     ev, od = (np.concatenate([c[:, k::2], c[:, k::2] * m[k::2], w[:, k::2]])
               @ powers[k::2] for k in (0, 1))
     x = 1.0 - np.exp(-t)
-    cols = _bounds(ev[-4:] + od[-4:], x, w.sum(axis=1)[:, None], g)
+    e, e1, m4 = _bounds(ev[-4:] + od[-4:], x, w.sum(axis=1)[:, None], g)
     # f = E + O in place, and the mirror E - O: every large temporary is
     # memory faulted in afresh on each call
-    gx = ev[:-4] - od[:-4] if mirror_spans else None
+    gx = ev[:-4] - od[:-4] if mirror else None
     ev += od
     del od
-    out = [_span_counts(c, x, ev[:-4], cols, (k4, g), spans)]
-    if mirror_spans:
-        out.append(_span_counts(c * (-1.0) ** m, x, gx, cols, (k4, g),
-                                mirror_spans))
-    return np.concatenate(out, axis=1)
+    out = []
+    for fam in range(1 + mirror):
+        # _resolve reads the rows themselves, so a mirror passes its own
+        cf, fx = (c, ev[:-4]) if fam == 0 else (c * (-1.0) ** m, gx)
+        f, fp = fx[:len(c)], fx[len(c):]
+        fp /= np.where(x > 0.0, x, 1.0)
+        if x[0] == 0.0 and n > 0:
+            fp[:, 0] = cf[:, 1]
+        settled, o, slope, ka, kb = _certify(f, fp, x, m4[1:], e, e1)
+        settled[o] = (slope != 0.0) & ka & kb
+        settled[~cf.any(axis=1)] = True      # the zero row
+        s = f >= 0.0
+        r, i = np.nonzero(settled & (s[:, 1:] != s[:, :-1]))
+        ro, io = np.nonzero(~settled)
+        gaps = _resolve(cf, rows, np.array(
+            [ro, io, x[io], x[io + 1], f[ro, io], f[ro, io + 1], fp[ro, io], fp[ro, io + 1],
+             e[io], e[io + 1], e1[io], e1[io + 1], m4[io + 1]], dtype=float))
+        one = np.ones(len(r))
+        out.append([np.concatenate([u, v]) for u, v in
+                    zip((r, i, one, x[i], x[i + 1], s[r, i], one > 0.0), gaps)])
+    return rows, out
 
 
 def _bounds(s, x, l, g):
     """The rounding bounds e of f and e' of f', and M4 >= |f''''|, at x in
     [0, 1] from the computed majorants s = (A_0, A_1, A_2, x^4 M4) at x and
-    l, the same at x = 1 (``sweep_count_batch`` derives them).  Where x^4
+    l, the same at x = 1 (``_sweep_cells`` derives them).  Where x^4
     is below 1e-300 the flushed terms alone bound M4 by M4(1)."""
     s = s * (1.0 + 2.0 * g + 1e-11) + 1e-300 * l
     lg = -np.log(np.where(x > 0.0, x, 1.0)) * 9.02 * 2.0 ** -53
@@ -421,35 +440,6 @@ def _certify(f, fp, x, m4, e, e1):
     return zero_free, o, slope, np.abs(fa) > ea, np.abs(fb) > eb
 
 
-def _span_counts(c: np.ndarray, x: np.ndarray, fx: np.ndarray, cols, rows,
-                 spans) -> np.ndarray:
-    """Per-span counts of the rows ``c``, given ``fx`` = [f; x f'] (which is
-    overwritten) and the batch's (e, e', M4) ``cols`` on the grid ``x``.
-    ``_resolve`` reads ``c`` itself, so a mirror count passes its rows."""
-    b = c.shape[0]
-    e, e1, m4 = cols
-    f, fp = fx[:b], fx[b:]
-    fp /= np.where(x > 0.0, x, 1.0)
-    if x[0] == 0.0 and c.shape[1] > 1:
-        fp[:, 0] = c[:, 1]
-    settled, o, slope, ka, kb = _certify(f, fp, x, m4[1:], e, e1)
-    settled[o] = (slope != 0.0) & ka & kb
-    settled[~c.any(axis=1)] = True      # the zero row
-    s = f >= 0.0
-    cum = np.zeros(f.shape, dtype=np.int32)
-    np.cumsum((s[:, 1:] != s[:, :-1]) & settled, axis=1, out=cum[:, 1:])
-    r, i = np.nonzero(~settled)
-    row, cell, extra = _resolve(c, rows, np.array(
-        [r, i, x[i], x[i + 1], f[r, i], f[r, i + 1], fp[r, i], fp[r, i + 1],
-         e[i], e[i + 1], e1[i], e1[i + 1], m4[i + 1]], dtype=float))
-    out = np.empty((b, len(spans)), dtype=int)
-    for j, (lo, hi) in enumerate(spans):
-        inside = (cell >= lo) & (cell < hi)
-        out[:, j] = cum[:, hi] - cum[:, lo] + np.bincount(
-            row[inside], extra[inside], minlength=b).astype(int)
-    return out
-
-
 def _resolve(c: np.ndarray, rows, items: np.ndarray):
     """Root counts of the cells ``_certify`` leaves open, by bisection.
 
@@ -464,11 +454,12 @@ def _resolve(c: np.ndarray, rows, items: np.ndarray):
     keeps one sign at all its pieces' ends.  Otherwise f comes within
     rounding of zero at an extremum: a cluster that floating point cannot
     separate, the one uncertified case, counted as a double root.  Only
-    signs are read, so f and -f count the same.  Returns (row, cell, count)
-    per gap, in the cell of its last piece.
+    signs are read, so f and -f count the same.  Returns (row, cell of the
+    last piece, count, a, b, f(a) >= 0, f' of one sign) per gap.
     """
     if not items.size:
-        return items[0].astype(int), items[1].astype(int), items[0]
+        return (items[0].astype(int), items[1].astype(int), *items[2:6],
+                items[0].astype(bool))
     items[[9, 11, 12]] = _point_values(c, rows, items[0].astype(int), items[3])[2:]
     leaves = []
     while items.shape[1]:
@@ -483,7 +474,7 @@ def _resolve(c: np.ndarray, rows, items: np.ndarray):
                   for p, q in ((pa, qa), (pb, qb)))
         mid = 0.5 * (a + b)
         split = ~leaf & (a < mid) & (mid < b) & (np.bincount(r)[r] <= _CROWDED)
-        leaves.append(np.array([row, cell, a, ka, fa >= 0.0, fb >= 0.0, da, db])[:, ~split])
+        leaves.append(np.array([row, cell, a, b, ka, fa >= 0.0, fb >= 0.0, da, db])[:, ~split])
         fm, pm, em, qm, mm = _point_values(c, rows, r[split], mid[split])
         row, cell, a, b, fa, fb, pa, pb, ea, eb, qa, qb, m4, mid = (
             v[split] for v in (*items, mid))
@@ -491,13 +482,14 @@ def _resolve(c: np.ndarray, rows, items: np.ndarray):
                                 [row, cell, mid, b, fm, fb, pm, pb, em, eb, qm, qb, m4]],
                                axis=1)
     leaves = np.concatenate(leaves, axis=1)
-    row, cell, a, ka, sa, sb, da, db = leaves[:, np.lexsort(leaves[[2, 0]])]
+    row, cell, a, b, ka, sa, sb, da, db = leaves[:, np.lexsort(leaves[[2, 0]])]
     first = np.flatnonzero((ka > 0) | np.r_[True, row[1:] != row[:-1]])
     last = np.r_[first[1:], len(row)] - 1
     lo = np.minimum.reduceat(np.minimum(da, db), first)
     steady = (lo != 0.0) & (lo == np.maximum.reduceat(np.maximum(da, db), first))
     count = np.where(sa[first] != sb[last], 1.0, 2.0 * ((last > first) & ~steady))
-    return row[last].astype(int), cell[last].astype(int), count
+    return (row[last].astype(int), cell[last].astype(int), count, a[first], b[last],
+            sa[first], steady)
 
 
 def _point_values(c: np.ndarray, rows, r: np.ndarray, x: np.ndarray):
@@ -539,18 +531,54 @@ def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
     return pw
 
 
-def sweep_count(coeffs, side: str = "01") -> int:
-    """Count roots of one polynomial in (0,1) or, via reversal, (1,inf).
+def sweep_roots(coeffs):
+    """The real roots x of one polynomial in (0, inf), ascending, each with
+    a flag that says whether it is simple; len(x) is the sweep count.
 
-    side: "01" counts in (0,1); "1inf" counts in (1,inf) on the reversed
-    coefficients.  Mirror the coefficients (c_m -> (-1)^m c_m) for the
-    negative axis.
+    Roots in (0, 1) are those of the row, roots in (1, inf) those of the
+    reversed row as 1/u, both swept with the roots of ``exact_roots``
+    divided out; a root at 1 comes from there.  A root is narrowed inside
+    a bracket of the certificate that f crosses, and is simple when that
+    bracket is monotone.  A cluster, which the sweep counts as two roots,
+    comes back twice, flagged not simple, as does a root of order k > 1 at
+    1, k times.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if c.size == 0:
         raise ZeroPolynomialError("all coefficients are zero")
-    if side not in ("01", "1inf"):
-        raise DomainError("side must be '01' or '1inf'")
-    if side == "1inf":
-        c = c[::-1]
-    return int(sweep_count_batch(c[None, :], sweep_grid(len(c) - 1))[0, 0])
+    direct, rev, mult = exact_roots(c[None, :])
+    rows = np.concatenate([direct, rev])
+    weights, ((row, _, count, a, b, sa, steady),) = _sweep_cells(
+        rows, sweep_grid(len(c) - 1), None, False)
+    # a root in each bracket that f crosses; a cluster at the middle of its
+    # gap; the reversed row's roots are 1/u
+    x, one = 0.5 * (a + b), count == 1.0
+    x[one] = _narrow(rows, weights, row[one], a[one], b[one], sa[one] > 0.0)
+    k = np.append(count.astype(int), mult[0, 1])
+    x = np.repeat(np.append(np.where(row == 1, 1.0 / x, x), 1.0), k)
+    order = np.argsort(x, kind="stable")
+    return x[order], np.repeat(np.append(steady & one, k[-1] == 1), k)[order]
+
+
+def _narrow(c: np.ndarray, rows, r: np.ndarray, a: np.ndarray, b: np.ndarray,
+            sa: np.ndarray) -> np.ndarray:
+    """The root of each row c[r] in its bracket (a, b), across which f
+    changes sign (f(a) >= 0 where ``sa``): Newton's step on
+    ``_point_values`` where it stays inside the bracket, else the midpoint,
+    until |f| is within its rounding bound or no float lies inside."""
+    x, act = 0.5 * (a + b), np.arange(len(a))
+    for _ in range(100):
+        if not act.size:
+            break
+        xs = x[act]
+        f, fp, e = _point_values(c, rows, r[act], xs)[:3]
+        right = (f >= 0.0) == sa[act]       # the root lies right of xs
+        a[act] = lo = np.where(right, xs, a[act])
+        b[act] = hi = np.where(right, b[act], xs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xs - f / fp
+        mid = 0.5 * (lo + hi)
+        done = (np.abs(f) <= e) | ~((lo < mid) & (mid < hi))
+        x[act] = np.where(done, xs, np.where((lo < step) & (step < hi), step, mid))
+        act = act[~done]
+    return x

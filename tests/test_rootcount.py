@@ -11,7 +11,7 @@ from kaccycles.errors import DegreeTooLargeError, DomainError, ZeroPolynomialErr
 from kaccycles.experiment import ExperimentConfig, run_experiment
 from kaccycles.kacrice import REGIONS, _reversed_values, region_interval
 from kaccycles.rootcount import (Interval, count_in_interval, real_roots,
-                                 sturm_count, sweep_count)
+                                 sturm_count, sweep_roots)
 from kaccycles.sampler import NoiseDistribution, SeedSpec, sample_polynomial
 
 
@@ -184,6 +184,12 @@ def _companion_counts(c, *intervals):
                     if iv.contains(r))) for iv in intervals]
 
 
+def _sides(c):
+    """sweep_roots' counts in (0, 1) and in (1, inf)."""
+    x = sweep_roots(c)[0]
+    return int(np.sum(x < 1.0)), int(np.sum(x > 1.0))
+
+
 def test_sweep_matches_companion_on_realized_ensembles():
     # exact agreement on both sides for the scheme the Monte Carlo runs use
     scheme = CoeffScheme.perturbed_center()
@@ -192,8 +198,7 @@ def test_sweep_matches_companion_on_realized_ensembles():
                               SeedSpec(31415, trial=trial))
         in01, in1inf = _companion_counts(p.realized, Interval(0, 1),
                                          Interval(1, math.inf))
-        assert sweep_count(p.realized, "01") == in01, trial
-        assert sweep_count(p.realized, "1inf") == in1inf, trial
+        assert _sides(p.realized) == (in01, in1inf), trial
 
 
 def test_sweep_matches_companion_other_schemes():
@@ -204,8 +209,7 @@ def test_sweep_matches_companion_other_schemes():
             p = sample_polynomial(scheme, dist, 300, SeedSpec(27182, trial=trial))
             in01, in1inf = _companion_counts(p.realized, Interval(0, 1),
                                              Interval(1, math.inf))
-            assert sweep_count(p.realized, "01") == in01
-            assert sweep_count(p.realized, "1inf") == in1inf
+            assert _sides(p.realized) == (in01, in1inf)
 
 
 def test_sweep_root_at_zero_is_outside_the_spans():
@@ -213,7 +217,7 @@ def test_sweep_root_at_zero_is_outside_the_spans():
     # that of the lowest nonzero coefficient, so (0, 1) holds no root
     c = np.array([0.0, -1.0, 0.5])
     assert count_in_interval(c, Interval(0, 1)).count == 0
-    assert sweep_count(c, "01") == 0
+    assert _sides(c)[0] == 0
     # the mirror: f = x (x/2 + 1) has f(-x) < 0 on (0, 1), and no root in (-1, 0)
     c = np.array([0.0, 1.0, 0.5])
     assert count_in_interval(c, Interval(-1, 0)).count == 0
@@ -222,7 +226,7 @@ def test_sweep_root_at_zero_is_outside_the_spans():
     assert got.tolist() == [[0, 0]]
     # a root of order 2 at 0 with a simple root at 1/2 beside it
     c = np.array([0.0, 0.0, -0.5, 1.0])
-    assert sweep_count(c, "01") == count_in_interval(c, Interval(0, 1)).count == 1
+    assert _sides(c)[0] == count_in_interval(c, Interval(0, 1)).count == 1
 
 
 def test_sweep_counts_root_beyond_last_grid_point():
@@ -234,7 +238,7 @@ def test_sweep_counts_root_beyond_last_grid_point():
     assert len(c) == 101
     companion = count_in_interval(c, Interval(0, 1))
     assert np.any(np.abs(companion.roots - 0.999999) < 1e-9)
-    assert sweep_count(c, "01") == companion.count
+    assert _sides(c)[0] == companion.count
 
 
 def test_sweep_certifies_a_root_near_zero_without_deep_bisection(monkeypatch):
@@ -255,17 +259,39 @@ def test_sweep_certifies_a_root_near_zero_without_deep_bisection(monkeypatch):
 
     monkeypatch.setattr(rootcount, "_point_values", counted)
     for row in (c, -c):
-        assert sweep_count(row, "01") == 1
+        x, simple = sweep_roots(row)
+        assert len(x) == 1 and abs(x[0] - 0.01) < 1e-12 and simple[0]
     assert sum(points) <= 64, points
+
+
+def test_sweep_roots_flags_a_double_root():
+    # (1 - 4x)^2: a double root at 1/4, which the sweep counts twice, as a
+    # cluster; the reversed row (x - 4)^2 has no root in (0, 1)
+    x, simple = sweep_roots([1.0, -8.0, 16.0])
+    assert np.allclose(x, [0.25, 0.25], rtol=1e-7, atol=0.0)
+    assert not simple.any()
+
+
+def test_sweep_roots_exact_root_at_one():
+    # x^2 - 1 = (x - 1)(x + 1): the root at 1 is exact and simple;
+    # -(x - 1)^2 (x + 1) has a double root there
+    assert [v.tolist() for v in sweep_roots([-1.0, 0.0, 1.0])] == [[1.0], [True]]
+    assert [v.tolist() for v in sweep_roots([-1.0, 1.0, 1.0, -1.0])] == [[1.0, 1.0],
+                                                                       [False, False]]
+    with pytest.raises(ZeroPolynomialError):
+        sweep_roots([0.0, 0.0])
 
 
 def test_sweep_counts_hidden_pair():
     # f = (x - 1/2)^2 - delta: the cell around x = 1/2 has f > 0 at both
-    # ends and holds two roots when delta > 0, none when delta < 0
-    for delta, want in ((1e-8, 2), (-1e-8, 0)):
+    # ends and holds two simple roots 1/2 +- 1e-4 when delta = 1e-8, none
+    # when delta < 0
+    for delta, want in ((1e-8, [0.5 - 1e-4, 0.5 + 1e-4]), (-1e-8, [])):
         c = np.array([0.25 - delta, -1.0, 1.0])
         for row in (c, -c):
-            assert sweep_count(row, "01") == want, (delta, row)
+            x, simple = sweep_roots(row)
+            assert np.allclose(x, want, rtol=1e-10, atol=0.0), (delta, row)
+            assert simple.all()
 
 
 @pytest.mark.parametrize("cell", [35, 60, 100])
@@ -281,7 +307,19 @@ def test_sweep_counts_a_bump_inside_one_cell(cell):
     exact = [sum(Fraction(v) * Fraction(p) ** m for m, v in enumerate(c))
              for p in (mid - 1.1 * w, mid - w, mid, mid + w, mid + 1.1 * w)]
     assert sum((a > 0) != (b > 0) for a, b in zip(exact, exact[1:])) == 4
-    assert sweep_count(c, "01") == 4
+    x, simple = sweep_roots(c)
+    assert len(x) == 4 and np.all(x < 1.0)
+    pts = (mid - 1.1 * w, mid - w, mid, mid + w, mid + 1.1 * w)
+    if cell == 100:
+        # the float coefficients reach 4e11 there, and their rounding bound
+        # covers the 1e-6 bump: two clusters, one in each half of the dip
+        assert not simple.any()
+        assert x[0] == x[1] and pts[0] < x[0] < pts[2]
+        assert x[2] == x[3] and pts[2] < x[2] < pts[4]
+    else:
+        # one simple root between each pair of points where f changes sign
+        assert simple.all()
+        assert all(a < r < b for r, a, b in zip(x, pts, pts[1:])), x
     got = rootcount.sweep_count_batch(_mirror(c), t, spans=[],
                                       mirror_spans=[(0, len(t) - 1)])
     assert got.tolist() == [[4]]
@@ -358,7 +396,7 @@ def test_sweep_counts_do_not_see_a_row_sign():
         want = sturm_count(c, Interval(0, 1))
         assert want == 2
         for row in (np.array(c, dtype=float), -np.array(c, dtype=float)):
-            assert sweep_count(row, "01") == want, row
+            assert _sides(row)[0] == want, row
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +431,9 @@ def test_deflate_exact_root_matches_the_power_form():
             got, want = rootcount.deflate_exact_root(c, r), _deflate_with_powers(c, r)
             assert got[1] == want[1] and np.array_equal(got[0], want[0]), (c, r)
     shifted = np.concatenate([[0.0, 0.0], rows[0]])
-    rests, mult = rootcount.exact_roots(np.stack([shifted, np.zeros(8), shifted[::-1]]))
+    rests, _, mult = rootcount.exact_roots(np.stack([shifted, np.zeros(8), shifted[::-1]]))
     assert mult.tolist() == [[2, 2, 1], [0, 0, 0], [0, 2, 1]]
-    assert np.array_equal(rests[0], [2.0, -3.0, 5.0])
+    assert np.array_equal(rests[0], [2.0, -3.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_double_root_at_one_counts_as_sturm(monkeypatch):
