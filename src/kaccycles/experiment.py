@@ -128,11 +128,12 @@ def _sweep_grid(regions, n: int) -> tuple:
                      for _, a, b in split_interval(region_interval(r, n))[0]
                      for x in (a, b) if 0.0 < x < 1.0})
     grid = sweep_grid(n, extra_points=pinned)
-    if (n + 1) * len(grid) > 2 * 10**8:
+    nbytes = 8 * (n + 1) * len(grid)
+    if nbytes > 16 * 10**8:
         raise DomainError(
-            f"sweep counting at degree {n} would need a {(n + 1) * len(grid):.1e}"
-            "-element power matrix; Monte Carlo is sized for degrees up to ~1e5 "
-            "(expected counts at larger n come from the Kac-Rice quadrature)")
+            f"sweep counting at degree {n} would need a {nbytes / 1e9:.1f} GB power "
+            "matrix; Monte Carlo is sized for degrees up to ~7e5 (expected counts "
+            "at larger n come from the Kac-Rice quadrature)")
     return grid, power_matrix(n, grid)
 
 

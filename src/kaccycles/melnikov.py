@@ -87,7 +87,6 @@ class LimitCycleReport:
     count: int
     radii: np.ndarray
     nondegenerate: np.ndarray
-    method: str
     zero_polynomial: bool = False
 
 
@@ -158,9 +157,9 @@ def count_bifurcating_cycles(sys: PerturbedSystem) -> LimitCycleReport:
     mp = build_melnikov(sys)
     if not np.any(mp.fn_coeffs != 0.0):
         return LimitCycleReport(0, np.empty(0), np.empty(0, dtype=bool),
-                                "melnikov", zero_polynomial=True)
+                                zero_polynomial=True)
     x, simple = sweep_roots(mp.fn_coeffs)
-    return LimitCycleReport(len(x), np.sqrt(x), simple, "melnikov")
+    return LimitCycleReport(len(x), np.sqrt(x), simple)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +419,7 @@ def verify_cycles_ode(sys: PerturbedSystem,
         if count == prev_count:
             if radii is None:
                 radii = _refined(field, s_eps.epsilon, rs, gv, res)
-            return LimitCycleReport(count, radii, np.ones(count, dtype=bool), "ode")
+            return LimitCycleReport(count, radii, np.ones(count, dtype=bool))
         prev_count = count
         eps *= 0.5
     raise NonConvergentError(

@@ -20,7 +20,7 @@ Three methods with different contracts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -37,8 +37,9 @@ __all__ = [
 # an eigenvalue is real when |Im| <= _REAL_TOL (1 + |Re|)
 _REAL_TOL = 1e-8
 # Grid spacing in t = -log(1-x); root density per unit t stays below ~0.26
-# for every scheme in scope, so cells carry ~0.005 expected roots.
-SWEEP_STEP = 0.02
+# for every scheme in scope, so cells carry ~0.02 expected roots.  Each cell
+# is certified or bisected, so the spacing sets the cost, not the count.
+SWEEP_STEP = 0.08
 # Last finite grid point t = log(n) + SWEEP_TAIL; one cell runs on to x = 1.
 SWEEP_TAIL = 9.0
 # open pieces of a row in a bisection level past which none is split
@@ -114,7 +115,6 @@ class RootCountReport:
     method: str
     max_residual: float
     zero_polynomial: bool = False
-    interval: Interval = field(default_factory=Interval.reals)
 
 
 def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
@@ -266,7 +266,7 @@ def count_in_interval(poly, interval: Interval) -> RootCountReport:
     keep = np.array([interval.contains(r) for r in rep.roots], dtype=bool)
     mult = rep.multiplicities[keep]
     return RootCountReport(int(mult.sum()), rep.roots[keep], mult, rep.method,
-                           rep.max_residual, rep.zero_polynomial, interval)
+                           rep.max_residual, rep.zero_polynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +537,11 @@ def sweep_roots(coeffs):
 
     Roots in (0, 1) are those of the row, roots in (1, inf) those of the
     reversed row as 1/u, both swept with the roots of ``exact_roots``
-    divided out; a root at 1 comes from there.  A root is narrowed inside
+    divided out; a root at 1 comes from there.  Each row is swept alone,
+    so its majorants weigh its own coefficients.  A root is narrowed inside
     a bracket of the certificate that f crosses, and is simple when that
     bracket is monotone.  A cluster, which the sweep counts as two roots,
+    is located at the extremum of f in its gap, where f' changes sign, and
     comes back twice, flagged not simple, as does a root of order k > 1 at
     1, k times.
     """
@@ -547,38 +549,51 @@ def sweep_roots(coeffs):
     if c.size == 0:
         raise ZeroPolynomialError("all coefficients are zero")
     direct, rev, mult = exact_roots(c[None, :])
-    rows = np.concatenate([direct, rev])
-    weights, ((row, _, count, a, b, sa, steady),) = _sweep_cells(
-        rows, sweep_grid(len(c) - 1), None, False)
-    # a root in each bracket that f crosses; a cluster at the middle of its
-    # gap; the reversed row's roots are 1/u
-    x, one = 0.5 * (a + b), count == 1.0
-    x[one] = _narrow(rows, weights, row[one], a[one], b[one], sa[one] > 0.0)
-    k = np.append(count.astype(int), mult[0, 1])
-    x = np.repeat(np.append(np.where(row == 1, 1.0 / x, x), 1.0), k)
+    t = sweep_grid(len(c) - 1)
+    powers = power_matrix(len(c) - 1, t)
+    x, k, simple = [], [], []
+    for fam, row in enumerate((direct, rev)):
+        weights, ((_, _, count, a, b, sa, steady),) = _sweep_cells(row, t, powers, False)
+        # a root in each bracket that f crosses (f >= 0 left of it where
+        # f(a) >= 0), a cluster at its extremum (f' >= 0 left of it where
+        # f(a) < 0); the reversed row's roots are 1/u
+        keep = count > 0.0
+        one, sa = count[keep] == 1.0, sa[keep] > 0.0
+        u = _narrow(row, weights, np.zeros(len(one), dtype=int), a[keep], b[keep],
+                    sa == one, ~one)
+        x.append(1.0 / u if fam else u)
+        k.append(count[keep].astype(int))
+        simple.append(steady[keep] & one)
+    x.append(np.ones(1))
+    k.append(mult[0, 1:2])
+    simple.append(k[-1] == 1)
+    k = np.concatenate(k)
+    x = np.repeat(np.concatenate(x), k)
     order = np.argsort(x, kind="stable")
-    return x[order], np.repeat(np.append(steady & one, k[-1] == 1), k)[order]
+    return x[order], np.repeat(np.concatenate(simple), k)[order]
 
 
 def _narrow(c: np.ndarray, rows, r: np.ndarray, a: np.ndarray, b: np.ndarray,
-            sa: np.ndarray) -> np.ndarray:
-    """The root of each row c[r] in its bracket (a, b), across which f
-    changes sign (f(a) >= 0 where ``sa``): Newton's step on
-    ``_point_values`` where it stays inside the bracket, else the midpoint,
-    until |f| is within its rounding bound or no float lies inside."""
+            up: np.ndarray, turn: np.ndarray) -> np.ndarray:
+    """The zero of f, or of f' where ``turn``, of each row c[r] in its
+    bracket (a, b), across which it changes sign (>= 0 left of the zero
+    where ``up``): for f, Newton's step on ``_point_values`` where it stays
+    inside the bracket, else the midpoint, and for f' the midpoint, until
+    the value is within its rounding bound or no float lies inside."""
     x, act = 0.5 * (a + b), np.arange(len(a))
     for _ in range(100):
         if not act.size:
             break
-        xs = x[act]
-        f, fp, e = _point_values(c, rows, r[act], xs)[:3]
-        right = (f >= 0.0) == sa[act]       # the root lies right of xs
+        xs, tn = x[act], turn[act]
+        f, fp, e, e1 = _point_values(c, rows, r[act], xs)[:4]
+        v = np.where(tn, fp, f)
+        right = (v >= 0.0) == up[act]       # the zero lies right of xs
         a[act] = lo = np.where(right, xs, a[act])
         b[act] = hi = np.where(right, b[act], xs)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = xs - f / fp
         mid = 0.5 * (lo + hi)
-        done = (np.abs(f) <= e) | ~((lo < mid) & (mid < hi))
-        x[act] = np.where(done, xs, np.where((lo < step) & (step < hi), step, mid))
+        done = (np.abs(v) <= np.where(tn, e1, e)) | ~((lo < mid) & (mid < hi))
+        x[act] = np.where(done, xs, np.where(~tn & (lo < step) & (step < hi), step, mid))
         act = act[~done]
     return x

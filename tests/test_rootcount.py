@@ -294,13 +294,14 @@ def test_sweep_counts_hidden_pair():
             assert simple.all()
 
 
-@pytest.mark.parametrize("cell", [35, 60, 100])
-def test_sweep_counts_a_bump_inside_one_cell(cell):
-    # f = eps - D (1 - u^2)^2, u = (x - mid)/w, dips inside one cell of the
-    # degree-4 grid: f(mid) < 0, f(mid +- w) = eps > 0 and f < 0 beyond, so
-    # exact rational values change sign four times
+@pytest.mark.parametrize("t0", [0.7, 1.2, 2.0, 4.0])
+def test_sweep_counts_a_bump_inside_one_cell(t0):
+    # f = eps - D (1 - u^2)^2, u = (x - mid)/w, dips inside the cell of the
+    # degree-4 grid that holds t0: f(mid) < 0, f(mid +- w) = eps > 0 and
+    # f < 0 beyond, so exact rational values change sign four times
     t = rootcount.sweep_grid(4)
     x = 1.0 - np.exp(-t)
+    cell = int(np.searchsorted(t, t0, side="right")) - 1
     mid, w = 0.5 * (x[cell] + x[cell + 1]), 0.4 * (x[cell + 1] - x[cell])
     u = np.polynomial.Polynomial([-mid / w, 1.0 / w])
     c = (1e-6 - 1e-3 * (1.0 - u ** 2) ** 2).coef
@@ -310,8 +311,8 @@ def test_sweep_counts_a_bump_inside_one_cell(cell):
     x, simple = sweep_roots(c)
     assert len(x) == 4 and np.all(x < 1.0)
     pts = (mid - 1.1 * w, mid - w, mid, mid + w, mid + 1.1 * w)
-    if cell == 100:
-        # the float coefficients reach 4e11 there, and their rounding bound
+    if t0 == 4.0:
+        # the float coefficients reach 6e10 there, and their rounding bound
         # covers the 1e-6 bump: two clusters, one in each half of the dip
         assert not simple.any()
         assert x[0] == x[1] and pts[0] < x[0] < pts[2]
@@ -397,6 +398,35 @@ def test_sweep_counts_do_not_see_a_row_sign():
         assert want == 2
         for row in (np.array(c, dtype=float), -np.array(c, dtype=float)):
             assert _sides(row)[0] == want, row
+
+
+@pytest.mark.parametrize("dist", list(NoiseDistribution), ids=lambda d: d.value)
+def test_sweep_counts_do_not_depend_on_the_grid_step(monkeypatch, dist):
+    # every cell is certified or bisected on its row, so the grid spacing
+    # sets the cost of a count, not the count.  Four more rows carry a root
+    # pair around t = 0.78, a point of the 0.02 grid alone: on the coarser
+    # grids one cell holds both roots, and f has one sign at its ends
+    scheme = CoeffScheme.perturbed_center()
+    x0 = 1.0 - math.exp(-0.78)
+    pair = P.polyfromroots([x0 - 1e-3, x0 + 1e-3])
+    got = {}
+    for step in (0.02, 0.04, 0.08, 0.16):
+        monkeypatch.setattr(rootcount, "SWEEP_STEP", step)
+        for n in (10, 64, 1000):
+            c = experiment._realized_batch(scheme, dist, n, 41, 0, 0, 12)
+            c = np.concatenate([c, [P.polymul(row, pair) for row in c[:4, :-2]]])
+            t = rootcount.sweep_grid(n, extra_points=[0.7, 2.3])
+            lo, hi = int(np.searchsorted(t, 0.7)), int(np.searchsorted(t, 2.3))
+            spans = [(0, len(t) - 1), (lo, hi), (hi, len(t) - 1)]
+            roots = [sweep_roots(row) for row in c]
+            got.setdefault(n, []).append((
+                [rootcount.sweep_count_batch(rows, t, spans=spans, mirror_spans=spans)
+                 for rows in (c, c[:, ::-1])],
+                [len(x) for x, _ in roots], [simple.tolist() for _, simple in roots]))
+    for n, runs in got.items():
+        for batch, count, simple in runs[1:]:
+            assert all(np.array_equal(u, v) for u, v in zip(batch, runs[0][0])), n
+            assert (count, simple) == runs[0][1:], n
 
 
 # ---------------------------------------------------------------------------
