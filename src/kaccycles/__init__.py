@@ -16,9 +16,9 @@ from .coeffs import CoeffScheme, CoeffVector, coeff_vector, trig_moment
 from .errors import (DegreeTooLargeError, DomainError, EscapeError,
                      InsufficientDataError, KaccyclesError, NonConvergentError,
                      NoReturnError, QuadratureFailureError, ZeroPolynomialError)
-from .kacrice import (AsymptoticPrediction, CoreInterval, KacRiceIntegrand,
-                      asymptotic_prediction, core_interval,
-                      expected_roots_gaussian_with_error, expected_roots_region)
+from .kacrice import (CoreInterval, KacRiceIntegrand, asymptotic_prediction,
+                      core_interval, expected_roots_gaussian_with_error,
+                      expected_roots_region)
 from .melnikov import (LimitCycleReport, MelnikovPoly, PerturbedSystem,
                        build_melnikov, count_bifurcating_cycles,
                        melnikov_flux_quadrature, poincare_return,

@@ -228,9 +228,8 @@ def _cmd_kacrice(ns, argv) -> int:
     scheme = CoeffScheme.parse(ns.scheme)
     cv = coeff_vector(scheme, ns.degree)
     value, err = (float(x) for x in expected_roots_region(cv, ns.region, ns.tol))
-    pred = asymptotic_prediction(scheme.effective_rho, ns.region, ns.degree) \
+    asym = asymptotic_prediction(scheme.effective_rho, ns.region, ns.degree) \
         if ns.degree >= 3 else None
-    asym = pred.value if pred else None
     ratio = value / asym if asym else None
     rows = [[ns.region, value, err, asym, ratio]]
     _write(_envelope(argv, rows,

@@ -13,12 +13,13 @@ degree, and a family and its mirror are one sweep: f(x) and f(-x) come from
 the same even/odd half-size products.  The Kac-Rice column reads the same
 split, and integrates each distinct piece once per degree.
 
-Trials run in one process, in fixed-size batches merged in index order.
-Every draw is addressed by (seed, trial, index), so the output does not
-depend on the batch size; parallelism comes from the BLAS threads of the
-sweep GEMMs (``OPENBLAS_NUM_THREADS``), and from :mod:`kaccycles.philox`,
-which fills a block of more than one tile on every core in the process's
-affinity set.
+Trials run in one process, in batches merged in index order; the batch
+shrinks above degree 65535 so that the batch temporaries stay bounded
+(``_batch_rows``).  Every draw is addressed by (seed, trial, index), so the
+output does not depend on the batch size; parallelism comes from the BLAS
+threads of the sweep GEMMs (``OPENBLAS_NUM_THREADS``), and from
+:mod:`kaccycles.philox`, which fills a block of more than one tile on every
+core in the process's affinity set.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -46,6 +48,9 @@ _MIRROR_PAIRS = (("dir", "mdir"), ("rev", "mrev"))
 
 _RATIO_FLOOR = 0.1
 
+# tolerance of the Kac-Rice column's quadrature
+_QUAD_TOL = 1e-7
+
 
 @dataclass
 class ExperimentConfig:
@@ -60,10 +65,7 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     workers: int = 1
-    experiment_id: int = 0
     moments: tuple[int, ...] = ()
-    quad_tol: float = 1e-7
-    batch: int = 64
     band_lo: float = 0.7
     band_hi: float = 1.3
 
@@ -75,8 +77,6 @@ class ExperimentConfig:
         for r in self.regions:
             if r not in REGIONS:
                 raise DomainError(f"unknown region {r!r}")
-        if self.batch < 1:
-            raise DomainError(f"batch must be at least 1, got {self.batch}")
         # master_seed may stay None until the CLI injects --seed; run_experiment
         # refuses to draw without one (no silent entropy)
 
@@ -137,9 +137,14 @@ def _sweep_grid(regions, n: int) -> tuple:
     return grid, power_matrix(n, grid)
 
 
+def _batch_rows(n: int) -> int:
+    """Trials per batch at degree n: 64, or fewer where 64 rows would hold
+    more than 2^22 coefficients (n > 65535)."""
+    return max(1, min(64, 2 ** 22 // (n + 1)))
+
+
 def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
-                 regions, master_seed, experiment_id, t0: int, t1: int,
-                 sweep: tuple) -> dict:
+                 regions, master_seed, t0: int, t1: int, sweep: tuple) -> dict:
     """Counts for trials [t0, t1) in every region, by the sweep on ``sweep``
     (a grid and its power matrix from ``_sweep_grid``).
 
@@ -149,7 +154,7 @@ def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
     """
     splits = {r: split_interval(region_interval(r, n)) for r in regions}
     pieces = list(dict.fromkeys(p for ps, _ in splits.values() for p in ps))
-    realized = _realized_batch(scheme, dist, n, master_seed, experiment_id, t0, t1)
+    realized = _realized_batch(scheme, dist, n, master_seed, t0, t1)
     direct, rev, at = exact_roots(realized)
     counts = _sweep_pieces((direct, rev), pieces, *sweep)
     failed = ~realized.any(axis=1)
@@ -190,15 +195,14 @@ def _sweep_pieces(divided: tuple, pieces, grid: np.ndarray,
 
 
 def _realized_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
-                    master_seed, experiment_id, t0: int, t1: int) -> np.ndarray:
+                    master_seed, t0: int, t1: int) -> np.ndarray:
     """(t1 - t0, n + 1) realized coefficients c_m xi_m, one row per trial.
 
     The noise of the whole batch is one multi-key draw, row i from the
     stream of trial t0 + i.
     """
-    keys = np.array([philox.stream_key(master_seed, experiment_id, trial,
-                                       philox.LANE_XI) for trial in range(t0, t1)],
-                    dtype=np.uint64)
+    keys = np.array([philox.stream_key(master_seed, 0, trial, philox.LANE_XI)
+                     for trial in range(t0, t1)], dtype=np.uint64)
     noise = philox.variates_block(dist.value, keys, n + 1)
     return noise * _coeffs_cached(scheme, n).values[None, :]
 
@@ -230,10 +234,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     counts_store: dict = {}
     for n in config.degrees:
         sweep = _sweep_grid(config.regions, n)
+        batch = _batch_rows(n)
         results = [_count_batch(config.scheme, config.dist, n, config.regions,
-                                config.master_seed, config.experiment_id,
-                                t0, min(t0 + config.batch, config.trials), sweep)
-                   for t0 in range(0, config.trials, config.batch)]
+                                config.master_seed, t0, min(t0 + batch, config.trials),
+                                sweep)
+                   for t0 in range(0, config.trials, batch)]
         del sweep       # the power matrix goes before the next degree's is built
         per_region = {r: np.concatenate([res[r] for res in results])
                       for r in config.regions}
@@ -241,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         kr_all = None
         if config.dist is NoiseDistribution.GAUSSIAN and n >= 1:
             kr_all = expected_roots_regions(_coeffs_cached(config.scheme, n),
-                                            config.regions, config.quad_tol)
+                                            config.regions, _QUAD_TOL)
 
         for region in config.regions:
             counts = per_region[region]
@@ -251,10 +256,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             mean = float(ok.mean()) if len(ok) else math.nan
             stderr = float(ok.std(ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else math.nan
             kr = None if kr_all is None else float(kr_all[region][0])
-            asym = None
-            if n >= 3:
-                pred = asymptotic_prediction(config.scheme.effective_rho, region, n)
-                asym = pred.value
+            asym = (asymptotic_prediction(config.scheme.effective_rho, region, n)
+                    if n >= 3 else None)
             row = EstimateRow(
                 n=n, region=region, mc_mean=mean, mc_stderr=stderr,
                 trials=len(ok), failures=failures,
@@ -357,8 +360,8 @@ def _ints(text: str) -> list[int]:
 # the optional keys besides master_seed, with their parsers; an absent key
 # keeps its ExperimentConfig default
 _OPTIONAL_KEYS = {
-    "workers": int, "experiment_id": int, "moments": lambda v: tuple(_ints(v)),
-    "quad_tol": float, "batch": int, "band_lo": float, "band_hi": float}
+    "workers": int, "moments": lambda v: tuple(_ints(v)), "band_lo": float,
+    "band_hi": float}
 _CONFIG_KEYS = frozenset(("scheme", "dist", "degrees", "regions", "trials",
                           "master_seed", *_OPTIONAL_KEYS))
 
@@ -366,10 +369,11 @@ _CONFIG_KEYS = frozenset(("scheme", "dist", "degrees", "regions", "trials",
 def parse_config_file(path: str) -> ExperimentConfig:
     """Plain key-value config: `key = value`, '#' comments.
 
-    The separator is the first of '=', ':' and whitespace that the line
-    holds.  Keys: scheme, dist, degrees, regions, trials, master_seed,
-    workers (accepted and ignored), moments, quad_tol, batch, band_lo,
-    band_hi, experiment_id.  Any other key, and a key with no value, is a
+    The separator is whichever of '=', ':' and whitespace comes first in the
+    line, with the whitespace around an '=' or ':', so a value may hold a
+    ':' (``scheme power:-0.5``).  Keys: scheme, dist, degrees, regions,
+    trials, master_seed, workers (accepted and ignored), moments, band_lo,
+    band_hi.  Any other key, and a key with no value, is a
     ``DomainError``.
     """
     kv = {}
@@ -378,8 +382,7 @@ def parse_config_file(path: str) -> ExperimentConfig:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            sep = next((c for c in "=:" if c in line), None)
-            parts = line.split(sep, 1)
+            parts = re.split(r"\s*[=:]\s*|\s+", line, maxsplit=1)
             if len(parts) != 2 or not parts[1].strip():
                 raise DomainError(f"config line {lineno} ({line!r}) has no value")
             kv[parts[0].strip().lower()] = parts[1].strip()
@@ -443,9 +446,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> TheoryReport | None
             "scheme": cfg.scheme.label(), "dist": cfg.dist.value,
             "degrees": cfg.degrees, "regions": list(cfg.regions),
             "trials": cfg.trials, "master_seed": cfg.master_seed,
-            "workers": cfg.workers,
-            "moments": list(cfg.moments), "quad_tol": cfg.quad_tol,
-            "batch": cfg.batch,
+            "workers": cfg.workers, "moments": list(cfg.moments),
         },
         "rows": [vars(r) for r in result.rows],
         "moments": [vars(m) for m in result.moment_rows],

@@ -41,8 +41,7 @@ from .errors import DomainError, QuadratureFailureError
 from .rootcount import EXACT_POINTS, Interval
 
 __all__ = [
-    "KacRiceIntegrand", "CoreInterval", "AsymptoticPrediction",
-    "core_interval", "asymptotic_prediction",
+    "KacRiceIntegrand", "CoreInterval", "core_interval", "asymptotic_prediction",
     "expected_roots_gaussian_with_error", "expected_roots_region",
     "expected_roots_regions", "region_interval", "split_interval", "REGIONS",
     "adaptive_gauss_kronrod",
@@ -112,71 +111,42 @@ def core_interval(n: int) -> CoreInterval:
     return CoreInterval(lo=lo, hi=hi, empty=not (0.0 < lo < hi < 1.0))
 
 
-@dataclass
-class AsymptoticPrediction:
-    """Closed-form leading-order expected count for a region and regime."""
-
-    regime: str           # "supercritical" | "critical" | "subcritical"
-    region: str
-    value: float | None   # None when only boundedness is known
-    bounded: bool
-    formula: str
-
-
 def _regime(rho: float) -> str:
     if abs(rho + 0.5) <= 1e-12:
         return "critical"
     return "supercritical" if rho > -0.5 else "subcritical"
 
 
-def asymptotic_prediction(rho: float, region: str, n: int) -> AsymptoticPrediction:
-    """Leading-order expected-count formulas (natural logarithm).
+def asymptotic_prediction(rho: float, region: str, n: int) -> float | None:
+    """Leading-order expected count (natural logarithm) in a region of the
+    regime of rho.
 
     Regions: "01", "1inf", "pos" (0,inf), "neg" (-inf,0), "neg1inf",
-    "sym" (-1,1), "R".  The subcritical inner regions are Theta(1) with no
-    constant available; those come back flagged bounded with value None.
+    "sym" (-1,1), "R", and the core intervals "In", "In_inv".  The
+    subcritical inner regions are Theta(1) with no constant available;
+    those give None.
     """
     if n < 3:
         raise DomainError("asymptotic prediction needs n >= 3")
     ln = math.log(n)
     reg = _regime(rho)
-    root = math.sqrt(2.0 * rho + 1.0) if reg == "supercritical" else 1.0
-
-    def point(v, formula):
-        return AsymptoticPrediction(reg, region, v, False, formula)
-
-    def bounded():
-        return AsymptoticPrediction(reg, region, None, True, "Theta(1)")
-
-    if region in ("1inf", "neg1inf"):
-        return point(ln / (2 * math.pi), "log(n)/(2 pi)")
-    if region == "01":
-        if reg == "supercritical":
-            return point(root * ln / (2 * math.pi), "sqrt(2 rho + 1) log(n)/(2 pi)")
-        if reg == "critical":
-            return point(math.sqrt(ln) / math.pi, "sqrt(log n)/pi")
-        return bounded()
+    root = math.sqrt(2.0 * rho + 1.0) if reg == "supercritical" else 0.0
+    # (0, 1): sqrt(2 rho + 1) log(n)/(2 pi) above the critical weight,
+    # sqrt(log n)/pi at it, Theta(1) below; (1, inf): log(n)/(2 pi)
+    inner = {"supercritical": root * ln / (2 * math.pi),
+             "critical": math.sqrt(ln) / math.pi}.get(reg)
+    if region in ("1inf", "neg1inf", "In_inv"):
+        return ln / (2 * math.pi)
+    if region in ("01", "In"):
+        return inner
     if region == "sym":
-        if reg == "supercritical":
-            return point(root * ln / math.pi, "sqrt(2 rho + 1) log(n)/pi")
-        if reg == "critical":
-            return point(2.0 * math.sqrt(ln) / math.pi, "2 sqrt(log n)/pi")
-        return bounded()
+        return None if inner is None else 2.0 * inner
+    # (0, inf): an inner count below the critical weight is of lower order
+    pos = (root + 1.0) * ln / (2 * math.pi)
     if region in ("pos", "neg"):
-        if reg == "supercritical":
-            return point((root + 1.0) * ln / (2 * math.pi),
-                         "(sqrt(2 rho + 1) + 1) log(n)/(2 pi)")
-        return point(ln / (2 * math.pi), "log(n)/(2 pi)")
+        return pos
     if region == "R":
-        if reg == "supercritical":
-            return point((root + 1.0) * ln / math.pi,
-                         "(sqrt(2 rho + 1) + 1) log(n)/pi")
-        return point(ln / math.pi, "log(n)/pi")
-    if region in ("In", "In_inv"):
-        # the core interval carries the leading term of its parent region
-        parent = "01" if region == "In" else "1inf"
-        p = asymptotic_prediction(rho, parent, n)
-        return AsymptoticPrediction(p.regime, region, p.value, p.bounded, p.formula)
+        return 2.0 * pos
     raise DomainError(f"unknown region {region!r}")
 
 

@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import record_acceptance, run_experiment_on_one_core
+from kaccycles import experiment
 from kaccycles.coeffs import (CoeffScheme, coeff_vector, variance_center_exact,
                               variance_center_many)
 from kaccycles.experiment import ExperimentConfig, run_experiment, write_outputs
@@ -287,18 +288,23 @@ def test_12_ode_cross_validation():
         f"{worst}")
 
 
-def test_13_reproducibility(tmp_path):
-    kw = dict(scheme=CENTER, dist=NoiseDistribution.UNIFORM_SYM, degrees=[300],
-              regions=["01", "1inf", "R"], trials=512, master_seed=70813,
-              moments=(2,))
-    payloads = {}
-    for workers in (1, 4, 16):
-        res = run_experiment(ExperimentConfig(workers=workers, **kw))
-        out = tmp_path / f"w{workers}"
-        write_outputs(res, str(out))
-        payloads[workers] = ((out / "estimates.csv").read_bytes(),
-                             (out / "moments.csv").read_bytes())
-    ok = (payloads[1] == payloads[4] == payloads[16])
-    record_acceptance("13 reproducibility across worker counts", ok,
+def test_13_reproducibility(monkeypatch, tmp_path):
+    # the batch sets the sweep's majorants (each batch's largest
+    # coefficients), the BLAS threads the GEMMs' summation order, and the
+    # cores of the affinity set the shares of the Philox draw
+    cfg = ExperimentConfig(scheme=CENTER, dist=NoiseDistribution.UNIFORM_SYM,
+                           degrees=[300], regions=["01", "1inf", "R"], trials=512,
+                           master_seed=70813, moments=(2,))
+    outs = {}
+    for rows in (1, 64, cfg.trials):
+        monkeypatch.setattr(experiment, "_batch_rows", lambda n, rows=rows: rows)
+        outs[f"batch {rows}"] = tmp_path / f"b{rows}"
+        write_outputs(run_experiment(cfg), str(outs[f"batch {rows}"]))
+    outs["one thread on one core"] = tmp_path / "one-core"
+    run_experiment_on_one_core(cfg, outs["one thread on one core"])
+    payloads = [tuple((out / f).read_bytes() for f in ("estimates.csv", "moments.csv"))
+                for out in outs.values()]
+    ok = all(p == payloads[0] for p in payloads)
+    record_acceptance("13 reproducibility across batches, threads and cores", ok,
                       "estimates.csv and moments.csv byte-identical for "
-                      "workers in {1, 4, 16}")
+                      + ", ".join(outs))

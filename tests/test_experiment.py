@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import run_experiment_on_one_core
 from kaccycles import experiment, kacrice
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DomainError, InsufficientDataError
@@ -45,8 +46,9 @@ def test_sweep_zero_row_is_a_failure(monkeypatch):
         return realized
 
     monkeypatch.setattr(experiment, "_realized_batch", zero_first_row)
+    monkeypatch.setattr(experiment, "_batch_rows", lambda n: 4)
     res = run_experiment(small_config(degrees=[20], regions=["01", "pos", "neg", "R"],
-                                      trials=8, batch=4))
+                                      trials=8))
     for row in res.rows:
         assert row.failures == 2 and row.trials == 6
         counts = res.counts[(20, row.region)]
@@ -78,7 +80,7 @@ def test_small_degree_counts_equal_the_companion_oracle(monkeypatch, root_at_zer
                            regions=regions, trials=64)
         res = run_experiment(cfg)
         for n in degrees:
-            rows = experiment._realized_batch(scheme, dist, n, cfg.master_seed, 0,
+            rows = experiment._realized_batch(scheme, dist, n, cfg.master_seed,
                                               0, cfg.trials)
             for r in regions:
                 want = []
@@ -139,17 +141,33 @@ def test_mirror_symmetry_of_means():
     assert abs(pos.mc_mean - neg.mc_mean) <= 3.0 * pooled
 
 
-def test_worker_invariance():
-    kw = dict(scheme=CoeffScheme.power_law(0.0), dist=NoiseDistribution.RADEMACHER,
-              degrees=[120], regions=["01", "1inf"], trials=300, master_seed=5)
-    res1 = run_experiment(ExperimentConfig(workers=1, **kw))
-    res4 = run_experiment(ExperimentConfig(workers=4, **kw))
-    res16 = run_experiment(ExperimentConfig(workers=16, **kw))
-    for a, b in ((res1, res4), (res1, res16)):
-        for ra, rb in zip(a.rows, b.rows):
+def test_worker_invariance(monkeypatch, tmp_path):
+    # the counts do not depend on the batch (the sweep's majorants weigh
+    # each batch's largest coefficients), nor on the BLAS threads and the
+    # cores that the draw is dealt to: batches of 1, 64 and all rows, and a
+    # child process with one thread on one core
+    cfg = ExperimentConfig(scheme=CoeffScheme.power_law(0.0),
+                           dist=NoiseDistribution.RADEMACHER, degrees=[120],
+                           regions=["01", "1inf"], trials=300, master_seed=5)
+    runs = [run_experiment(cfg)]
+    for rows in (1, cfg.trials):
+        monkeypatch.setattr(experiment, "_batch_rows", lambda n, rows=rows: rows)
+        runs.append(run_experiment(cfg))
+    one_core = run_experiment_on_one_core(cfg, tmp_path / "one-core")
+    for b in runs[1:]:
+        for ra, rb in zip(runs[0].rows, b.rows):
             assert ra.mc_mean == rb.mc_mean and ra.mc_stderr == rb.mc_stderr
-        for k in a.counts:
-            assert np.array_equal(a.counts[k], b.counts[k])
+    for counts in [b.counts for b in runs[1:]] + [one_core]:
+        assert counts.keys() == runs[0].counts.keys()
+        for k in counts:
+            assert np.array_equal(runs[0].counts[k], counts[k])
+
+
+def test_batch_rows_bound_the_batch_coefficients():
+    # 64 rows up to degree 65535, then at most 2^22 coefficients a batch
+    assert [experiment._batch_rows(n) for n in (0, 3000, 65535, 65536, 200000,
+                                                400000, 10**7)] == [64, 64, 64, 63,
+                                                                    20, 10, 1]
 
 
 def test_power_scheme_keeps_its_exponent():
@@ -171,7 +189,8 @@ def test_batches_run_in_the_calling_process(monkeypatch):
         return count(*args)
 
     monkeypatch.setattr(experiment, "_count_batch", recording)
-    run_experiment(small_config(workers=4, trials=40, batch=16))
+    monkeypatch.setattr(experiment, "_batch_rows", lambda n: 16)
+    run_experiment(small_config(workers=4, trials=40))
     assert pids == [os.getpid()] * 3
 
 
@@ -209,9 +228,6 @@ def test_config_validation():
         small_config(degrees=[])
     with pytest.raises(DomainError):
         small_config(regions=["everywhere"])
-    for batch in (0, -3):
-        with pytest.raises(DomainError):
-            small_config(batch=batch)
 
 
 def test_parse_config_file(tmp_path):
@@ -231,6 +247,11 @@ def test_parse_config_file(tmp_path):
     assert cfg.degrees == [100, 1000] and cfg.regions == ["01", "1inf"]
     assert cfg.trials == 500 and cfg.master_seed == 99 and cfg.workers == 2
     assert cfg.moments == (2, 3)
+    # a value may hold a ':' when whitespace separates it from its key
+    path.write_text("scheme power:-0.5\ndist gauss\ndegrees 10\nregions 01\n"
+                    "trials 4\n")
+    cfg = parse_config_file(str(path))
+    assert cfg.scheme.kind == "power" and cfg.scheme.effective_rho == -0.5
     bad = tmp_path / "bad.cfg"
     bad.write_text("scheme = center\n")
     with pytest.raises(DomainError):
@@ -238,7 +259,8 @@ def test_parse_config_file(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["moment = 2", "band_low = 0.1", "method = companion",
-                                  "moment", "band_lo =", "band_lo"])
+                                  "moment", "band_lo =", "band_lo", "batch = 64",
+                                  "quad_tol = 1e-7", "experiment_id = 1"])
 def test_parse_config_file_rejects_unknown_keys(tmp_path, line):
     # a misspelt or retired key, or one whose value was deleted, would
     # otherwise leave its default in place

@@ -346,16 +346,15 @@ def test_core_interval_monotone_and_degenerate():
 
 def test_asymptotic_prediction_values():
     a = K.asymptotic_prediction(0.0, "1inf", 10**4)
-    assert abs(a.value - math.log(10**4) / (2 * math.pi)) < 1e-12
-    assert abs(a.value - 1.4659) < 1e-3
+    assert abs(a - math.log(10**4) / (2 * math.pi)) < 1e-12
+    assert abs(a - 1.4659) < 1e-3
     a = K.asymptotic_prediction(-0.5, "01", 10**4)
-    assert abs(a.value - math.sqrt(math.log(10**4)) / math.pi) < 1e-12
-    assert abs(a.value - 0.9662) < 1e-3
-    a = K.asymptotic_prediction(-1.0, "01", 10**4)
-    assert a.bounded and a.value is None
+    assert abs(a - math.sqrt(math.log(10**4)) / math.pi) < 1e-12
+    assert abs(a - 0.9662) < 1e-3
+    assert K.asymptotic_prediction(-1.0, "01", 10**4) is None
     a = K.asymptotic_prediction(0.0, "R", 10**5)
-    assert abs(a.value - 2.0 / math.pi * math.log(10**5)) < 1e-12
+    assert abs(a - 2.0 / math.pi * math.log(10**5)) < 1e-12
     a = K.asymptotic_prediction(0.5, "01", 10**5)
-    assert abs(a.value - math.sqrt(2.0) * math.log(10**5) / (2 * math.pi)) < 1e-12
+    assert abs(a - math.sqrt(2.0) * math.log(10**5) / (2 * math.pi)) < 1e-12
     with pytest.raises(DomainError):
         K.asymptotic_prediction(0.0, "nowhere", 100)

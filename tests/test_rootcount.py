@@ -326,6 +326,35 @@ def test_sweep_counts_a_bump_inside_one_cell(t0):
     assert got.tolist() == [[4]]
 
 
+@pytest.mark.parametrize("t0", [0.7, 1.2])
+@pytest.mark.parametrize("shape", ["pair", "inflection"])
+def test_sweep_certificate_bounds_the_hermite_remainder(shape, t0):
+    # f = H + c4 (x - a)^2 (x - b)^2 on the cell [a, b] of the degree-4 grid
+    # that holds t0, H the cubic Hermite interpolant of f at a and b.  For
+    # "pair", H = 1 and f(mid) = -1: two roots inside a cell with f > 0 at
+    # both ends.  For "inflection", H rises through the cell and f has three
+    # roots in it.  The cubic model alone calls the first cell zero-free
+    # and the second monotone; the remainder bounds m4 dx^4/384 on f and
+    # m4 dx^3/24 on f' keep both open
+    t = rootcount.sweep_grid(4)
+    x = 1.0 - np.exp(-t)
+    cell = int(np.searchsorted(t, t0, side="right")) - 1
+    a, b = x[cell], x[cell + 1]
+    h = 0.5 * (b - a)
+    bump = P.polyfromroots([a, a, b, b])
+    if shape == "pair":
+        c, inside = P.polysub([1.0], 2.0 / h ** 4 * bump), 2
+    else:
+        c, inside = P.polyadd([h / 200.0 - b, 1.0], 4.0 / h ** 3 * bump), 3
+    want = real_roots(c).roots
+    assert len(want) == 4 and np.all((0.0 < want) & (want < 1.0))
+    assert np.sum((a < want) & (want < b)) == inside
+    for row in (c, -c):
+        got, simple = sweep_roots(row)
+        assert np.allclose(got, want, rtol=1e-6, atol=0.0) and simple.all(), got
+        assert rootcount.sweep_count_batch(row, t).tolist() == [[4]]
+
+
 def _center_rows(n, count, seed):
     rng = np.random.default_rng(seed)
     values = coeff_vector(CoeffScheme.perturbed_center(), n).values
@@ -413,7 +442,7 @@ def test_sweep_counts_do_not_depend_on_the_grid_step(monkeypatch, dist):
     for step in (0.02, 0.04, 0.08, 0.16):
         monkeypatch.setattr(rootcount, "SWEEP_STEP", step)
         for n in (10, 64, 1000):
-            c = experiment._realized_batch(scheme, dist, n, 41, 0, 0, 12)
+            c = experiment._realized_batch(scheme, dist, n, 41, 0, 12)
             c = np.concatenate([c, [P.polymul(row, pair) for row in c[:4, :-2]]])
             t = rootcount.sweep_grid(n, extra_points=[0.7, 2.3])
             lo, hi = int(np.searchsorted(t, 0.7)), int(np.searchsorted(t, 2.3))
@@ -474,7 +503,7 @@ def test_double_root_at_one_counts_as_sturm(monkeypatch):
     monkeypatch.setattr(experiment, "_realized_batch", lambda *args: row[None, :].copy())
     swept = experiment._count_batch(CoeffScheme.power_law(0.0),
                                     NoiseDistribution.RADEMACHER, 3,
-                                    _POINT_REGIONS, 1, 0, 0, 1,
+                                    _POINT_REGIONS, 1, 0, 1,
                                     experiment._sweep_grid(_POINT_REGIONS, 3))
     for r in _POINT_REGIONS:
         iv = region_interval(r, 3)
@@ -491,7 +520,7 @@ def test_flat_rademacher_counts_equal_sturm_per_trial(counter, n):
     # the Sturm count of every row
     scheme, dist = CoeffScheme.power_law(0.0), NoiseDistribution.RADEMACHER
     trials = 64
-    rows = experiment._realized_batch(scheme, dist, n, 7, 0, 0, trials)
+    rows = experiment._realized_batch(scheme, dist, n, 7, 0, trials)
     if counter == "sweep":
         res = run_experiment(ExperimentConfig(scheme=scheme, dist=dist, degrees=[n],
                                               regions=list(REGIONS), trials=trials,
