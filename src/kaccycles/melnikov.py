@@ -24,9 +24,11 @@ The cross-validator writes the flow in the clockwise polar angle
 phi = -theta and integrates dr/dphi over phi in [0, 2 pi] with an embedded
 Dormand-Prince 5(4) pair, so P(r0) is r at phi = 2 pi and no section
 crossing has to be located.  Every radius of a grid is one lane of a single
-vector integration; the sign changes of P(r) - r give each eps level's
-count, and those of the reported level are refined together by the Illinois
-variant of regula falsi.
+vector integration, and each lane carries its own eps, so two eps levels
+share one integration; the sign changes of P(r) - r give each level's
+count.  Those of the reported level are refined together, each round
+integrating the Illinois point of regula falsi and two guard probes around
+it in one call (Dowell & Jarratt, BIT 11, 1971).
 """
 
 from __future__ import annotations
@@ -207,8 +209,8 @@ class _PolarField:
         r'   = eps (cos(phi) P - sin(phi) Q),
         phi' = 1 - eps (cos(phi) Q + sin(phi) P) / r.
 
-    The perturbation is materialized once; eps is an argument, so one field
-    serves every level of an eps schedule.
+    The perturbation is materialized once; eps is an argument, a scalar or
+    one value per lane, so one field serves every level of an eps schedule.
     """
 
     def __init__(self, sys: PerturbedSystem):
@@ -221,7 +223,7 @@ class _PolarField:
             self.pq = None
             self.a = sys.pc.alpha / (2.0 * math.sqrt(math.pi))
 
-    def __call__(self, phi: np.ndarray, r: np.ndarray, eps: float):
+    def __call__(self, phi: np.ndarray, r: np.ndarray, eps):
         """(dr/dphi, ok); ok is False where phi' <= 0, r <= 0 or the rate is not finite."""
         c, s = np.cos(phi), np.sin(phi)
         x, y = r * c, -r * s
@@ -237,16 +239,18 @@ class _PolarField:
         return rate, (phidot > 0.0) & (r > 0.0) & np.isfinite(rate)
 
 
-def _returns(field: _PolarField, eps: float, r0: np.ndarray):
+def _returns(field: _PolarField, eps, r0: np.ndarray):
     """(P(r0), fate) for every start radius (r0, 0) at once.
 
     Integrates dr/dphi from phi = 0 to 2 pi, so P is r at the end and needs
     no section-crossing search.  Each lane keeps its own angle, step size and
-    accept/reject decision.  A lane that leaves radius 10 r0 is _ESCAPED; one
-    whose phi' loses its sign (the step collapses below _H_MIN) is
-    _NO_RETURN; both come back NaN.
+    accept/reject decision, and its own eps: eps is a scalar or one value
+    per lane, so lanes of several eps levels share one integration.  A lane
+    that leaves radius 10 r0 is _ESCAPED; one whose phi' loses its sign (the
+    step collapses below _H_MIN) is _NO_RETURN; both come back NaN.
     """
     r0 = np.asarray(r0, dtype=float)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), r0.shape)
     out = np.full(r0.size, np.nan)
     fate = np.full(r0.size, _RETURNED)
     with np.errstate(all="ignore"):
@@ -254,7 +258,7 @@ def _returns(field: _PolarField, eps: float, r0: np.ndarray):
         f, ok = field(np.zeros_like(r), r, eps)
         fate[~ok] = _NO_RETURN
         lane = np.flatnonzero(ok)
-        r, f, cap = r[lane], f[lane], _R_CAP * r0[lane]
+        r, f, cap, eps = r[lane], f[lane], _R_CAP * r0[lane], eps[lane]
         phi = np.zeros_like(r)
         h = np.full_like(r, 1e-3)
         tries = np.zeros(r.size, dtype=int)
@@ -285,8 +289,8 @@ def _returns(field: _PolarField, eps: float, r0: np.ndarray):
             fate[lane[lost]] = _NO_RETURN
             keep = ~(esc | fin | lost)
             if not keep.all():
-                lane, r, f, cap, phi, h, tries = (v[keep] for v in
-                                                  (lane, r, f, cap, phi, h, tries))
+                lane, r, f, cap, eps, phi, h, tries = (
+                    v[keep] for v in (lane, r, f, cap, eps, phi, h, tries))
     return out, fate
 
 
@@ -323,16 +327,23 @@ def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
                   gv: np.ndarray) -> np.ndarray:
     """One fixed point of the return map per bracket of gv on the grid rs.
 
-    All brackets are refined together by the Illinois variant of regula
-    falsi (an end kept twice in a row has its g halved).  A bracket stops
-    at a point where g is exactly zero, which it reports; or when it is
-    narrower than 1e-10 max(1, b), or when g is NaN inside it, and then it
-    reports its midpoint.
+    All brackets are refined together.  Each round integrates three points
+    per bracket [a, b] in one _returns call: the Illinois point c of regula
+    falsi (an end kept twice in a row has its g halved) and two guard
+    probes c -+ delta, delta = min(min(c - a, b - c) / 4, |c - c_prev| / 10),
+    where c_prev is the last round's c (at first, the bracket's midpoint).
+    Once c converges, the fixed point lies between the probes and the
+    bracket shrinks to their width.  The new bracket is the first interval
+    of the five sorted points that changes sign by the rule of _brackets.
+    A bracket stops at a point where g is exactly zero, which it reports;
+    or when it is narrower than 1e-10 max(1, b), or when NaN values of g
+    leave no sign-change interval, and then it reports its midpoint.
     """
     sel = _brackets(gv)
     a, b, ga, gb = rs[:-1][sel], rs[1:][sel], gv[:-1][sel], gv[1:][sel]
     root = np.full(a.size, np.nan)
-    side = np.zeros(a.size, dtype=int)       # -1: a moved last, +1: b moved last
+    side = np.zeros(a.size, dtype=int)   # -1: a moved last, +1: b moved last, 0: both
+    c_prev = 0.5 * (a + b)
     act = np.arange(a.size)
     for _ in range(40):
         if not act.size:
@@ -340,20 +351,26 @@ def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
         aa, bb, fa, fb, sd = a[act], b[act], ga[act], gb[act], side[act]
         c = (aa * fb - bb * fa) / (fb - fa)
         c = np.where((c > aa) & (c < bb), c, 0.5 * (aa + bb))
-        gc = _returns(field, eps, c)[0] - c
-        nan, zero = np.isnan(gc), gc == 0.0
+        delta = np.minimum(0.25 * np.minimum(c - aa, bb - c), 0.1 * np.abs(c - c_prev[act]))
+        c_prev[act] = c
+        probes = np.concatenate([c - delta, c, c + delta])
+        gp = (_returns(field, eps, probes)[0] - probes).reshape(3, act.size)
+        pts = np.vstack([aa, probes.reshape(3, act.size), bb])
+        vals = np.vstack([fa, gp, fb])
+        change = _brackets(vals)
+        found = change.any(axis=0)
+        i = np.argmax(change, axis=0)
+        col = np.arange(act.size)
+        lo, hi, glo, ghi = pts[i, col], pts[i + 1, col], vals[i, col], vals[i + 1, col]
+        nan, zero = ~found, found & (ghi == 0.0)
         root[act[nan]] = 0.5 * (aa + bb)[nan]
-        root[act[zero]] = c[zero]
-        left = (gc > 0.0) == (fa > 0.0)
-        fb = np.where(left & (sd == -1), 0.5 * fb, fb)
-        fa = np.where(~left & (sd == 1), 0.5 * fa, fa)
-        a[act] = np.where(left, c, aa)
-        b[act] = np.where(left, bb, c)
-        ga[act] = np.where(left, gc, fa)
-        gb[act] = np.where(left, fb, gc)
-        side[act] = np.where(left, -1, 1)
-        narrow = (b[act] - a[act] < 1e-10 * np.maximum(1.0, b[act])) & ~(nan | zero)
-        root[act[narrow]] = 0.5 * (a + b)[act[narrow]]
+        root[act[zero]] = hi[zero]
+        glo = np.where((i == 0) & (sd == 1), 0.5 * glo, glo)
+        ghi = np.where((i == 3) & (sd == -1), 0.5 * ghi, ghi)
+        a[act], b[act], ga[act], gb[act] = lo, hi, glo, ghi
+        side[act] = np.where(i == 0, 1, np.where(i == 3, -1, 0))
+        narrow = (hi - lo < 1e-10 * np.maximum(1.0, hi)) & ~(nan | zero)
+        root[act[narrow]] = 0.5 * (lo + hi)[narrow]
         act = act[~(nan | zero | narrow)]
     root[act] = 0.5 * (a[act] + b[act])
     return root
@@ -394,33 +411,48 @@ def verify_cycles_ode(sys: PerturbedSystem,
                       eps_start: float = 1e-2) -> LimitCycleReport:
     """Fixed points of the return map, stabilized over an eps schedule.
 
-    g(r) = P(r) - r is evaluated on a radial grid, all radii in one batched
-    integration.  A level's count is its number of sign-change brackets of g;
-    eps halves until the count agrees on two consecutive levels.  Only the
-    stabilized level, which is reported, has its brackets refined to fixed
-    points (and merged within one grid cell), plus any level with brackets
-    in adjacent cells, the one case where the merge can change the count.
-    Escaping or non-returning radii contribute no sign information.
+    The schedule halves eps from eps_start, which must lie in (0, 1), down
+    to _EPS_FLOOR, and must hold at least two levels.  g(r) = P(r) - r is
+    evaluated on a radial grid; levels are integrated in pairs, the grid of
+    both levels as one batched integration with eps per lane, and the
+    stopping rule then reads them one level at a time.  A level's count is
+    its number of sign-change brackets of g; the schedule stops when the
+    count agrees on two consecutive levels.  Only the stabilized level,
+    which is reported, has its brackets refined to fixed points (and merged
+    within one grid cell), plus any level with brackets in adjacent cells,
+    the one case where the merge can change the count.  Escaping or
+    non-returning radii contribute no sign information.
     """
+    if not 0.0 < eps_start < 1.0:
+        raise DomainError(f"eps_start must lie in (0, 1), got {eps_start!r}")
+    schedule = []
+    eps = eps_start
+    while eps >= _EPS_FLOOR * 0.999:
+        schedule.append(eps)
+        eps *= 0.5
+    if len(schedule) < 2:
+        raise DomainError(f"eps_start {eps_start:g} leaves fewer than two eps "
+                          f"levels at or above {_EPS_FLOOR:g}")
     rs, res = _ode_grid(sys)
     field = _PolarField(sys)
     prev_count = None
-    eps = eps_start
-    while eps >= _EPS_FLOOR * 0.999:
-        # one system per level: bench/spans.py counts eps levels through replace
-        s_eps = replace(sys, epsilon=eps)
-        gv = _returns(field, s_eps.epsilon, rs)[0] - rs
-        sel = _brackets(gv)
-        # the grid spacing exceeds res, so only fixed points of brackets in
-        # adjacent cells can merge: only there can refinement change the count
-        radii = _refined(field, s_eps.epsilon, rs, gv, res) \
-            if np.any(sel[:-1] & sel[1:]) else None
-        count = int(sel.sum()) if radii is None else len(radii)
-        if count == prev_count:
-            if radii is None:
-                radii = _refined(field, s_eps.epsilon, rs, gv, res)
-            return LimitCycleReport(count, radii, np.ones(count, dtype=bool))
-        prev_count = count
-        eps *= 0.5
+    for k in range(0, len(schedule), 2):
+        pair = schedule[k:k + 2]
+        gvs = (_returns(field, np.repeat(pair, len(rs)), np.tile(rs, len(pair)))[0]
+               .reshape(len(pair), len(rs)) - rs)
+        for eps, gv in zip(pair, gvs):
+            # one system per level: bench/spans.py counts eps levels through replace
+            replace(sys, epsilon=eps)
+            sel = _brackets(gv)
+            # the grid spacing exceeds res, so only fixed points of brackets in
+            # adjacent cells can merge: only there can refinement change the count
+            radii = _refined(field, eps, rs, gv, res) \
+                if np.any(sel[:-1] & sel[1:]) else None
+            count = int(sel.sum()) if radii is None else len(radii)
+            if count == prev_count:
+                if radii is None:
+                    radii = _refined(field, eps, rs, gv, res)
+                return LimitCycleReport(count, radii, np.ones(count, dtype=bool))
+            prev_count = count
     raise NonConvergentError(
         f"cycle count never stabilized before eps = {_EPS_FLOOR:g}")

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kaccycles.cli import dispatch
 
 
@@ -199,6 +201,13 @@ def test_ode_verify_row(capsys):
     rows = [l for l in out.splitlines() if l and not l.startswith(("#", "trial"))]
     fields = rows[0].split(",")
     assert int(fields[1]) >= 0 and int(fields[2]) >= 0
+
+
+@pytest.mark.parametrize("eps_start", ["0", "-1", "nan", "2", "1.99e-5"])
+def test_ode_verify_rejects_eps_start(capsys, eps_start):
+    code, _out = run(capsys, "ode-verify", "--kind", "center", "--degree", "3",
+                     "--seed", "12", f"--epsilon-start={eps_start}")
+    assert code == 1
 
 
 def test_import_loads_no_scipy():

@@ -285,6 +285,21 @@ def test_unperturbed_lanes_return_exactly():
         assert np.array_equal(got, rs) and not fate.any()
 
 
+def test_lanes_of_two_eps_levels_match_scalar_calls():
+    # acceptance-12 trial 4 (center, d = 5) has returning, escaping and
+    # non-returning lanes at both levels when r runs up to 6
+    field = melnikov._PolarField(_acceptance_12_system(4))
+    rs = np.linspace(0.1, 6.0, 40)
+    levels = (1e-2, 5e-3)
+    got, fate = melnikov._returns(field, np.tile(levels, rs.size), np.repeat(rs, 2))
+    for k, eps in enumerate(levels):
+        want, want_fate = melnikov._returns(field, eps, rs)
+        assert set(want_fate.tolist()) == {melnikov._RETURNED, melnikov._ESCAPED,
+                                           melnikov._NO_RETURN}
+        assert got[k::2].tobytes() == want.tobytes()
+        assert np.array_equal(fate[k::2], want_fate)
+
+
 def test_poincare_rejects_bad_radius():
     s = van_der_pol()
     with pytest.raises(DomainError):
@@ -305,6 +320,18 @@ def test_pure_damping_ode_verification():
     pc = PerturbationCoefficients.lienard(np.array([1.0]))
     rep = verify_cycles_ode(PerturbedSystem("lienard", pc))
     assert rep.count == 0
+
+
+@pytest.mark.parametrize("eps_start", [0.0, -1.0, math.nan, 1.0, 2.0, 1.99e-5])
+def test_ode_verification_rejects_eps_start(eps_start):
+    # the schedule needs eps_start in (0, 1) and two levels at or above 1e-5
+    with pytest.raises(DomainError):
+        verify_cycles_ode(van_der_pol(), eps_start=eps_start)
+
+
+def test_ode_verification_runs_with_two_levels():
+    rep = verify_cycles_ode(van_der_pol(), eps_start=2e-5)
+    assert rep.count == 1 and abs(rep.radii[0] - 2.0) <= 0.05
 
 
 def test_acceptance_12_trial_8_counts_one_cycle():
@@ -400,6 +427,68 @@ def test_adjacent_brackets_are_refined(monkeypatch, roots, count):
     assert calls == [1e-2, 5e-3]
     assert rep.count == want_count == count
     assert rep.radii.tobytes() == want_radii.tobytes()
+
+
+def _kinked(z):
+    """Piecewise-linear g on [1, 2] through (1, -1), (z, 0) and (2, 3)."""
+    return lambda r: np.where(r < z, (r - z) / (z - 1.0), 3.0 * (r - z) / (2.0 - z))
+
+
+def _nan_on(g, lo, hi):
+    return lambda r: np.where((r > lo) & (r < hi), np.nan, g(r))
+
+
+def _refine_analytic(monkeypatch, g, rs):
+    """(_fixed_points on the brackets of g over rs, number of _returns calls)."""
+    calls = []
+
+    def returns(field, eps, r):
+        calls.append(np.size(r))
+        return r + g(r), np.zeros(np.size(r), dtype=int)
+
+    monkeypatch.setattr(melnikov, "_returns", returns)
+    return melnikov._fixed_points(None, 1e-2, rs, g(rs)), len(calls)
+
+
+# On [1, 2] with g(1) = -1 and g(2) = 3 the first Illinois point is c = 1.25
+# and the first c_prev the midpoint 1.5, so the right guard probe sits at
+# c + min((c - 1) / 4, |c - 1.5| / 10).
+_RIGHT_PROBE = 1.25 + min(0.25 * 0.25, 0.1 * abs(1.25 - 1.5))
+_ONE_TO_TWO = np.array([1.0, 2.0])
+
+
+# illinois_calls: the _returns calls that one-point Illinois rounds, with
+# no guard probes, take on the same brackets
+@pytest.mark.parametrize("g,rs,roots,illinois_calls", [
+    (lambda r: 0.3 - 0.25 * r, _ONE_TO_TWO, [1.2], 1),
+    (lambda r: 40.0 * (r - 1.03) ** 3 + 0.02 * (r - 1.03), np.array([1.0, 1.5]),
+     [1.03], 15),
+    (lambda r: (r - 1.3) ** 3 + 1e-6 * (r - 1.3), _ONE_TO_TWO, [1.3], 24),
+    (lambda r: (r - 1.23) * (r - 1.57) * (r - 1.91), np.linspace(1.0, 2.0, 11),
+     [1.23, 1.57, 1.91], 8),
+    (_nan_on(_kinked(1.24), 1.26, 1.3), _ONE_TO_TWO, [1.24], 12),
+], ids=["linear", "steep-cubic", "flat-cubic", "three-brackets", "nan-at-probe"])
+def test_probe_refinement_of_analytic_brackets(monkeypatch, g, rs, roots,
+                                               illinois_calls):
+    got, calls = _refine_analytic(monkeypatch, g, rs)
+    want = np.array(roots)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
+    assert calls <= illinois_calls
+
+
+def test_probe_refinement_reports_an_exact_zero_at_a_probe(monkeypatch):
+    # one round finds g = 0 at the right probe; one-point Illinois took 15
+    got, calls = _refine_analytic(monkeypatch, _kinked(_RIGHT_PROBE), _ONE_TO_TWO)
+    assert got.tolist() == [_RIGHT_PROBE] and calls == 1
+
+
+def test_probe_refinement_stops_where_nan_hides_the_sign_change(monkeypatch):
+    # c = 1.25 and both probes fall in the NaN band around the root at 1.24:
+    # no interval of the five points changes sign, so the bracket reports
+    # its midpoint, as one-point Illinois did at a NaN
+    got, calls = _refine_analytic(monkeypatch, _nan_on(_kinked(1.24), 1.2, 1.3),
+                                  _ONE_TO_TWO)
+    assert got.tolist() == [1.5] and calls == 1
 
 
 def test_brackets_keep_the_nan_and_zero_rule(rng):
