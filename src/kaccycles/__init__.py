@@ -25,8 +25,8 @@ from .melnikov import (LimitCycleReport, MelnikovPoly, PerturbedSystem,
                        verify_cycles_ode)
 from .rootcount import (Interval, RootCountReport, count_in_interval, real_roots,
                         sturm_count, sweep_roots)
-from .sampler import (NoiseDistribution, PerturbationCoefficients, RandomPoly,
-                      SeedSpec, melnikov_noise_from_lienard,
-                      melnikov_noise_from_perturbation, sample_polynomial)
+from .sampler import (NoiseDistribution, PerturbationCoefficients, SeedSpec,
+                      melnikov_noise_from_lienard, melnikov_noise_from_perturbation,
+                      noise_rows)
 from .experiment import (EstimateRow, ExperimentConfig, ExperimentResult,
                          MomentRow, compare_to_theory, run_experiment)

@@ -22,8 +22,7 @@ from .coeffs import CoeffScheme, coeff_vector
 from .errors import KaccyclesError, DomainError
 from .kacrice import REGIONS, asymptotic_prediction, expected_roots_region
 from .rootcount import Interval, count_in_interval, sturm_count
-from .sampler import (NoiseDistribution, PerturbationCoefficients, SeedSpec,
-                      sample_polynomial)
+from .sampler import NoiseDistribution, PerturbationCoefficients, SeedSpec, noise_rows
 from .melnikov import PerturbedSystem, count_bifurcating_cycles, verify_cycles_ode
 from .experiment import parse_config_file, run_experiment, write_outputs
 
@@ -92,33 +91,35 @@ def _write(payload, out: str | None, fmt: str, argv):
 
 
 def _read_coeff_file(path: str) -> np.ndarray:
-    """Realized coefficients from a sample CSV/JSON (or one bare column)."""
+    """Realized coefficients from a sample CSV/JSON (or one bare column);
+    a NaN or infinite coefficient is a ``DomainError``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    vals = []
     if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        rows = doc["rows"]
+        rows = json.loads(text)["rows"]
+        col = -1
         if rows and isinstance(rows[0], dict):
             col = "realized" if "realized" in rows[0] else "c_m"
-            return np.array([float(r[col]) for r in rows])
-        return np.array([float(r[-1]) for r in rows])
-    vals = []
-    header = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        try:
-            float(parts[-1])
-        except ValueError:
-            header = parts
-            continue
-        if header and "realized" in header:
-            vals.append(float(parts[header.index("realized")]))
-        else:
-            vals.append(float(parts[-1]))
-    return np.array(vals)
+        vals = [float(r[col]) for r in rows]
+    else:
+        header = None
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            try:
+                float(parts[-1])
+            except ValueError:
+                header = parts
+                continue
+            col = header.index("realized") if header and "realized" in header else -1
+            vals.append(float(parts[col]))
+    coeffs = np.array(vals)
+    if not np.isfinite(coeffs).all():
+        raise DomainError(f"{path}: coefficients must be finite numbers")
+    return coeffs
 
 
 def build_parser() -> _Parser:
@@ -194,9 +195,10 @@ def _cmd_coeffs(ns, argv) -> int:
 def _cmd_sample(ns, argv) -> int:
     scheme = CoeffScheme.parse(ns.scheme)
     dist = NoiseDistribution.parse(ns.dist)
-    poly = sample_polynomial(scheme, dist, ns.degree, SeedSpec(ns.seed))
+    cv = coeff_vector(scheme, ns.degree)
+    noise = noise_rows(dist, ns.degree, ns.seed, 0, 1)[0]
     rows = [[int(i), float(c), float(x), float(r)] for i, (c, x, r) in
-            enumerate(zip(poly.coeffs.values, poly.noise, poly.realized))]
+            enumerate(zip(cv.values, noise, cv.values * noise))]
     _write(_envelope(argv, rows, ["m", "c_m", "noise", "realized"]),
            ns.out, ns.format, argv)
     return EXIT_OK
@@ -228,8 +230,7 @@ def _cmd_kacrice(ns, argv) -> int:
     scheme = CoeffScheme.parse(ns.scheme)
     cv = coeff_vector(scheme, ns.degree)
     value, err = (float(x) for x in expected_roots_region(cv, ns.region, ns.tol))
-    asym = asymptotic_prediction(scheme.effective_rho, ns.region, ns.degree) \
-        if ns.degree >= 3 else None
+    asym = asymptotic_prediction(scheme.effective_rho, ns.region, ns.degree)
     ratio = value / asym if asym else None
     rows = [[ns.region, value, err, asym, ratio]]
     _write(_envelope(argv, rows,

@@ -8,10 +8,13 @@ into pieces of four axis families (direct, reversed, and their mirrors)
 plus the points 0, 1, -1.  The certified sweep counts the pieces at every
 degree, and the exact roots at the points are counted once, so every region
 preset is assembled from the same per-trial counts and region additivity
-holds exactly per trial.  The sweep families share one evaluation grid per
-degree, and a family and its mirror are one sweep: f(x) and f(-x) come from
-the same even/odd half-size products.  The Kac-Rice column reads the same
-split, and integrates each distinct piece once per degree.
+holds exactly per trial.  Each degree has one plan (``_sweep_plan``), which
+its batches read: the evaluation grid that the sweep families share, with
+the pieces' bounds pinned on it, the grid's power matrix, and every
+region's pieces as spans of grid indices.  A family and its mirror are one
+sweep: f(x) and f(-x) come from the same even/odd half-size products.  The
+coefficient vector is built once per degree; the Kac-Rice column reads it
+and the same split, and integrates each distinct piece once per degree.
 
 Trials run in one process, in batches merged in index order; the batch
 shrinks above degree 65535 so that the batch temporaries stay bounded
@@ -29,18 +32,16 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from . import philox
-from .coeffs import CoeffScheme, coeff_vector
+from .coeffs import CoeffScheme, CoeffVector, coeff_vector
 from .errors import DomainError, InsufficientDataError
 from .kacrice import REGIONS, asymptotic_prediction, expected_roots_regions, \
     region_interval, split_interval
 from .rootcount import EXACT_POINTS, exact_roots, power_matrix, \
     sweep_count_batch, sweep_grid
-from .sampler import NoiseDistribution
+from .sampler import NoiseDistribution, noise_rows
 
 # families of one-sided sweeps (see kacrice.split_interval), in mirror
 # pairs; each pair is counted by one sweep
@@ -74,6 +75,8 @@ class ExperimentConfig:
             raise DomainError("need at least 2 trials")
         if not self.degrees:
             raise DomainError("degrees must be nonempty")
+        if min(self.degrees) < 0:
+            raise DomainError("degrees must be nonnegative")
         for r in self.regions:
             if r not in REGIONS:
                 raise DomainError(f"unknown region {r!r}")
@@ -121,11 +124,13 @@ def _t_of_x(x: float) -> float:
 # batched counting
 # ---------------------------------------------------------------------------
 
-def _sweep_grid(regions, n: int) -> tuple:
-    """The sweep grid of degree n, with the pieces' inner bounds pinned on it,
-    and its power matrix, which every batch of the degree shares."""
-    pinned = sorted({_t_of_x(x) for r in regions
-                     for _, a, b in split_interval(region_interval(r, n))[0]
+def _sweep_plan(regions, n: int) -> tuple:
+    """What every batch of degree n reads: the sweep grid, with the regions'
+    inner piece bounds pinned on it, its power matrix, and per region its
+    ``split_interval`` pieces as (family, lo, hi) grid spans with the exact
+    points it holds."""
+    splits = {r: split_interval(region_interval(r, n)) for r in regions}
+    pinned = sorted({_t_of_x(x) for ps, _ in splits.values() for _, a, b in ps
                      for x in (a, b) if 0.0 < x < 1.0})
     grid = sweep_grid(n, extra_points=pinned)
     nbytes = 8 * (n + 1) * len(grid)
@@ -134,7 +139,14 @@ def _sweep_grid(regions, n: int) -> tuple:
             f"sweep counting at degree {n} would need a {nbytes / 1e9:.1f} GB power "
             "matrix; Monte Carlo is sized for degrees up to ~7e5 (expected counts "
             "at larger n come from the Kac-Rice quadrature)")
-    return grid, power_matrix(n, grid)
+
+    def index(x):
+        # u = 1 is the end of the sweep, whose last span reaches on to 1
+        return len(grid) - 1 if x == 1.0 else int(np.searchsorted(grid, _t_of_x(x)))
+
+    spans = {r: ([(f, index(a), index(b)) for f, a, b in ps], pts)
+             for r, (ps, pts) in splits.items()}
+    return grid, power_matrix(n, grid), spans
 
 
 def _batch_rows(n: int) -> int:
@@ -143,73 +155,39 @@ def _batch_rows(n: int) -> int:
     return max(1, min(64, 2 ** 22 // (n + 1)))
 
 
-def _count_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
-                 regions, master_seed, t0: int, t1: int, sweep: tuple) -> dict:
-    """Counts for trials [t0, t1) in every region, by the sweep on ``sweep``
-    (a grid and its power matrix from ``_sweep_grid``).
+def _count_batch(plan: tuple, cv: CoeffVector, dist: NoiseDistribution,
+                 master_seed: int, t0: int, t1: int) -> dict:
+    """Counts for trials [t0, t1) of the coefficients ``cv`` in every region
+    of ``plan`` (``_sweep_plan``).
 
-    Each region is the sum of its ``split_interval`` pieces, which the sweep
-    counts, and of the exact roots at the points it holds.  The zero
-    polynomial, whose count is undefined, is NaN.
+    Each region is the sum of the sweep's counts on its spans and of the
+    exact roots at the points it holds.  The sweep counts the rows and the
+    reversed rows of ``exact_roots``, so it finds no exact root to divide
+    out.  The zero polynomial, whose count is undefined, is NaN.
     """
-    splits = {r: split_interval(region_interval(r, n)) for r in regions}
-    pieces = list(dict.fromkeys(p for ps, _ in splits.values() for p in ps))
-    realized = _realized_batch(scheme, dist, n, master_seed, t0, t1)
+    grid, powers, regions = plan
+    realized = noise_rows(dist, cv.n, master_seed, t0, t1)
+    realized *= cv.values
     direct, rev, at = exact_roots(realized)
-    counts = _sweep_pieces((direct, rev), pieces, *sweep)
+    # the mirror of the reversed rows is (-1)^n times mrev's rows
+    # (c_m (-1)^m reversed): a whole-row sign that moves no root
+    counts = {}
+    for pair in _MIRROR_PAIRS:
+        fam_spans = [list(dict.fromkeys(s[1:] for spans, _ in regions.values()
+                                        for s in spans if s[0] == f)) for f in pair]
+        if not any(fam_spans):
+            continue
+        got = sweep_count_batch(rev if pair[0] == "rev" else direct, grid, powers=powers,
+                                spans=fam_spans[0], mirror_spans=fam_spans[1])
+        keys = [(f, *s) for f, sps in zip(pair, fam_spans) for s in sps]
+        counts.update(zip(keys, got.T))
     failed = ~realized.any(axis=1)
     out = {}
-    for r, (ps, pts) in splits.items():
-        tot = sum([counts[p] for p in ps] + [at[:, EXACT_POINTS.index(p)] for p in pts],
+    for r, (spans, pts) in regions.items():
+        tot = sum([counts[s] for s in spans] + [at[:, EXACT_POINTS.index(p)] for p in pts],
                   np.zeros(len(realized), dtype=int))
         out[r] = np.where(failed, math.nan, tot)
     return out
-
-
-def _sweep_pieces(divided: tuple, pieces, grid: np.ndarray,
-                  powers: np.ndarray) -> dict:
-    """Per-piece counts of the rows through the shared sweep families.
-
-    ``divided`` is the rows and the reversed rows of ``exact_roots``, so the
-    sweep finds no exact root to divide out.  The pieces' inner bounds are
-    pinned on the grid.
-    """
-    def index(x):
-        # u = 1 is the end of the sweep, whose last span reaches on to 1
-        return len(grid) - 1 if x == 1.0 else int(np.searchsorted(grid, _t_of_x(x)))
-
-    spans = {p: (index(p[1]), index(p[2])) for p in pieces}
-    # the mirror of the reversed rows is (-1)^n times mrev's rows
-    # (c_m (-1)^m reversed): a whole-row sign that moves no root
-    cols = {}
-    for pair in _MIRROR_PAIRS:
-        fam_spans = [list(dict.fromkeys(s for p, s in spans.items() if p[0] == f))
-                     for f in pair]
-        if not any(fam_spans):
-            continue
-        got = sweep_count_batch(divided[pair[0] == "rev"], grid, powers=powers,
-                                spans=fam_spans[0], mirror_spans=fam_spans[1])
-        keys = [(f, s) for f, sps in zip(pair, fam_spans) for s in sps]
-        cols.update(zip(keys, got.T))
-    return {p: cols[p[0], s] for p, s in spans.items()}
-
-
-def _realized_batch(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
-                    master_seed, t0: int, t1: int) -> np.ndarray:
-    """(t1 - t0, n + 1) realized coefficients c_m xi_m, one row per trial.
-
-    The noise of the whole batch is one multi-key draw, row i from the
-    stream of trial t0 + i.
-    """
-    keys = np.array([philox.stream_key(master_seed, 0, trial, philox.LANE_XI)
-                     for trial in range(t0, t1)], dtype=np.uint64)
-    noise = philox.variates_block(dist.value, keys, n + 1)
-    return noise * _coeffs_cached(scheme, n).values[None, :]
-
-
-@lru_cache(maxsize=8)
-def _coeffs_cached(scheme: CoeffScheme, n: int):
-    return coeff_vector(scheme, n)
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +211,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     moment_rows: list[MomentRow] = []
     counts_store: dict = {}
     for n in config.degrees:
-        sweep = _sweep_grid(config.regions, n)
+        cv = coeff_vector(config.scheme, n)
+        plan = _sweep_plan(config.regions, n)
         batch = _batch_rows(n)
-        results = [_count_batch(config.scheme, config.dist, n, config.regions,
-                                config.master_seed, t0, min(t0 + batch, config.trials),
-                                sweep)
+        results = [_count_batch(plan, cv, config.dist, config.master_seed, t0,
+                                min(t0 + batch, config.trials))
                    for t0 in range(0, config.trials, batch)]
-        del sweep       # the power matrix goes before the next degree's is built
+        del plan        # the power matrix goes before the next degree's is built
         per_region = {r: np.concatenate([res[r] for res in results])
                       for r in config.regions}
         # one call for all regions, which share their integrated pieces
         kr_all = None
         if config.dist is NoiseDistribution.GAUSSIAN and n >= 1:
-            kr_all = expected_roots_regions(_coeffs_cached(config.scheme, n),
-                                            config.regions, _QUAD_TOL)
+            kr_all = expected_roots_regions(cv, config.regions, _QUAD_TOL)
 
         for region in config.regions:
             counts = per_region[region]
@@ -256,8 +233,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             mean = float(ok.mean()) if len(ok) else math.nan
             stderr = float(ok.std(ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else math.nan
             kr = None if kr_all is None else float(kr_all[region][0])
-            asym = (asymptotic_prediction(config.scheme.effective_rho, region, n)
-                    if n >= 3 else None)
+            asym = asymptotic_prediction(config.scheme.effective_rho, region, n)
             row = EstimateRow(
                 n=n, region=region, mc_mean=mean, mc_stderr=stderr,
                 trials=len(ok), failures=failures,

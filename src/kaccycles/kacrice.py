@@ -124,10 +124,12 @@ def asymptotic_prediction(rho: float, region: str, n: int) -> float | None:
     Regions: "01", "1inf", "pos" (0,inf), "neg" (-inf,0), "neg1inf",
     "sym" (-1,1), "R", and the core intervals "In", "In_inv".  The
     subcritical inner regions are Theta(1) with no constant available;
-    those give None.
+    those give None, as does every region below n = 3.
     """
+    if region not in REGIONS:
+        raise DomainError(f"unknown region {region!r}")
     if n < 3:
-        raise DomainError("asymptotic prediction needs n >= 3")
+        return None
     ln = math.log(n)
     reg = _regime(rho)
     root = math.sqrt(2.0 * rho + 1.0) if reg == "supercritical" else 0.0
@@ -143,11 +145,7 @@ def asymptotic_prediction(rho: float, region: str, n: int) -> float | None:
         return None if inner is None else 2.0 * inner
     # (0, inf): an inner count below the critical weight is of lower order
     pos = (root + 1.0) * ln / (2 * math.pi)
-    if region in ("pos", "neg"):
-        return pos
-    if region == "R":
-        return 2.0 * pos
-    raise DomainError(f"unknown region {region!r}")
+    return pos if region in ("pos", "neg") else 2.0 * pos   # the rest is "R"
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,12 @@ def _gk_panel(f, a: float, b: float):
 
 def adaptive_gauss_kronrod(f, a: float, b: float, tol: float,
                            max_panels: int = _MAX_PANELS):
-    """Adaptive G7K15 on [a, b]; returns (integral, error_estimate)."""
+    """Adaptive G7K15 on [a, b]; returns (integral, error_estimate).
+
+    ``tol`` must lie in (0, inf): no panel count meets a tolerance of 0.
+    """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"quadrature tolerance must be in (0, inf), got {tol!r}")
     if b <= a:
         return 0.0, 0.0
     panels = [(a, b, *_gk_panel(f, a, b))]

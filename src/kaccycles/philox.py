@@ -2,7 +2,7 @@
 
 Every variate in the package is addressed, not sequenced: a draw is a pure
 function of (stream key, counter).  The stream key is derived from
-(master_seed, experiment, trial, lane) by a splitmix64 chain; the counter
+(master_seed, trial, lane) by a splitmix64 chain; the counter
 encodes the coefficient index.  This gives three properties the simulation
 harness relies on:
 
@@ -99,11 +99,10 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream_key(master_seed: int, experiment: int = 0, trial: int = 0,
-               lane: int = 0) -> int:
-    """64-bit Philox key for one (master_seed, experiment, trial, lane) stream."""
-    k = splitmix64(master_seed & _MASK64)
-    k = splitmix64(k ^ (experiment & _MASK64))
+def stream_key(master_seed: int, trial: int = 0, lane: int = 0) -> int:
+    """64-bit Philox key for one (master_seed, trial, lane) stream."""
+    # the chain's second step mixes in a zero; dropping it would change every key
+    k = splitmix64(splitmix64(master_seed & _MASK64))
     k = splitmix64(k ^ (trial & _MASK64))
     k = splitmix64(k ^ (lane & _MASK64))
     return k

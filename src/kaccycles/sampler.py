@@ -3,8 +3,8 @@
 Polynomial noise xi_m and the bivariate perturbation coefficients
 (alpha_{j,k}, beta_{j,k}) are drawn from counter-based streams
 (:mod:`kaccycles.philox`), so every value is a pure function of
-(master_seed, experiment, trial, lane, index) and results cannot depend on
-worker count or evaluation order.
+(master_seed, trial, lane, index) and results cannot depend on batching or
+evaluation order.
 
 The reduction from a degree-d perturbation to the coefficients c_m xi_m of
 the radial Melnikov polynomial is
@@ -31,8 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import philox
-from .coeffs import CoeffScheme, CoeffVector, _a0_anchor, _walk_even_row, coeff_vector, \
-    variance_lienard_many
+from .coeffs import _a0_anchor, _walk_even_row, variance_lienard_many
 from .errors import DomainError
 
 _INV_SQRT_8PI = 1.0 / math.sqrt(8.0 * math.pi)
@@ -58,7 +57,7 @@ class NoiseDistribution(enum.Enum):
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Addressed randomness: (master_seed, experiment, trial).
+    """Addressed randomness: (master_seed, trial).
 
     ``key(lane)`` names one counter stream of the trial; each sampler draws
     a block of its lane, and the index of a variate is its place in that
@@ -66,35 +65,22 @@ class SeedSpec:
     """
 
     master_seed: int
-    experiment: int = 0
     trial: int = 0
 
     def key(self, lane: int) -> int:
-        return philox.stream_key(self.master_seed, self.experiment, self.trial, lane)
+        return philox.stream_key(self.master_seed, self.trial, lane)
 
 
-@dataclass
-class RandomPoly:
-    """One realized polynomial sum c_m xi_m x^m with its provenance."""
+def noise_rows(dist: NoiseDistribution, n: int, master_seed: int, t0: int,
+               t1: int) -> np.ndarray:
+    """(t1 - t0, n + 1) noise xi_0 .. xi_n of trials [t0, t1), one row each.
 
-    coeffs: CoeffVector
-    noise: np.ndarray
-    realized: np.ndarray
-    dist: NoiseDistribution
-    seed: SeedSpec
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.n
-
-
-def sample_polynomial(scheme: CoeffScheme, dist: NoiseDistribution, n: int,
-                      seed: SeedSpec) -> RandomPoly:
-    """Realize f_n(x) = sum c_{m,n} xi_m x^m, xi_m the m-th LANE_XI variate."""
-    cv = coeff_vector(scheme, n)
-    noise = philox.variates_block(dist.value, seed.key(philox.LANE_XI), n + 1)
-    return RandomPoly(coeffs=cv, noise=noise, realized=cv.values * noise,
-                      dist=dist, seed=seed)
+    Row i is the LANE_XI block of trial t0 + i; the batch is one multi-key
+    draw, and a row does not depend on the batch it is drawn in.
+    """
+    keys = np.array([SeedSpec(master_seed, trial=t).key(philox.LANE_XI)
+                     for t in range(t0, t1)], dtype=np.uint64)
+    return philox.variates_block(dist.value, keys, n + 1)
 
 
 # ---------------------------------------------------------------------------

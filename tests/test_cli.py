@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -70,6 +71,15 @@ def test_sample_reproducible(capsys, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_sample_bytes_are_pinned(capsys):
+    # the one-trial batch draw of the sample command, byte for byte
+    code, out = run(capsys, "sample", "--scheme", "center", "--dist", "gauss",
+                    "--degree", "300", "--seed", "11")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1773ececd20628a6e2f2b6b04b05497ad7f2975bf88c4a506f6707992a2d6e40"
+
+
 def test_sample_requires_seed(capsys):
     assert dispatch(["sample", "--scheme", "center", "--dist", "gauss",
                      "--degree", "5"]) == 1
@@ -95,6 +105,19 @@ def test_count_sturm_method(capsys, tmp_path):
     assert row.split(",")[0] == "3"
 
 
+@pytest.mark.parametrize("method", ["companion", "sturm"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_count_rejects_non_finite_coefficients(capsys, tmp_path, method, bad):
+    # a bad coefficient file is a usage error under either method
+    for name, text in (("poly.csv", f"1.0\n{bad}\n1.0\n"),
+                       ("poly.json", '{"rows": [[0, 1.0], [1, "%s"]]}' % bad)):
+        f = tmp_path / name
+        f.write_text(text)
+        code = dispatch(["count", "--coeffs", str(f), "--method", method])
+        assert code == 1, (name, method, bad)
+        assert "finite" in capsys.readouterr().err
+
+
 def test_count_consumes_sample_output(capsys, tmp_path):
     f = tmp_path / "sample.csv"
     assert dispatch(["sample", "--scheme", "power:0", "--dist", "rademacher",
@@ -113,6 +136,21 @@ def test_kacrice_row(capsys):
     assert abs(asym - math.log(1000) / (2 * math.pi)) < 1e-9
     assert 0.5 < ratio < 2.0
     assert abs(ratio - value / asym) < 1e-12
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-1e-8", "inf"])
+def test_kacrice_rejects_tolerance(capsys, tol):
+    # refused before the first quadrature panel: a usage error, at once
+    code, out = run(capsys, "kac-rice", "--scheme", "center", "--degree", "1000",
+                    f"--tol={tol}")
+    assert code == 1 and out == ""
+
+
+def test_kacrice_below_degree_three_has_no_asymptotic(capsys):
+    code, out = run(capsys, "kac-rice", "--scheme", "center", "--degree", "2")
+    assert code == 0
+    row = [l for l in out.splitlines() if l and not l.startswith(("#", "region"))][0]
+    assert row.split(",")[3:] == ["", ""]
 
 
 def test_kacrice_takes_every_region(capsys):
@@ -169,6 +207,15 @@ def test_experiment_with_degree_zero_writes_every_file(capsys, tmp_path):
         for tag in ("logn", "sqrtlogn"):
             lines = (out_dir / f"plot_{region}_{tag}.csv").read_text().splitlines()
             assert len(lines) == 4, (region, tag)
+
+
+def test_experiment_rejects_negative_degree(capsys, tmp_path):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("scheme = center\ndist = gauss\ndegrees = -1\n"
+                   "regions = 01\ntrials = 64\nmaster_seed = 3\n")
+    assert dispatch(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "nonnegative" in capsys.readouterr().err
 
 
 def test_experiment_requires_seed(capsys, tmp_path):

@@ -38,14 +38,14 @@ def test_constant_polynomial_has_no_roots():
 def test_sweep_zero_row_is_a_failure(monkeypatch):
     # the zero polynomial has no root count: its trial is NaN, not 0, and the
     # point checks at 0, 1 and -1 must not count it
-    drawn = experiment._realized_batch
+    drawn = experiment.noise_rows
 
     def zero_first_row(*args):
-        realized = drawn(*args)
-        realized[0] = 0.0
-        return realized
+        noise = drawn(*args)
+        noise[0] = 0.0
+        return noise
 
-    monkeypatch.setattr(experiment, "_realized_batch", zero_first_row)
+    monkeypatch.setattr(experiment, "noise_rows", zero_first_row)
     monkeypatch.setattr(experiment, "_batch_rows", lambda n: 4)
     res = run_experiment(small_config(degrees=[20], regions=["01", "pos", "neg", "R"],
                                       trials=8))
@@ -61,14 +61,14 @@ def test_small_degree_counts_equal_the_companion_oracle(monkeypatch, root_at_zer
     # the same row.  With c_0 = 0 every row has a root at x = 0, which the
     # point check counts once and no span does; at degree 0 that row is the
     # zero polynomial, NaN in every region
-    drawn = experiment._realized_batch
+    drawn = experiment.noise_rows
     if root_at_zero:
         def drawn_with_c0_zero(*args):
-            realized = drawn(*args)
-            realized[:, 0] = 0.0
-            return realized
+            noise = drawn(*args)
+            noise[:, 0] = 0.0
+            return noise
 
-        monkeypatch.setattr(experiment, "_realized_batch", drawn_with_c0_zero)
+        monkeypatch.setattr(experiment, "noise_rows", drawn_with_c0_zero)
         cases = [(CoeffScheme.perturbed_center(), NoiseDistribution.GAUSSIAN)]
     else:
         cases = [(scheme, dist) for scheme in (CoeffScheme.perturbed_center(),
@@ -80,8 +80,8 @@ def test_small_degree_counts_equal_the_companion_oracle(monkeypatch, root_at_zer
                            regions=regions, trials=64)
         res = run_experiment(cfg)
         for n in degrees:
-            rows = experiment._realized_batch(scheme, dist, n, cfg.master_seed,
-                                              0, cfg.trials)
+            rows = experiment.noise_rows(dist, n, cfg.master_seed, 0, cfg.trials) \
+                * coeff_vector(scheme, n).values
             for r in regions:
                 want = []
                 for row in rows:
@@ -228,6 +228,10 @@ def test_config_validation():
         small_config(degrees=[])
     with pytest.raises(DomainError):
         small_config(regions=["everywhere"])
+    # degree 0 is the constant polynomial; below it there is no polynomial
+    with pytest.raises(DomainError, match="nonnegative"):
+        small_config(degrees=[5, -1])
+    small_config(degrees=[0])
 
 
 def test_parse_config_file(tmp_path):

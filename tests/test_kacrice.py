@@ -21,6 +21,21 @@ def test_gk_weights_sum_to_two():
     assert abs(K._WG_FULL.sum() - 2.0) < 1e-14
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_quadrature_rejects_tolerance_outside_open_half_line(tol):
+    # no panel count meets a tolerance of 0 (or NaN): the call is refused
+    # before the first panel, not after the panel limit
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0
+
+    with pytest.raises(DomainError, match="tolerance"):
+        K.adaptive_gauss_kronrod(f, 0.0, 1.0, tol)
+    assert calls == []
+
+
 def test_quadrature_known_integrals():
     v, e = K.adaptive_gauss_kronrod(math.exp, 0.0, 1.0, 1e-12)
     assert abs(v - (math.e - 1.0)) < 1e-12 and e < 1e-10
@@ -358,3 +373,8 @@ def test_asymptotic_prediction_values():
     assert abs(a - math.sqrt(2.0) * math.log(10**5) / (2 * math.pi)) < 1e-12
     with pytest.raises(DomainError):
         K.asymptotic_prediction(0.0, "nowhere", 100)
+    # no prediction below n = 3, in any region; an unknown region is still an error
+    for n in (0, 1, 2):
+        assert all(K.asymptotic_prediction(0.0, r, n) is None for r in K.REGIONS)
+        with pytest.raises(DomainError):
+            K.asymptotic_prediction(0.0, "nowhere", n)

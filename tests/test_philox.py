@@ -17,7 +17,7 @@ def test_known_answer_vector():
 
 
 def test_block_matches_indexed_access():
-    key = philox.stream_key(42, 1, 7, 0)
+    key = philox.stream_key(42, 7, 0)
     for dist in ("gaussian", "rademacher", "uniform"):
         block = philox.variates_block(dist, key, 37, start=5)
         indexed = philox.variates_at(dist, key, np.arange(5, 42))
@@ -28,8 +28,8 @@ def test_block_matches_indexed_access():
 
 
 def test_streams_disjoint_and_deterministic():
-    k1 = philox.stream_key(1, 0, 0, 0)
-    k2 = philox.stream_key(1, 0, 1, 0)
+    k1 = philox.stream_key(1, 0, 0)
+    k2 = philox.stream_key(1, 1, 0)
     a = philox.variates_block("gaussian", k1, 100)
     b = philox.variates_block("gaussian", k2, 100)
     assert not np.array_equal(a, b)
@@ -67,8 +67,8 @@ def test_moments_million_draws(dist, fourth):
 GOLDEN_KEYS = {
     "zero": 0,
     "all-ones": 0xFFFFFFFFFFFFFFFF,
-    "s1": philox.stream_key(1, 0, 373, philox.LANE_XI),
-    "s70812": philox.stream_key(70812, 0, 4, philox.LANE_PERT),
+    "s1": philox.stream_key(1, 373, philox.LANE_XI),
+    "s70812": philox.stream_key(70812, 4, philox.LANE_PERT),
 }
 
 # (start, count): counts of 1 and 2, odd starts, ranges straddling every
@@ -152,7 +152,7 @@ def test_golden_scattered_indices(dist, key_name):
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
 @pytest.mark.parametrize("start,count", [(0, 101), (3, 1), (1, 2), (5, 40001)])
 def test_multi_key_rows_equal_per_key_blocks(dist, start, count):
-    keys = [philox.stream_key(7, 0, t, philox.LANE_XI) for t in range(5)] + [0, 2**64 - 1]
+    keys = [philox.stream_key(7, t, philox.LANE_XI) for t in range(5)] + [0, 2**64 - 1]
     got = philox.variates_block(dist, np.array(keys, dtype=np.uint64), count, start)
     assert got.shape == (len(keys), count)
     for row, key in zip(got, keys):
@@ -176,12 +176,12 @@ def test_multi_key_words_equal_per_key_words():
 @pytest.mark.parametrize("dist", ["gaussian", "uniform", "rademacher"])
 @pytest.mark.parametrize("keys,start,count", [
     # one key: many whole tiles, then a ragged last tile, from an odd start
-    (philox.stream_key(3, 0, 1, philox.LANE_PERT), 7, 5 * philox.CHUNK + 1001),
+    (philox.stream_key(3, 1, philox.LANE_PERT), 7, 5 * philox.CHUNK + 1001),
     # many keys stacked several to a tile, the last tile holding fewer
-    (np.array([philox.stream_key(3, 0, t) for t in range(37)] + [0, 2**64 - 1],
+    (np.array([philox.stream_key(3, t) for t in range(37)] + [0, 2**64 - 1],
               dtype=np.uint64), 5, 1999),
     # a few long rows, each cut into several tiles
-    (np.array([philox.stream_key(3, 1, t) for t in range(3)], dtype=np.uint64),
+    (np.array([philox.stream_key(3, t, 1) for t in range(3)], dtype=np.uint64),
      philox.CHUNK + 3, 3 * philox.CHUNK + 17),
 ])
 def test_block_does_not_depend_on_thread_count(monkeypatch, dist, keys, start, count):
@@ -196,7 +196,7 @@ def test_block_does_not_depend_on_thread_count(monkeypatch, dist, keys, start, c
 def test_block_under_thread_stress(monkeypatch):
     # more shares than cores, and a thread switch every few microseconds:
     # the shares write disjoint parts of one output and must not lose any
-    keys = np.array([philox.stream_key(5, 0, t) for t in range(2)], dtype=np.uint64)
+    keys = np.array([philox.stream_key(5, t) for t in range(2)], dtype=np.uint64)
     count = 6 * philox.CHUNK + 5
     monkeypatch.setattr(philox, "_THREADS", 1)
     want = philox.variates_block("gaussian", keys, count, 3)

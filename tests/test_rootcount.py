@@ -12,7 +12,7 @@ from kaccycles.experiment import ExperimentConfig, run_experiment
 from kaccycles.kacrice import REGIONS, _reversed_values, region_interval
 from kaccycles.rootcount import (Interval, count_in_interval, real_roots,
                                  sturm_count, sweep_roots)
-from kaccycles.sampler import NoiseDistribution, SeedSpec, sample_polynomial
+from kaccycles.sampler import NoiseDistribution, noise_rows
 
 
 @pytest.mark.parametrize("module", [kacrice, rootcount], ids=lambda m: m.__name__)
@@ -184,6 +184,11 @@ def _companion_counts(c, *intervals):
                     if iv.contains(r))) for iv in intervals]
 
 
+def _realized(scheme, dist, n, seed, t0, t1):
+    """Realized coefficient rows c_m xi_m of trials [t0, t1)."""
+    return noise_rows(dist, n, seed, t0, t1) * coeff_vector(scheme, n).values
+
+
 def _sides(c):
     """sweep_roots' counts in (0, 1) and in (1, inf)."""
     x = sweep_roots(c)[0]
@@ -193,23 +198,20 @@ def _sides(c):
 def test_sweep_matches_companion_on_realized_ensembles():
     # exact agreement on both sides for the scheme the Monte Carlo runs use
     scheme = CoeffScheme.perturbed_center()
-    for trial in range(120):
-        p = sample_polynomial(scheme, NoiseDistribution.GAUSSIAN, 400,
-                              SeedSpec(31415, trial=trial))
-        in01, in1inf = _companion_counts(p.realized, Interval(0, 1),
-                                         Interval(1, math.inf))
-        assert _sides(p.realized) == (in01, in1inf), trial
+    rows = _realized(scheme, NoiseDistribution.GAUSSIAN, 400, 31415, 0, 120)
+    for trial, realized in enumerate(rows):
+        in01, in1inf = _companion_counts(realized, Interval(0, 1), Interval(1, math.inf))
+        assert _sides(realized) == (in01, in1inf), trial
 
 
 def test_sweep_matches_companion_other_schemes():
     for scheme, dist in ((CoeffScheme.power_law(0.0), NoiseDistribution.RADEMACHER),
                          (CoeffScheme.power_law(-1.0), NoiseDistribution.GAUSSIAN),
                          (CoeffScheme.power_law(0.5), NoiseDistribution.UNIFORM_SYM)):
-        for trial in range(40):
-            p = sample_polynomial(scheme, dist, 300, SeedSpec(27182, trial=trial))
-            in01, in1inf = _companion_counts(p.realized, Interval(0, 1),
+        for realized in _realized(scheme, dist, 300, 27182, 0, 40):
+            in01, in1inf = _companion_counts(realized, Interval(0, 1),
                                              Interval(1, math.inf))
-            assert _sides(p.realized) == (in01, in1inf)
+            assert _sides(realized) == (in01, in1inf)
 
 
 def test_sweep_root_at_zero_is_outside_the_spans():
@@ -442,7 +444,7 @@ def test_sweep_counts_do_not_depend_on_the_grid_step(monkeypatch, dist):
     for step in (0.02, 0.04, 0.08, 0.16):
         monkeypatch.setattr(rootcount, "SWEEP_STEP", step)
         for n in (10, 64, 1000):
-            c = experiment._realized_batch(scheme, dist, n, 41, 0, 12)
+            c = _realized(scheme, dist, n, 41, 0, 12)
             c = np.concatenate([c, [P.polymul(row, pair) for row in c[:4, :-2]]])
             t = rootcount.sweep_grid(n, extra_points=[0.7, 2.3])
             lo, hi = int(np.searchsorted(t, 0.7)), int(np.searchsorted(t, 2.3))
@@ -500,11 +502,10 @@ def test_double_root_at_one_counts_as_sturm(monkeypatch):
     row = np.array([-1.0, 1.0, 1.0, -1.0])
     rep = real_roots(row)
     assert list(rep.roots) == [-1.0, 1.0] and list(rep.multiplicities) == [1, 2]
-    monkeypatch.setattr(experiment, "_realized_batch", lambda *args: row[None, :].copy())
-    swept = experiment._count_batch(CoeffScheme.power_law(0.0),
-                                    NoiseDistribution.RADEMACHER, 3,
-                                    _POINT_REGIONS, 1, 0, 1,
-                                    experiment._sweep_grid(_POINT_REGIONS, 3))
+    monkeypatch.setattr(experiment, "noise_rows", lambda *args: row[None, :].copy())
+    swept = experiment._count_batch(experiment._sweep_plan(_POINT_REGIONS, 3),
+                                    coeff_vector(CoeffScheme.power_law(0.0), 3),
+                                    NoiseDistribution.RADEMACHER, 1, 0, 1)
     for r in _POINT_REGIONS:
         iv = region_interval(r, 3)
         want = sturm_count([-1, 1, 1, -1], iv)
@@ -520,7 +521,7 @@ def test_flat_rademacher_counts_equal_sturm_per_trial(counter, n):
     # the Sturm count of every row
     scheme, dist = CoeffScheme.power_law(0.0), NoiseDistribution.RADEMACHER
     trials = 64
-    rows = experiment._realized_batch(scheme, dist, n, 7, 0, trials)
+    rows = _realized(scheme, dist, n, 7, 0, trials)
     if counter == "sweep":
         res = run_experiment(ExperimentConfig(scheme=scheme, dist=dist, degrees=[n],
                                               regions=list(REGIONS), trials=trials,

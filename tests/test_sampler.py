@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from kaccycles import philox, sampler
-from kaccycles.coeffs import (CoeffScheme, trig_moment, trig_moment_even_row,
-                              variance_center_many, variance_lienard_many)
+from kaccycles.coeffs import (trig_moment, trig_moment_even_row, variance_center_many,
+                              variance_lienard_many)
 from kaccycles.errors import DomainError
 from kaccycles.sampler import (NoiseDistribution, PerturbationCoefficients,
                                SeedSpec, melnikov_noise_from_lienard,
-                               melnikov_noise_from_perturbation, pair_count,
-                               pair_rank, sample_polynomial)
+                               melnikov_noise_from_perturbation, noise_rows,
+                               pair_count, pair_rank)
 
 G = NoiseDistribution.GAUSSIAN
 R = NoiseDistribution.RADEMACHER
@@ -19,11 +19,11 @@ U = NoiseDistribution.UNIFORM_SYM
 
 
 def test_draw_supports_and_determinism():
-    # xi_index of a trial is entry `index` of sample_polynomial's noise
+    # xi_index of a trial is entry `index` of its noise row
     def draw(dist, seed, index):
-        return sample_polynomial(CoeffScheme.power_law(0.0), dist, index, seed).noise[index]
+        return noise_rows(dist, index, seed.master_seed, seed.trial, seed.trial + 1)[0, index]
 
-    s = SeedSpec(99, experiment=1, trial=5)
+    s = SeedSpec(99, trial=5)
     assert draw(R, s, 3) in (-1.0, 1.0)
     assert abs(draw(U, s, 3)) <= math.sqrt(3.0)
     assert draw(G, s, 3) == draw(G, s, 3)
@@ -31,20 +31,32 @@ def test_draw_supports_and_determinism():
     assert draw(G, s, 3) == philox.variates_at("gaussian", s.key(philox.LANE_XI), np.array([3]))[0]
 
 
-def test_sample_polynomial_deterministic_and_prefix_stable():
-    seed = SeedSpec(7, trial=2)
-    a = sample_polynomial(CoeffScheme.power_law(0.0), G, 50, seed)
-    b = sample_polynomial(CoeffScheme.power_law(0.0), G, 50, seed)
-    assert np.array_equal(a.realized, b.realized)
-    assert np.array_equal(a.realized, a.coeffs.values * a.noise)
+def test_noise_rows_deterministic_and_prefix_stable():
+    a = noise_rows(G, 50, 7, 2, 3)
+    b = noise_rows(G, 50, 7, 2, 3)
+    assert a.shape == (1, 51) and np.array_equal(a, b)
     # same stream prefix independent of the requested degree
-    c = sample_polynomial(CoeffScheme.power_law(0.0), G, 20, seed)
-    assert np.array_equal(a.noise[:21], c.noise)
+    c = noise_rows(G, 20, 7, 2, 3)
+    assert np.array_equal(a[:, :21], c)
+
+
+@pytest.mark.parametrize("dist", [G, R, U], ids=lambda d: d.value)
+@pytest.mark.parametrize("t0,t1", [(0, 1), (0, 5), (3, 4), (17, 29), (1000, 1003)])
+def test_noise_rows_equal_one_trial_draws(dist, t0, t1):
+    # row i of a batch is the one-trial draw of trial t0 + i, the LANE_XI
+    # block of that trial's stream
+    n = 40
+    rows = noise_rows(dist, n, 2025, t0, t1)
+    assert rows.shape == (t1 - t0, n + 1)
+    for i, row in enumerate(rows):
+        one = noise_rows(dist, n, 2025, t0 + i, t0 + i + 1)[0]
+        assert row.tobytes() == one.tobytes()
+        key = SeedSpec(2025, trial=t0 + i).key(philox.LANE_XI)
+        assert row.tobytes() == philox.variates_block(dist.value, key, n + 1).tobytes()
 
 
 def test_rademacher_degree_zero_support():
-    p = sample_polynomial(CoeffScheme.power_law(0.0), R, 0, SeedSpec(3))
-    assert p.realized[0] in (-1.0, 1.0)
+    assert noise_rows(R, 0, 3, 0, 1)[0, 0] in (-1.0, 1.0)
 
 
 def test_realized_variance_bands():
@@ -53,8 +65,7 @@ def test_realized_variance_bands():
     picks = np.array([0, 500, 1000])
     acc = np.empty((trials, len(picks)))
     for t in range(trials):
-        p = sample_polynomial(CoeffScheme.power_law(0.0), G, n, SeedSpec(404, trial=t))
-        acc[t] = p.realized[picks]
+        acc[t] = noise_rows(G, n, 404, t, t + 1)[0, picks]
     v = acc.var(axis=0)
     assert np.all(v > 0.95) and np.all(v < 1.05), v
 
