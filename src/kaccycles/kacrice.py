@@ -278,14 +278,19 @@ def _gk_panel(f, a: float, b: float):
     return integral, err
 
 
+def _check_tol(tol: float):
+    """No panel count meets a tolerance of 0: ``tol`` must lie in (0, inf)."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"quadrature tolerance must be in (0, inf), got {tol!r}")
+
+
 def adaptive_gauss_kronrod(f, a: float, b: float, tol: float,
                            max_panels: int = _MAX_PANELS):
     """Adaptive G7K15 on [a, b]; returns (integral, error_estimate).
 
     ``tol`` must lie in (0, inf): no panel count meets a tolerance of 0.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"quadrature tolerance must be in (0, inf), got {tol!r}")
+    _check_tol(tol)
     if b <= a:
         return 0.0, 0.0
     panels = [(a, b, *_gk_panel(f, a, b))]
@@ -370,8 +375,10 @@ def expected_roots_gaussian_with_error(coeffs, interval, quad_tol: float = 1e-8)
 
     The interval is cut by ``split_interval``; pieces inside (1, inf)
     evaluate the reversed coefficients d_m = c_{n-m}/c_n, and each distinct
-    piece is integrated once.
+    piece is integrated once.  ``quad_tol`` is checked even when the
+    interval holds no piece.
     """
+    _check_tol(quad_tol)
     return _sum_pieces(_coeff_values(coeffs), split_interval(interval)[0],
                        quad_tol, {})
 
@@ -435,8 +442,10 @@ def expected_roots_regions(coeffs, regions, quad_tol: float = 1e-8) -> dict:
     """(value, error) for each named region preset.
 
     The regions share their pieces: each distinct piece is integrated once
-    for all of them.
+    for all of them.  ``quad_tol`` is checked before the regions are split,
+    so it is refused at every degree, also where a region is empty.
     """
+    _check_tol(quad_tol)
     values = _coeff_values(coeffs)
     n = len(values) - 1
     done: dict = {}

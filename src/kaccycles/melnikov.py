@@ -26,9 +26,11 @@ Dormand-Prince 5(4) pair, so P(r0) is r at phi = 2 pi and no section
 crossing has to be located.  Every radius of a grid is one lane of a single
 vector integration, and each lane carries its own eps, so two eps levels
 share one integration; the sign changes of P(r) - r give each level's
-count.  Those of the reported level are refined together, each round
-integrating the Illinois point of regula falsi and two guard probes around
-it in one call (Dowell & Jarratt, BIT 11, 1971).
+count.  Those of the reported level are refined together.  Lanes are cheap
+next to the per-step work, so each round integrates about a dozen probes
+per bracket in one call: the zero of the cubic through the nearest known
+points, a geometric ladder around it, and the quarter points of the
+bracket.  A fixed point then takes two or three rounds.
 """
 
 from __future__ import annotations
@@ -323,56 +325,116 @@ def _brackets(gv: np.ndarray) -> np.ndarray:
         return ~np.isnan(ga) & ~np.isnan(gb) & (ga != 0.0) & ~(ga * gb > 0.0)
 
 
+# _fixed_points: a bracket narrower than _STOP max(1, r) is done; probes sit at
+# c -+ delta _LADDER and at the _FRACTIONS of the bracket
+_STOP = 1e-10
+_LADDER = 4.0 ** np.arange(5)[:, None]
+_FRACTIONS = np.array([0.25, 0.5, 0.75])[:, None]
+
+
+def _centers(w: np.ndarray, f: np.ndarray):
+    """(c, s) for the brackets [a, b] of the columns of w = (left, a, b, right).
+
+    f holds g at those nodes; a neighbour is used when its g is a number
+    and it lies outside [a, b].  s is the regula falsi point of [a, b] (the
+    midpoint when that is not inside), and c the zero in (a, b) of the
+    polynomial through a, b and the usable neighbours: a cubic in Newton's
+    divided-difference form, found by Newton steps on the polynomial, each
+    kept inside the polynomial's own sign-change bracket and a bisection
+    where it would leave it.  c falls back to s when no zero is found.
+    """
+    left, a, b, right = w
+    fl, fa, fb, fr = f
+    with np.errstate(all="ignore"):
+        has_l = np.isfinite(fl) & (left < a)
+        has_r = np.isfinite(fr) & (right > b)
+        s = (a * fb - b * fa) / (fb - fa)
+        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
+        # nodes a, b, u, v: u is the left neighbour if usable, else the right
+        u = np.where(has_l, left, np.where(has_r, right, 0.0))
+        fu = np.where(has_l, fl, fr)
+        v, fv = np.where(has_r, right, 0.0), fr
+        d_ab = (fb - fa) / (b - a)
+        d_bu = (fu - fb) / (u - b)
+        d_abu = (d_bu - d_ab) / (u - a)
+        d_buv = ((fv - fu) / (v - u) - d_bu) / (v - b)
+        c2 = np.where(has_l | has_r, d_abu, 0.0)
+        c3 = np.where(has_l & has_r, (d_buv - d_abu) / (v - a), 0.0)
+        lo, hi, x = a, b, s
+        for _ in range(8):
+            q = c2 + c3 * (x - u)
+            p = fa + (x - a) * (d_ab + (x - b) * q)
+            dp = d_ab + (x - b) * q + (x - a) * (q + (x - b) * c3)
+            same = p * fa > 0.0
+            lo, hi = np.where(same, x, lo), np.where(same, hi, x)
+            step = x - p / dp
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            x = np.where(p == 0.0, x, step)
+    c = np.where((x > a) & (x < b), x, s)
+    return c, s
+
+
 def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
                   gv: np.ndarray) -> np.ndarray:
     """One fixed point of the return map per bracket of gv on the grid rs.
 
-    All brackets are refined together.  Each round integrates three points
-    per bracket [a, b] in one _returns call: the Illinois point c of regula
-    falsi (an end kept twice in a row has its g halved) and two guard
-    probes c -+ delta, delta = min(min(c - a, b - c) / 4, |c - c_prev| / 10),
-    where c_prev is the last round's c (at first, the bracket's midpoint).
-    Once c converges, the fixed point lies between the probes and the
-    bracket shrinks to their width.  The new bracket is the first interval
-    of the five sorted points that changes sign by the rule of _brackets.
-    A bracket stops at a point where g is exactly zero, which it reports;
-    or when it is narrower than 1e-10 max(1, b), or when NaN values of g
-    leave no sign-change interval, and then it reports its midpoint.
+    All brackets are refined together, and each round integrates all their
+    probes in one _returns call.  A bracket [a, b] is probed at:
+
+    - its center c, the zero of the cubic through the up-to-four points
+      around it (the grid values at first, then the last round's sorted
+      points), with regula falsi as the fallback (see _centers);
+    - the ladder c -+ delta {1, 4, 16, 64, 256}, where delta = |c - s| / 16
+      for the regula falsi point s (the ladder spans |c - s| / 16 to
+      16 |c - s|), and never below a fifth of the stop width;
+    - a + (b - a) {1/4, 1/2, 3/4}, so that each round shrinks the bracket
+      at least fourfold.
+
+    Probes outside (a, b) are not integrated.  The new bracket is the first
+    interval of the sorted points that changes sign by the rule of
+    _brackets.  A bracket stops at a point where g is exactly zero, which it
+    reports; or when it is narrower than the stop width 1e-10 max(1, b), or
+    when NaN values of g leave no sign-change interval, and then it reports
+    its midpoint.
     """
-    sel = _brackets(gv)
-    a, b, ga, gb = rs[:-1][sel], rs[1:][sel], gv[:-1][sel], gv[1:][sel]
-    root = np.full(a.size, np.nan)
-    side = np.zeros(a.size, dtype=int)   # -1: a moved last, +1: b moved last, 0: both
-    c_prev = 0.5 * (a + b)
-    act = np.arange(a.size)
+    sel = np.flatnonzero(_brackets(gv))
+    nodes = np.arange(4)[:, None]
+    # each bracket's window: left neighbour, a, b, right neighbour
+    w = np.pad(rs, 1, constant_values=np.nan)[sel + nodes]
+    f = np.pad(gv, 1, constant_values=np.nan)[sel + nodes]
+    root = np.full(sel.size, np.nan)
+    act = np.arange(sel.size)
     for _ in range(40):
         if not act.size:
             break
-        aa, bb, fa, fb, sd = a[act], b[act], ga[act], gb[act], side[act]
-        c = (aa * fb - bb * fa) / (fb - fa)
-        c = np.where((c > aa) & (c < bb), c, 0.5 * (aa + bb))
-        delta = np.minimum(0.25 * np.minimum(c - aa, bb - c), 0.1 * np.abs(c - c_prev[act]))
-        c_prev[act] = c
-        probes = np.concatenate([c - delta, c, c + delta])
-        gp = (_returns(field, eps, probes)[0] - probes).reshape(3, act.size)
-        pts = np.vstack([aa, probes.reshape(3, act.size), bb])
+        a, b, fa, fb = w[1, act], w[2, act], f[1, act], f[2, act]
+        c, s = _centers(w[:, act], f[:, act])
+        delta = np.maximum(np.abs(c - s) / 16.0, _STOP / 5.0 * np.maximum(1.0, b))
+        probes = np.vstack([c, c - delta * _LADDER, c + delta * _LADDER,
+                            a + (b - a) * _FRACTIONS])
+        inside = (probes > a) & (probes < b)
+        gp = np.full(probes.shape, np.nan)
+        gp[inside] = _returns(field, eps, probes[inside])[0] - probes[inside]
+        # probes outside (a, b) sort past b, where their NaN changes no sign
+        pts = np.vstack([a, np.where(inside, probes, np.inf), b])
         vals = np.vstack([fa, gp, fb])
+        order = np.argsort(pts, axis=0)
+        pts = np.take_along_axis(pts, order, axis=0)
+        vals = np.take_along_axis(vals, order, axis=0)
         change = _brackets(vals)
         found = change.any(axis=0)
         i = np.argmax(change, axis=0)
         col = np.arange(act.size)
-        lo, hi, glo, ghi = pts[i, col], pts[i + 1, col], vals[i, col], vals[i + 1, col]
-        nan, zero = ~found, found & (ghi == 0.0)
-        root[act[nan]] = 0.5 * (aa + bb)[nan]
+        w[:, act] = np.pad(pts, ((1, 1), (0, 0)), constant_values=np.nan)[i + nodes, col]
+        f[:, act] = np.pad(vals, ((1, 1), (0, 0)), constant_values=np.nan)[i + nodes, col]
+        lo, hi = w[1, act], w[2, act]
+        nan, zero = ~found, found & (f[2, act] == 0.0)
+        root[act[nan]] = 0.5 * (a + b)[nan]
         root[act[zero]] = hi[zero]
-        glo = np.where((i == 0) & (sd == 1), 0.5 * glo, glo)
-        ghi = np.where((i == 3) & (sd == -1), 0.5 * ghi, ghi)
-        a[act], b[act], ga[act], gb[act] = lo, hi, glo, ghi
-        side[act] = np.where(i == 0, 1, np.where(i == 3, -1, 0))
-        narrow = (hi - lo < 1e-10 * np.maximum(1.0, hi)) & ~(nan | zero)
+        narrow = (hi - lo < _STOP * np.maximum(1.0, hi)) & ~(nan | zero)
         root[act[narrow]] = 0.5 * (lo + hi)[narrow]
         act = act[~(nan | zero | narrow)]
-    root[act] = 0.5 * (a[act] + b[act])
+    root[act] = 0.5 * (w[1, act] + w[2, act])
     return root
 
 

@@ -146,6 +146,14 @@ def test_kacrice_rejects_tolerance(capsys, tol):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "-1e-8"])
+def test_kacrice_rejects_tolerance_where_the_region_is_empty(capsys, tol):
+    # In is empty at degree 5: no panel runs, and the tolerance is refused
+    code, out = run(capsys, "kac-rice", "--scheme", "center", "--degree", "5",
+                    "--region", "In", f"--tol={tol}")
+    assert code == 1 and out == ""
+
+
 def test_kacrice_below_degree_three_has_no_asymptotic(capsys):
     code, out = run(capsys, "kac-rice", "--scheme", "center", "--degree", "2")
     assert code == 0

@@ -36,6 +36,21 @@ def test_quadrature_rejects_tolerance_outside_open_half_line(tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_region_counts_reject_tolerance_at_every_degree(tol):
+    # In is empty at degree 5, so no piece of it reaches the quadrature; the
+    # tolerance is refused before the split there as at degree 100
+    assert K.split_interval(K.region_interval("In", 5))[0] == []
+    for n in (5, 100):
+        cv = coeff_vector(CoeffScheme.perturbed_center(), n)
+        with pytest.raises(DomainError, match="tolerance"):
+            K.expected_roots_region(cv, "In", tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            K.expected_roots_regions(cv, [], tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            K.expected_roots_gaussian_with_error(cv, Interval(0.5, 0.5), tol)
+
+
 def test_quadrature_known_integrals():
     v, e = K.adaptive_gauss_kronrod(math.exp, 0.0, 1.0, 1e-12)
     assert abs(v - (math.e - 1.0)) < 1e-12 and e < 1e-10

@@ -400,6 +400,23 @@ def _record_refinements(monkeypatch):
     return calls
 
 
+# trial None is van der Pol; count is what verify_cycles_ode reports
+@pytest.mark.parametrize("trial,count", [
+    (None, 1), (1, 1), (2, 1), (4, 1), (17, 2), (22, 1)])
+def test_reported_radii_are_sign_changes_of_g(monkeypatch, trial, count):
+    s = van_der_pol() if trial is None else _acceptance_12_system(trial)
+    levels = _record_refinements(monkeypatch)
+    rep = verify_cycles_ode(s, eps_start=1e-3 if trial is None else 1e-2)
+    assert rep.count == count
+    # g = P(r) - r of the reported level, the last one refined, changes sign
+    # across the stop width around each radius
+    w = 1e-10 * np.maximum(1.0, rep.radii)
+    r = np.concatenate([rep.radii - w, rep.radii + w])
+    g = melnikov._returns(melnikov._PolarField(s), levels[-1], r)[0] - r
+    below, above = np.split(g, 2)
+    assert np.all(below * above <= 0.0)
+
+
 def test_van_der_pol_refines_only_the_reported_level(monkeypatch):
     calls = _record_refinements(monkeypatch)
     rep = verify_cycles_ode(van_der_pol(), eps_start=1e-3)
@@ -450,43 +467,46 @@ def _refine_analytic(monkeypatch, g, rs):
     return melnikov._fixed_points(None, 1e-2, rs, g(rs)), len(calls)
 
 
-# On [1, 2] with g(1) = -1 and g(2) = 3 the first Illinois point is c = 1.25
-# and the first c_prev the midpoint 1.5, so the right guard probe sits at
-# c + min((c - 1) / 4, |c - 1.5| / 10).
-_RIGHT_PROBE = 1.25 + min(0.25 * 0.25, 0.1 * abs(1.25 - 1.5))
+# On [1, 2] with g(1) = -1 and g(2) = 3 and no grid point beside them, the
+# first center is the regula falsi point 1.25, the ladder around it spans
+# 256 times a fifth of the stop width (1e-8), and the quarter points of the
+# bracket are probes: 1.75 is one.
+_QUARTER_PROBE = 1.75
 _ONE_TO_TWO = np.array([1.0, 2.0])
 
 
-# illinois_calls: the _returns calls that one-point Illinois rounds, with
-# no guard probes, take on the same brackets
-@pytest.mark.parametrize("g,rs,roots,illinois_calls", [
+# max_calls: the _returns calls of this refinement; rounds of the Illinois
+# point with two guard probes took 1, 14, 23, 6 and 7, and one-point
+# Illinois rounds 1, 15, 24, 8 and 12
+@pytest.mark.parametrize("g,rs,roots,max_calls", [
     (lambda r: 0.3 - 0.25 * r, _ONE_TO_TWO, [1.2], 1),
     (lambda r: 40.0 * (r - 1.03) ** 3 + 0.02 * (r - 1.03), np.array([1.0, 1.5]),
-     [1.03], 15),
-    (lambda r: (r - 1.3) ** 3 + 1e-6 * (r - 1.3), _ONE_TO_TWO, [1.3], 24),
+     [1.03], 3),
+    (lambda r: (r - 1.3) ** 3 + 1e-6 * (r - 1.3), _ONE_TO_TWO, [1.3], 3),
     (lambda r: (r - 1.23) * (r - 1.57) * (r - 1.91), np.linspace(1.0, 2.0, 11),
-     [1.23, 1.57, 1.91], 8),
-    (_nan_on(_kinked(1.24), 1.26, 1.3), _ONE_TO_TWO, [1.24], 12),
+     [1.23, 1.57, 1.91], 3),
+    (_nan_on(_kinked(1.24), 1.26, 1.3), _ONE_TO_TWO, [1.24], 5),
 ], ids=["linear", "steep-cubic", "flat-cubic", "three-brackets", "nan-at-probe"])
 def test_probe_refinement_of_analytic_brackets(monkeypatch, g, rs, roots,
-                                               illinois_calls):
+                                               max_calls):
     got, calls = _refine_analytic(monkeypatch, g, rs)
     want = np.array(roots)
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
-    assert calls <= illinois_calls
+    assert calls <= max_calls
 
 
 def test_probe_refinement_reports_an_exact_zero_at_a_probe(monkeypatch):
-    # one round finds g = 0 at the right probe; one-point Illinois took 15
-    got, calls = _refine_analytic(monkeypatch, _kinked(_RIGHT_PROBE), _ONE_TO_TWO)
-    assert got.tolist() == [_RIGHT_PROBE] and calls == 1
+    # one round finds g = 0 at the probe 1.75; one-point Illinois took 15
+    got, calls = _refine_analytic(monkeypatch, _kinked(_QUARTER_PROBE), _ONE_TO_TWO)
+    assert got.tolist() == [_QUARTER_PROBE] and calls == 1
 
 
 def test_probe_refinement_stops_where_nan_hides_the_sign_change(monkeypatch):
-    # c = 1.25 and both probes fall in the NaN band around the root at 1.24:
-    # no interval of the five points changes sign, so the bracket reports
-    # its midpoint, as one-point Illinois did at a NaN
-    got, calls = _refine_analytic(monkeypatch, _nan_on(_kinked(1.24), 1.2, 1.3),
+    # every probe of the first round (1.25 -+ 1e-8, 1.5, 1.75) falls in the
+    # NaN band around the root at 1.24: no interval of the sorted points
+    # changes sign, so the bracket reports its midpoint, as one-point
+    # Illinois did at a NaN
+    got, calls = _refine_analytic(monkeypatch, _nan_on(_kinked(1.24), 1.2, 1.8),
                                   _ONE_TO_TWO)
     assert got.tolist() == [1.5] and calls == 1
 
