@@ -178,7 +178,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--dist", default="gauss")
     sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--epsilon-start", type=float, default=1e-2)
+    sp.add_argument("--epsilon-start", type=float, default=1e-3,
+                    help="first eps0 of the halving schedule, in (0, 1); radius r "
+                         "integrates with eps0 max(r, 1)^(1-d)")
     common(sp, seed_required=True)
     return p
 

@@ -23,14 +23,16 @@ not depend on s.
 The cross-validator writes the flow in the clockwise polar angle
 phi = -theta and integrates dr/dphi over phi in [0, 2 pi] with an embedded
 Dormand-Prince 5(4) pair, so P(r0) is r at phi = 2 pi and no section
-crossing has to be located.  Every radius of a grid is one lane of a single
-vector integration, and each lane carries its own eps, so two eps levels
-share one integration; the sign changes of P(r) - r give each level's
-count.  Those of the reported level are refined together.  Lanes are cheap
-next to the per-step work, so each round integrates about a dozen probes
-per bracket in one call: the zero of the cubic through the nearest known
-points, a geometric ladder around it, and the quarter points of the
-bracket.  A fixed point then takes two or three rounds.
+crossing has to be located.  The perturbation grows like eps r^(d-1)
+relative to r, so radius r gets eps(r) = eps0 max(r, 1)^(1-d), one lane of
+one vector integration each, and the count reads the sign changes of the
+scaled displacement (P(r) - r) / eps(r) = s M(r) / r + O(eps0), whose zeros
+tend to those of M as eps0 -> 0 (Han & Yu, Normal Forms, Melnikov Functions
+and Bifurcations of Limit Cycles, Springer 2012).  eps0 halves until two
+levels agree on the count, and only that level is refined: each round
+integrates about a dozen probes per bracket in one call (the zero of the
+cubic through the nearest known points, a geometric ladder around it, the
+bracket's quarter points), so a fixed point takes two or three rounds.
 """
 
 from __future__ import annotations
@@ -216,6 +218,7 @@ class _PolarField:
     """
 
     def __init__(self, sys: PerturbedSystem):
+        self.d = sys.pc.d                              # sets eps(r)
         if sys.kind == "center":
             alpha, beta = _coefficient_grids(sys.pc)
             self.pq = np.hstack([alpha, beta])         # (d+1, 2(d+1))
@@ -313,6 +316,16 @@ def poincare_return(sys: PerturbedSystem, r0: float) -> float:
     return float(out[0])
 
 
+def _displacement(field: _PolarField, eps0, r: np.ndarray) -> np.ndarray:
+    """(P(r) - r) / eps(r), with eps(r) = eps0 max(r, 1)^(1-d) per lane.
+
+    eps0 is a scalar or one value per lane; an escaping or non-returning
+    lane is NaN.
+    """
+    eps = eps0 * np.maximum(r, 1.0) ** (1 - field.d)
+    return (_returns(field, eps, r)[0] - r) / eps
+
+
 def _brackets(gv: np.ndarray) -> np.ndarray:
     """Mask of the grid cells where g changes sign.
 
@@ -374,12 +387,11 @@ def _centers(w: np.ndarray, f: np.ndarray):
     return c, s
 
 
-def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
-                  gv: np.ndarray) -> np.ndarray:
-    """One fixed point of the return map per bracket of gv on the grid rs.
+def _fixed_points(g, rs: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """One zero of g per bracket of gv = g(rs) on the grid rs.
 
-    All brackets are refined together, and each round integrates all their
-    probes in one _returns call.  A bracket [a, b] is probed at:
+    All brackets are refined together, and each round evaluates all their
+    probes in one call of g.  A bracket [a, b] is probed at:
 
     - its center c, the zero of the cubic through the up-to-four points
       around it (the grid values at first, then the last round's sorted
@@ -414,7 +426,7 @@ def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
                             a + (b - a) * _FRACTIONS])
         inside = (probes > a) & (probes < b)
         gp = np.full(probes.shape, np.nan)
-        gp[inside] = _returns(field, eps, probes[inside])[0] - probes[inside]
+        gp[inside] = g(probes[inside])
         # probes outside (a, b) sort past b, where their NaN changes no sign
         pts = np.vstack([a, np.where(inside, probes, np.inf), b])
         vals = np.vstack([fa, gp, fb])
@@ -438,12 +450,11 @@ def _fixed_points(field: _PolarField, eps: float, rs: np.ndarray,
     return root
 
 
-def _ode_grid(sys: PerturbedSystem):
-    """(rs, res): the radial grid of the ODE cross-check and its merge distance.
+def _ode_grid(sys: PerturbedSystem) -> np.ndarray:
+    """The radial grid of the ODE cross-check.
 
     The window spans the Melnikov radii, and the grid densifies when they sit
-    close together, so adjacent fixed points stay separated.  res is below
-    the grid spacing.
+    close together, so adjacent fixed points fall in separate cells.
     """
     radii_hint = count_bifurcating_cycles(sys).radii
     r_lo, r_hi = _ODE_WINDOW
@@ -455,35 +466,24 @@ def _ode_grid(sys: PerturbedSystem):
             if min_gap > 0.0:
                 grid = int(min(320, max(_ODE_GRID,
                                         math.ceil(4.0 * (r_hi - r_lo) / min_gap))))
-    rs = np.linspace(r_lo, r_hi, grid)
-    return rs, (r_hi - r_lo) / grid
-
-
-def _refined(field: _PolarField, eps: float, rs: np.ndarray, gv: np.ndarray,
-             res: float) -> np.ndarray:
-    """Sorted fixed points of one level; one within res of the last kept is dropped."""
-    merged = []
-    for r in sorted(_fixed_points(field, eps, rs, gv)):
-        if not merged or r - merged[-1] > res:
-            merged.append(r)
-    return np.array(merged)
+    return np.linspace(r_lo, r_hi, grid)
 
 
 def verify_cycles_ode(sys: PerturbedSystem,
-                      eps_start: float = 1e-2) -> LimitCycleReport:
+                      eps_start: float = 1e-3) -> LimitCycleReport:
     """Fixed points of the return map, stabilized over an eps schedule.
 
-    The schedule halves eps from eps_start, which must lie in (0, 1), down
-    to _EPS_FLOOR, and must hold at least two levels.  g(r) = P(r) - r is
-    evaluated on a radial grid; levels are integrated in pairs, the grid of
-    both levels as one batched integration with eps per lane, and the
-    stopping rule then reads them one level at a time.  A level's count is
-    its number of sign-change brackets of g; the schedule stops when the
-    count agrees on two consecutive levels.  Only the stabilized level,
-    which is reported, has its brackets refined to fixed points (and merged
-    within one grid cell), plus any level with brackets in adjacent cells,
-    the one case where the merge can change the count.  Escaping or
-    non-returning radii contribute no sign information.
+    The schedule halves eps0 from eps_start, which must lie in (0, 1), down
+    to _EPS_FLOOR, and must hold at least two levels.  At level eps0 the
+    radius r integrates with eps(r) = eps0 max(r, 1)^(1-d), so eps0 is the
+    relative size of the perturbation at every radius, and the scaled
+    displacement (P(r) - r) / eps(r) is evaluated on a radial grid.  Levels
+    are integrated in pairs, the grid of both as one batched integration
+    with eps per lane, and read one at a time.  A level's count is its
+    number of sign-change brackets; the schedule stops when two consecutive
+    levels agree, and only that level's brackets are refined to fixed
+    points, which it reports.  Escaping or non-returning radii contribute no
+    sign information.
     """
     if not 0.0 < eps_start < 1.0:
         raise DomainError(f"eps_start must lie in (0, 1), got {eps_start!r}")
@@ -495,25 +495,19 @@ def verify_cycles_ode(sys: PerturbedSystem,
     if len(schedule) < 2:
         raise DomainError(f"eps_start {eps_start:g} leaves fewer than two eps "
                           f"levels at or above {_EPS_FLOOR:g}")
-    rs, res = _ode_grid(sys)
+    rs = _ode_grid(sys)
     field = _PolarField(sys)
     prev_count = None
     for k in range(0, len(schedule), 2):
         pair = schedule[k:k + 2]
-        gvs = (_returns(field, np.repeat(pair, len(rs)), np.tile(rs, len(pair)))[0]
-               .reshape(len(pair), len(rs)) - rs)
+        gvs = _displacement(field, np.repeat(pair, len(rs)),
+                            np.tile(rs, len(pair))).reshape(len(pair), len(rs))
         for eps, gv in zip(pair, gvs):
             # one system per level: bench/spans.py counts eps levels through replace
             replace(sys, epsilon=eps)
-            sel = _brackets(gv)
-            # the grid spacing exceeds res, so only fixed points of brackets in
-            # adjacent cells can merge: only there can refinement change the count
-            radii = _refined(field, eps, rs, gv, res) \
-                if np.any(sel[:-1] & sel[1:]) else None
-            count = int(sel.sum()) if radii is None else len(radii)
+            count = int(_brackets(gv).sum())
             if count == prev_count:
-                if radii is None:
-                    radii = _refined(field, eps, rs, gv, res)
+                radii = _fixed_points(lambda r: _displacement(field, eps, r), rs, gv)
                 return LimitCycleReport(count, radii, np.ones(count, dtype=bool))
             prev_count = count
     raise NonConvergentError(

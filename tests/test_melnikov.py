@@ -339,7 +339,8 @@ def test_acceptance_12_trial_8_counts_one_cycle():
     pc = PerturbationCoefficients.sample_full(7, G, SeedSpec(70812, trial=8))
     s = PerturbedSystem("center", pc)
     assert count_bifurcating_cycles(s).count == 1
-    assert verify_cycles_ode(s).count == 1
+    rep = verify_cycles_ode(s)
+    assert rep.count == 1 and abs(rep.radii[0] - 2.07) <= 0.05
 
 
 def _acceptance_12_system(trial):
@@ -350,100 +351,96 @@ def _acceptance_12_system(trial):
     return PerturbedSystem("lienard", PerturbationCoefficients.sample_lienard(d, G, seed))
 
 
-def _merge_within(fixed, res):
-    merged = []
-    for r in sorted(fixed):
-        if not merged or r - merged[-1] > res:
-            merged.append(r)
-    return np.array(merged)
+def _record_levels(monkeypatch):
+    """Patch replace, called once per eps level read, to record each eps0."""
+    levels = []
+    replace_ = melnikov.replace
+
+    def counted(sys, **changes):
+        levels.append(changes["epsilon"])
+        return replace_(sys, **changes)
+
+    monkeypatch.setattr(melnikov, "replace", counted)
+    return levels
 
 
-def _refine_every_level(s, eps_start):
-    """The eps loop that refines and merges every level: (count, radii, levels)."""
-    rs, res = melnikov._ode_grid(s)
-    field = melnikov._PolarField(s)
-    prev, eps, levels = None, eps_start, 0
-    while True:
-        levels += 1
-        gv = melnikov._returns(field, eps, rs)[0] - rs
-        merged = _merge_within(melnikov._fixed_points(field, eps, rs, gv), res)
-        if prev is not None and prev == len(merged):
-            return len(merged), merged, levels
-        prev = len(merged)
-        eps *= 0.5
-
-
-# trial None is van der Pol; acceptance-12 trial 0 has no bracket, 2 one,
-# 4 one where Melnikov has two, 17 two, and 22 needs a third eps level
-@pytest.mark.parametrize("trial,eps_start,count,levels", [
-    (None, 1e-3, 1, 2), (0, 1e-2, 0, 2), (2, 1e-2, 1, 2), (4, 1e-2, 1, 2),
-    (17, 1e-2, 2, 2), (22, 1e-2, 1, 3)])
-def test_bracket_counts_match_refining_every_level(trial, eps_start, count, levels):
+# trial None is van der Pol; acceptance-12 trial 0 has no cycle, 2 one, 4
+# two (0.598 and 4.445), 8 one at 2.07, 17 two (0.934 and 1.111), 22 one at
+# 3.888 and 32 one at 2.374.  Every case reads two eps levels.
+@pytest.mark.parametrize("trial", [None, 0, 2, 4, 8, 17, 22, 32])
+def test_ode_counts_and_radii_match_melnikov(monkeypatch, trial):
     s = van_der_pol() if trial is None else _acceptance_12_system(trial)
-    want_count, want_radii, want_levels = _refine_every_level(s, eps_start)
-    got = verify_cycles_ode(s, eps_start=eps_start)
-    assert (want_count, want_levels) == (count, levels)
-    assert got.count == want_count
-    assert got.radii.tobytes() == want_radii.tobytes()
+    mel = count_bifurcating_cycles(s)
+    read = _record_levels(monkeypatch)
+    rep = verify_cycles_ode(s)
+    assert rep.count == mel.count
+    assert np.all(np.abs(rep.radii - mel.radii) <= 0.05)
+    assert len(read) == 2
 
 
-def _record_refinements(monkeypatch):
-    """Patch _fixed_points to record the eps of every call."""
-    calls = []
-    fixed_points = melnikov._fixed_points
+# trial None is van der Pol (d = 3); acceptance-12 trials 4 and 22 have
+# d = 5, trial 8 has d = 7
+@pytest.mark.parametrize("trial", [None, 4, 8, 22])
+def test_scaled_displacement_matches_melnikov(trial):
+    # (P(r) - r) / eps(r) = s M(r) / r + O(eps0) with eps(r) = eps0
+    # max(r, 1)^(1-d); the O(eps0) term grows like max(r, 1)^d, as M(r) / r
+    s = van_der_pol() if trial is None else _acceptance_12_system(trial)
+    mp = build_melnikov(s)
+    r = np.array([0.5, 1.0, 2.0, 3.0, 4.5])
+    got = melnikov._displacement(melnikov._PolarField(s), 1e-4, r)
+    want = mp.ode_sign * np.array([mp.value(x) for x in r]) / r
+    assert np.all(np.abs(got - want) <= 1e-2 * (np.abs(want) + np.maximum(1.0, r) ** s.pc.d))
 
-    def counted(*args):
-        calls.append(args[1])
-        return fixed_points(*args)
 
-    monkeypatch.setattr(melnikov, "_fixed_points", counted)
-    return calls
+def test_brackets_in_adjacent_cells_report_two_radii(monkeypatch):
+    # g = (r - 1.49)(r - 1.51), the same at every eps, changes sign in the
+    # adjacent cells [1.4, 1.5] and [1.5, 1.6]
+    def g(r):
+        return (r - 1.49) * (r - 1.51)
+
+    rs = np.linspace(1.0, 2.0, 11)
+    assert np.flatnonzero(melnikov._brackets(g(rs))).tolist() == [4, 5]
+    monkeypatch.setattr(melnikov, "_ode_grid", lambda s: rs)
+    monkeypatch.setattr(melnikov, "_displacement", lambda field, eps0, r: g(r))
+    rep = verify_cycles_ode(van_der_pol())
+    assert rep.count == 2
+    assert np.all(np.abs(rep.radii - [1.49, 1.51]) <= 1e-10 * 1.51)
 
 
 # trial None is van der Pol; count is what verify_cycles_ode reports
 @pytest.mark.parametrize("trial,count", [
-    (None, 1), (1, 1), (2, 1), (4, 1), (17, 2), (22, 1)])
+    (None, 1), (1, 1), (2, 1), (4, 2), (17, 2), (22, 1)])
 def test_reported_radii_are_sign_changes_of_g(monkeypatch, trial, count):
     s = van_der_pol() if trial is None else _acceptance_12_system(trial)
-    levels = _record_refinements(monkeypatch)
-    rep = verify_cycles_ode(s, eps_start=1e-3 if trial is None else 1e-2)
+    levels = _record_levels(monkeypatch)
+    rep = verify_cycles_ode(s)
     assert rep.count == count
-    # g = P(r) - r of the reported level, the last one refined, changes sign
-    # across the stop width around each radius
+    # the scaled displacement of the reported level, the last one read,
+    # changes sign across the stop width around each radius
     w = 1e-10 * np.maximum(1.0, rep.radii)
     r = np.concatenate([rep.radii - w, rep.radii + w])
-    g = melnikov._returns(melnikov._PolarField(s), levels[-1], r)[0] - r
+    g = melnikov._displacement(melnikov._PolarField(s), levels[-1], r)
     below, above = np.split(g, 2)
     assert np.all(below * above <= 0.0)
 
 
 def test_van_der_pol_refines_only_the_reported_level(monkeypatch):
-    calls = _record_refinements(monkeypatch)
-    rep = verify_cycles_ode(van_der_pol(), eps_start=1e-3)
-    # two levels (1e-3, 5e-4); only the second, reported one is refined
-    assert rep.count == 1 and calls == [5e-4]
+    calls = []
+    fixed_points = melnikov._fixed_points
 
+    def counted(*args):
+        calls.append(args[0])
+        return fixed_points(*args)
 
-@pytest.mark.parametrize("roots,count", [((1.49, 1.51), 1), ((1.41, 1.59), 2)])
-def test_adjacent_brackets_are_refined(monkeypatch, roots, count):
-    # g = (r - a)(r - b), the same at every eps, changes sign in the adjacent
-    # cells [1.4, 1.5] and [1.5, 1.6]; res = 1/11 merges the first pair and
-    # keeps the second apart
-    def g(r):
-        return (r - roots[0]) * (r - roots[1])
-
-    rs, res = np.linspace(1.0, 2.0, 11), 1.0 / 11
-    assert np.flatnonzero(melnikov._brackets(g(rs))).tolist() == [4, 5]
-    monkeypatch.setattr(melnikov, "_ode_grid", lambda s: (rs, res))
-    monkeypatch.setattr(melnikov, "_returns",
-                        lambda field, eps, r: (r + g(r), np.zeros(np.size(r), dtype=int)))
-    want_count, want_radii, _ = _refine_every_level(van_der_pol(), 1e-2)
-    calls = _record_refinements(monkeypatch)
-    rep = verify_cycles_ode(van_der_pol())
-    # both levels are refined: the first for its count, the second to report
-    assert calls == [1e-2, 5e-3]
-    assert rep.count == want_count == count
-    assert rep.radii.tobytes() == want_radii.tobytes()
+    monkeypatch.setattr(melnikov, "_fixed_points", counted)
+    levels = _record_levels(monkeypatch)
+    s = van_der_pol()
+    rep = verify_cycles_ode(s)
+    # two levels (1e-3, 5e-4); one refinement, of the second, reported one
+    assert rep.count == 1 and levels == [1e-3, 5e-4] and len(calls) == 1
+    r = np.array([1.5, 2.0, 2.5])
+    want = melnikov._displacement(melnikov._PolarField(s), 5e-4, r)
+    assert calls[0](r).tobytes() == want.tobytes()
 
 
 def _kinked(z):
@@ -455,16 +452,15 @@ def _nan_on(g, lo, hi):
     return lambda r: np.where((r > lo) & (r < hi), np.nan, g(r))
 
 
-def _refine_analytic(monkeypatch, g, rs):
-    """(_fixed_points on the brackets of g over rs, number of _returns calls)."""
+def _refine_analytic(g, rs):
+    """(_fixed_points on the brackets of g over rs, number of calls of g)."""
     calls = []
 
-    def returns(field, eps, r):
+    def counted(r):
         calls.append(np.size(r))
-        return r + g(r), np.zeros(np.size(r), dtype=int)
+        return (r + g(r)) - r    # the arithmetic of P(r) - r
 
-    monkeypatch.setattr(melnikov, "_returns", returns)
-    return melnikov._fixed_points(None, 1e-2, rs, g(rs)), len(calls)
+    return melnikov._fixed_points(counted, rs, g(rs)), len(calls)
 
 
 # On [1, 2] with g(1) = -1 and g(2) = 3 and no grid point beside them, the
@@ -475,7 +471,7 @@ _QUARTER_PROBE = 1.75
 _ONE_TO_TWO = np.array([1.0, 2.0])
 
 
-# max_calls: the _returns calls of this refinement; rounds of the Illinois
+# max_calls: the calls of g in this refinement; rounds of the Illinois
 # point with two guard probes took 1, 14, 23, 6 and 7, and one-point
 # Illinois rounds 1, 15, 24, 8 and 12
 @pytest.mark.parametrize("g,rs,roots,max_calls", [
@@ -487,27 +483,25 @@ _ONE_TO_TWO = np.array([1.0, 2.0])
      [1.23, 1.57, 1.91], 3),
     (_nan_on(_kinked(1.24), 1.26, 1.3), _ONE_TO_TWO, [1.24], 5),
 ], ids=["linear", "steep-cubic", "flat-cubic", "three-brackets", "nan-at-probe"])
-def test_probe_refinement_of_analytic_brackets(monkeypatch, g, rs, roots,
-                                               max_calls):
-    got, calls = _refine_analytic(monkeypatch, g, rs)
+def test_probe_refinement_of_analytic_brackets(g, rs, roots, max_calls):
+    got, calls = _refine_analytic(g, rs)
     want = np.array(roots)
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, want))
     assert calls <= max_calls
 
 
-def test_probe_refinement_reports_an_exact_zero_at_a_probe(monkeypatch):
+def test_probe_refinement_reports_an_exact_zero_at_a_probe():
     # one round finds g = 0 at the probe 1.75; one-point Illinois took 15
-    got, calls = _refine_analytic(monkeypatch, _kinked(_QUARTER_PROBE), _ONE_TO_TWO)
+    got, calls = _refine_analytic(_kinked(_QUARTER_PROBE), _ONE_TO_TWO)
     assert got.tolist() == [_QUARTER_PROBE] and calls == 1
 
 
-def test_probe_refinement_stops_where_nan_hides_the_sign_change(monkeypatch):
+def test_probe_refinement_stops_where_nan_hides_the_sign_change():
     # every probe of the first round (1.25 -+ 1e-8, 1.5, 1.75) falls in the
     # NaN band around the root at 1.24: no interval of the sorted points
     # changes sign, so the bracket reports its midpoint, as one-point
     # Illinois did at a NaN
-    got, calls = _refine_analytic(monkeypatch, _nan_on(_kinked(1.24), 1.2, 1.8),
-                                  _ONE_TO_TWO)
+    got, calls = _refine_analytic(_nan_on(_kinked(1.24), 1.2, 1.8), _ONE_TO_TWO)
     assert got.tolist() == [1.5] and calls == 1
 
 
