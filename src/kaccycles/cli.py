@@ -92,7 +92,8 @@ def _write(payload, out: str | None, fmt: str, argv):
 
 def _read_coeff_file(path: str) -> np.ndarray:
     """Realized coefficients from a sample CSV/JSON (or one bare column);
-    a NaN or infinite coefficient is a ``DomainError``."""
+    a file with no coefficient, or a NaN or infinite one, is a
+    ``DomainError``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     vals = []
@@ -117,6 +118,8 @@ def _read_coeff_file(path: str) -> np.ndarray:
             col = header.index("realized") if header and "realized" in header else -1
             vals.append(float(parts[col]))
     coeffs = np.array(vals)
+    if coeffs.size == 0:
+        raise DomainError(f"{path}: holds no coefficient")
     if not np.isfinite(coeffs).all():
         raise DomainError(f"{path}: coefficients must be finite numbers")
     return coeffs
@@ -266,6 +269,8 @@ def _cmd_experiment(ns, argv) -> int:
 
 def _cmd_cycles(ns, argv) -> int:
     """limit-cycles, and ode-verify, which adds the ODE cross-check's count."""
+    if ns.trials < 1:
+        raise DomainError("--trials must be at least 1")
     with_ode = ns.command == "ode-verify"
     dist = NoiseDistribution.parse(ns.dist)
     rows = []

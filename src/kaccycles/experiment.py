@@ -137,7 +137,7 @@ def _sweep_plan(regions, n: int) -> tuple:
     if nbytes > 16 * 10**8:
         raise DomainError(
             f"sweep counting at degree {n} would need a {nbytes / 1e9:.1f} GB power "
-            "matrix; Monte Carlo is sized for degrees up to ~7e5 (expected counts "
+            "matrix; Monte Carlo is sized for degrees up to ~1.05e6 (expected counts "
             "at larger n come from the Kac-Rice quadrature)")
 
     def index(x):

@@ -8,8 +8,9 @@ Three methods with different contracts:
 * ``sturm_count`` (re-exported from :mod:`kaccycles.sturm`) — exact integer
   arithmetic oracle for degree <= 64.
 * ``sweep_count_batch`` / ``sweep_roots`` — the roots of f cell by cell on
-  a grid uniform in t = -log(1-x), where the root flow of these ensembles
-  has bounded density, plus one cell on to x = 1.  Each cell is certified
+  a grid in t = -log(1-x), where the root flow of these ensembles has
+  bounded density: uniform up to log n + 1/2, doubling steps past it, where
+  the density decays, and one cell on to x = 1.  Each cell is certified
   root-free or monotone, rounding included, or bisected on its row until
   it is (``_resolve`` names the one case floating point cannot settle).
   O(n * grid) per polynomial and BLAS-batchable; the half-size products of
@@ -36,10 +37,13 @@ __all__ = [
 
 # an eigenvalue is real when |Im| <= _REAL_TOL (1 + |Re|)
 _REAL_TOL = 1e-8
-# Grid spacing in t = -log(1-x); root density per unit t stays below ~0.26
-# for every scheme in scope, so cells carry ~0.02 expected roots.  Each cell
-# is certified or bisected, so the spacing sets the cost, not the count.
+# Grid spacing in t = -log(1-x) up to log(n) + _TAIL_START, where the root
+# density per unit t stays below ~0.26 for every scheme in scope; past it the
+# density falls like e^-(t - log n) and each step doubles the one before, so
+# every cell carries ~0.02 expected roots.  Each cell is certified or
+# bisected, so the spacing sets the cost, not the count.
 SWEEP_STEP = 0.08
+_TAIL_START = 0.5
 # Last finite grid point t = log(n) + SWEEP_TAIL; one cell runs on to x = 1.
 SWEEP_TAIL = 9.0
 # open pieces of a row in a bisection level past which none is split
@@ -274,10 +278,17 @@ def count_in_interval(poly, interval: Interval) -> RootCountReport:
 # ---------------------------------------------------------------------------
 
 def sweep_grid(n: int, extra_points=()) -> np.ndarray:
-    """Grid in t = -log(1-x) over [0, log n + SWEEP_TAIL], uniform in steps of
-    SWEEP_STEP plus pinned points, and t = inf: the last cell reaches x = 1."""
-    t_hi = math.log(max(n, 2)) + SWEEP_TAIL
-    base = np.arange(0.0, t_hi + SWEEP_STEP, SWEEP_STEP)
+    """Grid in t = -log(1-x) over [0, log n + SWEEP_TAIL], plus pinned points
+    and t = inf: the last cell reaches x = 1.  Steps of SWEEP_STEP cover
+    [0, log n + _TAIL_START]; past it each step is twice the one before, the
+    last one clipped at log n + SWEEP_TAIL."""
+    log_n = math.log(max(n, 2))
+    t_hi = log_n + SWEEP_TAIL
+    base = list(np.arange(0.0, log_n + _TAIL_START + SWEEP_STEP, SWEEP_STEP))
+    step = SWEEP_STEP
+    while base[-1] + 2.0 * step < t_hi:
+        step *= 2.0
+        base.append(base[-1] + step)
     pts = np.unique(np.concatenate([base, np.asarray(extra_points, dtype=float),
                                     [0.0, t_hi]]))
     return np.append(pts[(pts >= 0.0) & (pts <= t_hi)], np.inf)

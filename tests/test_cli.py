@@ -118,6 +118,17 @@ def test_count_rejects_non_finite_coefficients(capsys, tmp_path, method, bad):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["companion", "sturm"])
+def test_count_rejects_a_file_without_coefficients(capsys, tmp_path, method):
+    # an empty file is a usage error under either method, not a numeric failure
+    for name, text in (("empty.csv", ""), ("empty.json", '{"rows": []}')):
+        f = tmp_path / name
+        f.write_text(text)
+        code = dispatch(["count", "--coeffs", str(f), "--method", method])
+        assert code == 1, (name, method)
+        assert "no coefficient" in capsys.readouterr().err
+
+
 def test_count_consumes_sample_output(capsys, tmp_path):
     f = tmp_path / "sample.csv"
     assert dispatch(["sample", "--scheme", "power:0", "--dist", "rademacher",
@@ -263,6 +274,17 @@ def test_ode_verify_rejects_eps_start(capsys, eps_start):
     code, _out = run(capsys, "ode-verify", "--kind", "center", "--degree", "3",
                      "--seed", "12", f"--epsilon-start={eps_start}")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["limit-cycles", "ode-verify"])
+@pytest.mark.parametrize("trials", ["0", "-2", "-5"])
+def test_cycles_reject_trials_below_one(capsys, command, trials):
+    # refused before any trial runs: a usage error with no header on stdout
+    code = dispatch([command, "--kind", "center", "--degree", "3",
+                     "--seed", "1", f"--trials={trials}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "--trials" in captured.err
 
 
 def test_import_loads_no_scipy():

@@ -298,12 +298,14 @@ def test_sweep_counts_hidden_pair():
 
 @pytest.mark.parametrize("t0", [0.7, 1.2, 2.0, 4.0])
 def test_sweep_counts_a_bump_inside_one_cell(t0):
-    # f = eps - D (1 - u^2)^2, u = (x - mid)/w, dips inside the cell of the
-    # degree-4 grid that holds t0: f(mid) < 0, f(mid +- w) = eps > 0 and
-    # f < 0 beyond, so exact rational values change sign four times
+    # f = eps - D (1 - u^2)^2, u = (x - mid)/w, dips inside the SWEEP_STEP
+    # wide cell that holds t0 (narrower than the degree-4 grid's tail cells):
+    # f(mid) < 0, f(mid +- w) = eps > 0 and f < 0 beyond, so exact rational
+    # values change sign four times
     t = rootcount.sweep_grid(4)
-    x = 1.0 - np.exp(-t)
-    cell = int(np.searchsorted(t, t0, side="right")) - 1
+    cells = np.arange(0.0, t0 + 2.0 * rootcount.SWEEP_STEP, rootcount.SWEEP_STEP)
+    x = 1.0 - np.exp(-cells)
+    cell = int(np.searchsorted(cells, t0, side="right")) - 1
     mid, w = 0.5 * (x[cell] + x[cell + 1]), 0.4 * (x[cell + 1] - x[cell])
     u = np.polynomial.Polynomial([-mid / w, 1.0 / w])
     c = (1e-6 - 1e-3 * (1.0 - u ** 2) ** 2).coef
@@ -431,18 +433,40 @@ def test_sweep_counts_do_not_see_a_row_sign():
             assert _sides(row)[0] == want, row
 
 
+def _uniform_grid(n, extra_points=()):
+    """The sweep grid without its doubling tail: steps of SWEEP_STEP out to
+    log n + SWEEP_TAIL, the pinned points, and t = inf."""
+    t_hi = math.log(max(n, 2)) + rootcount.SWEEP_TAIL
+    base = np.arange(0.0, t_hi + rootcount.SWEEP_STEP, rootcount.SWEEP_STEP)
+    pts = np.unique(np.concatenate([base, extra_points, [0.0, t_hi]]))
+    return np.append(pts[pts <= t_hi], np.inf)
+
+
 @pytest.mark.parametrize("dist", list(NoiseDistribution), ids=lambda d: d.value)
 def test_sweep_counts_do_not_depend_on_the_grid_step(monkeypatch, dist):
     # every cell is certified or bisected on its row, so the grid spacing
     # sets the cost of a count, not the count.  Four more rows carry a root
     # pair around t = 0.78, a point of the 0.02 grid alone: on the coarser
-    # grids one cell holds both roots, and f has one sign at its ends
+    # grids one cell holds both roots, and f has one sign at its ends.  The
+    # last reference keeps the 0.08 step out to log n + SWEEP_TAIL, where
+    # the shipped grid doubles its steps past log n + 1/2
+    sweep_grid = rootcount.sweep_grid
+    for n in (1, 4, 100, 30000):
+        log_n = math.log(max(n, 2))
+        t = sweep_grid(n)
+        assert t[0] == 0.0 and np.all(np.diff(t) > 0.0), n
+        assert t[-2] == log_n + rootcount.SWEEP_TAIL and t[-1] == np.inf, n
+        assert np.count_nonzero(t > log_n + 0.5) <= 8, n
+        pinned = [0.7, 2.3, log_n + 2.0]
+        assert np.isin(pinned, sweep_grid(n, extra_points=pinned)).all(), n
     scheme = CoeffScheme.perturbed_center()
     x0 = 1.0 - math.exp(-0.78)
     pair = P.polyfromroots([x0 - 1e-3, x0 + 1e-3])
     got = {}
-    for step in (0.02, 0.04, 0.08, 0.16):
+    for step, grid in ((0.02, sweep_grid), (0.04, sweep_grid), (0.08, sweep_grid),
+                       (0.16, sweep_grid), (0.08, _uniform_grid)):
         monkeypatch.setattr(rootcount, "SWEEP_STEP", step)
+        monkeypatch.setattr(rootcount, "sweep_grid", grid)
         for n in (10, 64, 1000):
             c = _realized(scheme, dist, n, 41, 0, 12)
             c = np.concatenate([c, [P.polymul(row, pair) for row in c[:4, :-2]]])
