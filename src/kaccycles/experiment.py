@@ -16,10 +16,13 @@ sweep: f(x) and f(-x) come from the same even/odd half-size products.  The
 coefficient vector is built once per degree; the Kac-Rice column reads it
 and the same split, and integrates each distinct piece once per degree.
 
-Trials run in one process, in batches merged in index order; the batch
-shrinks above degree 65535 so that the batch temporaries stay bounded
-(``_batch_rows``).  Every draw is addressed by (seed, trial, index), so the
-output does not depend on the batch size; parallelism comes from the BLAS
+Trials run in one process, in batches merged in index order.  A batch is
+sized by its working set (``_batch_rows``): as many rows as a 3 MiB
+budget holds, never fewer than 64 up to degree 65535 and never more than
+2^22 coefficients.  The sweep holds the rows and half a row more per row
+(``rootcount._sweep_cells``), so memory stays bounded at every degree.
+Every draw is addressed by (seed, trial, index), so the output does not
+depend on the batch size; parallelism comes from the BLAS
 threads of the sweep GEMMs (``OPENBLAS_NUM_THREADS``), and from
 :mod:`kaccycles.philox`, which fills a block of more than one tile on every
 core in the process's affinity set.
@@ -51,6 +54,9 @@ _RATIO_FLOOR = 0.1
 
 # tolerance of the Kac-Rice column's quadrature
 _QUAD_TOL = 1e-7
+
+# bytes of one batch's working set beside the power matrix (``_batch_rows``)
+_BATCH_BYTES = 3 * 2 ** 20
 
 
 @dataclass
@@ -150,9 +156,21 @@ def _sweep_plan(regions, n: int) -> tuple:
 
 
 def _batch_rows(n: int) -> int:
-    """Trials per batch at degree n: 64, or fewer where 64 rows would hold
-    more than 2^22 coefficients (n > 65535)."""
-    return max(1, min(64, 2 ** 22 // (n + 1)))
+    """Trials per batch at degree n: as many as fit in _BATCH_BYTES, but
+    never fewer than 64, and never more than 2^22 coefficients (so fewer
+    than 64 above degree 65535).
+
+    A row is charged 8 bytes for each of 2 (n + 1) coefficients and of 9
+    values per grid cell.  Of the coefficients, the row holds one, its half
+    row in the sweep's GEMM buffer a half (``rootcount._sweep_cells``), and
+    the last half is headroom for the arrays of one row's length that a
+    batch holds beside them.  The cell values are the products, the
+    certificate and its bisection.  The cells weigh most below n ~ 500,
+    where a batch holds hundreds of rows; 64 rows fill the budget near
+    n = 3000, and at n = 3e4 they hold 1.7 times their coefficients' bytes.
+    """
+    per_row = 8 * (2 * (n + 1) + 9 * len(sweep_grid(n)))
+    return max(1, min(2 ** 22 // (n + 1), max(64, _BATCH_BYTES // per_row)))
 
 
 def _count_batch(plan: tuple, cv: CoeffVector, dist: NoiseDistribution,

@@ -54,6 +54,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = np.array([0xCD9E8D57, 0xD2511F53], dtype=np.uint64).reshape(2, 1, 1)
 _WEYL = np.array([0x9E3779B9, 0xBB67AE85], dtype=np.uint64).reshape(2, 1)
 _U32 = np.array(32, dtype=np.uint64)   # 0-d: the cheapest operand for a ufunc
+# splitmix64's increment, shifts and multipliers (Steele, Lea & Flood, 2014)
+_GAMMA, _U30, _U27, _U31, _MIX1, _MIX2 = (np.array(v, dtype=np.uint64) for v in (
+    0x9E3779B97F4A7C15, 30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 _ROUNDS = 10
 # (r W0, r W1) for rounds r = 0..9, and the shifts taking (k0, k1) out of a key
@@ -91,21 +94,24 @@ LANE_PERT_UNUSED = 2 # bivariate perturbation coefficients that do not enter it
 LANE_LIENARD = 3     # Lienard alpha_k
 
 
-def splitmix64(z: int) -> int:
-    """One splitmix64 scrambling step (used to derive stream keys)."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """One splitmix64 scrambling step on a uint64 array, wrapping mod 2^64."""
+    z = z + _GAMMA
+    z = (z ^ (z >> _U30)) * _MIX1
+    z = (z ^ (z >> _U27)) * _MIX2
+    return z ^ (z >> _U31)
 
 
-def stream_key(master_seed: int, trial: int = 0, lane: int = 0) -> int:
-    """64-bit Philox key for one (master_seed, trial, lane) stream."""
+def stream_key(master_seed: int, trial=0, lane: int = 0):
+    """64-bit Philox key for one (master_seed, trial, lane) stream: an int
+    for an int trial, and a uint64 array of keys, one per trial, for an
+    array of trials."""
+    scalar = np.ndim(trial) == 0
+    t = np.array([int(trial) & _MASK64] if scalar else trial, dtype=np.uint64)
     # the chain's second step mixes in a zero; dropping it would change every key
-    k = splitmix64(splitmix64(master_seed & _MASK64))
-    k = splitmix64(k ^ (trial & _MASK64))
-    k = splitmix64(k ^ (lane & _MASK64))
-    return k
+    k = _splitmix64(_splitmix64(np.array([int(master_seed) & _MASK64], dtype=np.uint64)))
+    k = _splitmix64(_splitmix64(k ^ t) ^ np.uint64(int(lane) & _MASK64))
+    return int(k[0]) if scalar else k
 
 
 # ---------------------------------------------------------------------------

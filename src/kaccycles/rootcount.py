@@ -174,6 +174,16 @@ def deflate_exact_root(c: np.ndarray, r: float):
 
 # the points whose roots are found exactly, in the order exact_roots counts them
 EXACT_POINTS = (0.0, 1.0, -1.0)
+# coefficients per block of rows in the passes over a batch (512 kB of floats)
+_BLOCK = 2 ** 16
+
+
+def _row_blocks(count: int, width: int):
+    """Slices of consecutive rows of ``width`` coefficients, about _BLOCK of
+    them a slice, which cover ``count`` rows: a pass block by block holds no
+    temporary of the whole batch."""
+    step = max(1, _BLOCK // width)
+    return [slice(j, j + step) for j in range(0, count, step)]
 
 
 def exact_roots(rows: np.ndarray):
@@ -187,12 +197,16 @@ def exact_roots(rows: np.ndarray):
     and fixes 1 and -1, up to a sign that moves no root), and a (k, 3)
     array of the multiplicities at ``EXACT_POINTS``.
     """
-    alt = np.array(rows, dtype=float)      # c_m (-1)^m
-    alt[:, 1::2] *= -1.0
     mult = np.zeros((len(rows), len(EXACT_POINTS)), dtype=int)
-    nonzero = rows != 0.0
-    mult[:, 0] = np.argmax(nonzero, axis=1)
-    exact = ((rows.sum(axis=1) == 0.0) | (alt.sum(axis=1) == 0.0)) & nonzero.any(axis=1)
+    exact = np.zeros(len(rows), dtype=bool)
+    for b in _row_blocks(*rows.shape):
+        alt = np.array(rows[b], dtype=float)      # c_m (-1)^m
+        alt[:, 1::2] *= -1.0
+        nonzero = rows[b] != 0.0
+        mult[b, 0] = np.argmax(nonzero, axis=1)
+        exact[b] = ((rows[b].sum(axis=1) == 0.0) | (alt.sum(axis=1) == 0.0)) \
+            & nonzero.any(axis=1)
+        del alt, nonzero        # freed before the next block's
     hit = np.flatnonzero((mult[:, 0] > 0) | exact | (rows[:, -1] == 0.0))
     direct, rev = (rows.copy(), rows[:, ::-1].copy()) if hit.size else (rows, rows[:, ::-1])
     for i in hit:
@@ -307,12 +321,13 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     The exact roots at 0, 1 and -1 (``exact_roots``) are divided out of the
     rows first, so they fall in no span.  The zero row counts 0.
 
-    f and x f' come from the even and odd coefficients, each pair stacked
-    into one half-size product, [c_even; (m c)_even] @ powers[0::2] and
-    [c_odd; (m c)_odd] @ powers[1::2]; then f(x) = E(x) + O(x).  The same
-    products give the mirror f(-x) = E(x) - O(x), so ``mirror_spans``
-    counts the roots of the mirrored rows c_m (-1)^m, i.e. of f on
-    (-x(t[hi]), -x(t[lo])), at no extra GEMM cost.  Four more stacked rows,
+    f and x f' come from the even and odd coefficients in half-size
+    products, c_even @ powers[0::2] and (m c)_even @ powers[0::2], and the
+    same of the odd ones, two GEMMs per parity on one buffer of half a row
+    per row; then f(x) = E(x) + O(x).  The same products give the mirror
+    f(-x) = E(x) - O(x), so ``mirror_spans`` counts the roots of the
+    mirrored rows c_m (-1)^m, i.e. of f on (-x(t[hi]), -x(t[lo])), at no
+    extra GEMM cost.  Four more rows in the first product of each parity,
     m^k w_m (k = 0, 1, 2) and m (m-1) (m-2) (m-3) w_m with w_m the batch
     maximum of |c_m|, give the majorants A_k(x) = sum m^k w_m x^m, which
     bound the rounding of the rows and their mirrors, and x^4 M4(x) >=
@@ -348,54 +363,81 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
 
 
 def _sweep_cells(c: np.ndarray, t: np.ndarray, powers: np.ndarray | None, mirror: bool):
-    """The weights m^k of the majorants and g, and the root brackets of the
-    rows c, their exact roots divided out (``exact_roots``), on the grid t,
-    and of their mirrors c_m (-1)^m when ``mirror``: per family, the cells
-    certified monotone that f crosses (one root each) and ``_resolve``'s
-    gaps, as arrays (row, cell, count, a, b, f(a) >= 0, monotone)."""
+    """The weights of the rows' majorants (m^k, g and the signs 1 of a
+    direct family), and the root brackets of the rows c, their exact roots
+    divided out (``exact_roots``), on the grid t, and of their mirrors
+    c_m (-1)^m when ``mirror``: per family, the cells certified monotone
+    that f crosses (one root each) and ``_resolve``'s gaps, as arrays (row,
+    cell, count, a, b, f(a) >= 0, monotone).
+
+    Beside the rows, the working set holds half a row per row: the passes
+    over the whole batch run in row blocks, the products run on one buffer
+    (``_parity_products``), and a mirror's rows are signed only where
+    ``_resolve`` reads them."""
     n = c.shape[1] - 1
     m = np.arange(n + 1, dtype=float)
-    k4, g = rows = (np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)]),
-                    1.01 * (n + 22) * 2.0 ** -53)
+    k4 = np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)])
+    g, sign = 1.01 * (n + 22) * 2.0 ** -53, (-1.0) ** m
     # exact_roots finds roots only where c_0 = 0 or where it sums c_m or
     # c_m (-1)^m to 0; summed in another order those are within 2 g ||c||_1
-    if np.any((c[:, 0] == 0.0) | (np.abs(c @ np.stack([k4[0], (-1.0) ** m], 1))
-                                  <= 2.0 * g * np.abs(c).sum(axis=1)[:, None]).any(axis=1)):
+    if any(np.any((c[b, 0] == 0.0) | (np.minimum(np.abs(c[b].sum(axis=1)), np.abs(c[b] @ sign))
+                                      <= 2.0 * g * np.abs(c[b]).sum(axis=1)))
+           for b in _row_blocks(*c.shape)):
         c = exact_roots(c)[0]
     if powers is None:
         powers = power_matrix(n, t)
-    w = k4 * np.abs(c).max(axis=0)
-    # strided row views of powers go to BLAS as they are (lda = 2 len(t))
-    ev, od = (np.concatenate([c[:, k::2], c[:, k::2] * m[k::2], w[:, k::2]])
-              @ powers[k::2] for k in (0, 1))
-    x = 1.0 - np.exp(-t)
-    e, e1, m4 = _bounds(ev[-4:] + od[-4:], x, w.sum(axis=1)[:, None], g)
+    wmax = np.maximum(c.max(axis=0), -c.min(axis=0))       # max over the rows of |c_m|
+    ev, od = _parity_products(c, k4, wmax, powers)
+    r, x = len(c), 1.0 - np.exp(-t)
+    e, e1, m4 = _bounds(ev[r:r + 4] + od[r:r + 4], x, (k4 * wmax).sum(axis=1)[:, None], g)
     # f = E + O in place, and the mirror E - O: every large temporary is
     # memory faulted in afresh on each call
-    gx = ev[:-4] - od[:-4] if mirror else None
+    gx = ev - od if mirror else None
     ev += od
     del od
     out = []
     for fam in range(1 + mirror):
-        # _resolve reads the rows themselves, so a mirror passes its own
-        cf, fx = (c, ev[:-4]) if fam == 0 else (c * (-1.0) ** m, gx)
-        f, fp = fx[:len(c)], fx[len(c):]
+        s, fx = (1.0, ev) if fam == 0 else (sign, gx)
+        f, fp = fx[:r], fx[r + 4:]
         fp /= np.where(x > 0.0, x, 1.0)
         if x[0] == 0.0 and n > 0:
-            fp[:, 0] = cf[:, 1]
+            fp[:, 0] = c[:, 1] * (-1.0) ** fam
         settled, o, slope, ka, kb = _certify(f, fp, x, m4[1:], e, e1)
         settled[o] = (slope != 0.0) & ka & kb
-        settled[~cf.any(axis=1)] = True      # the zero row
-        s = f >= 0.0
-        r, i = np.nonzero(settled & (s[:, 1:] != s[:, :-1]))
+        settled[~c.any(axis=1)] = True      # the zero row
+        pos = f >= 0.0
+        ri, i = np.nonzero(settled & (pos[:, 1:] != pos[:, :-1]))
         ro, io = np.nonzero(~settled)
-        gaps = _resolve(cf, rows, np.array(
+        # _resolve reads the rows themselves, each signed as its family
+        gaps = _resolve(c, (k4, g, s), np.array(
             [ro, io, x[io], x[io + 1], f[ro, io], f[ro, io + 1], fp[ro, io], fp[ro, io + 1],
              e[io], e[io + 1], e1[io], e1[io + 1], m4[io + 1]], dtype=float))
-        one = np.ones(len(r))
+        one = np.ones(len(ri))
         out.append([np.concatenate([u, v]) for u, v in
-                    zip((r, i, one, x[i], x[i + 1], s[r, i], one > 0.0), gaps)])
-    return rows, out
+                    zip((ri, i, one, x[i], x[i + 1], pos[ri, i], one > 0.0), gaps)])
+    return (k4, g, 1.0), out
+
+
+def _parity_products(c: np.ndarray, k4: np.ndarray, wmax: np.ndarray, powers: np.ndarray):
+    """The even and the odd halves of the products of the rows c, w and m c
+    with the powers, w = k4 wmax: per parity the rows [c; w] of one reused
+    buffer, half a row per row, times the powers of that parity, then the
+    buffer's rows times m.  Returns the two halves, each (2 len(c) + 4,
+    len(t)) with rows c, w and m c.  Strided row views of powers go to BLAS
+    as they are (lda = 2 len(t))."""
+    r = len(c)
+    halves = [np.empty((2 * r + 4, powers.shape[1])) for _ in range(2)]
+    buf = np.empty((r + 4, (c.shape[1] + 1) // 2))
+    for k, out in enumerate(halves):
+        p = powers[k::2]
+        b = buf[:, :len(p)]
+        b[:r] = c[:, k::2]
+        np.multiply(k4[:, k::2], wmax[k::2], out=b[r:])
+        np.matmul(b, p, out=out[:r + 4])
+        b = b[:r]
+        b *= k4[1, k::2]
+        np.matmul(b, p, out=out[r + 4:])
+    return halves
 
 
 def _bounds(s, x, l, g):
@@ -505,20 +547,23 @@ def _resolve(c: np.ndarray, rows, items: np.ndarray):
 
 def _point_values(c: np.ndarray, rows, r: np.ndarray, x: np.ndarray):
     """f, f', their rounding bounds e and e', and the majorant of |f''''| of
-    the rows c[r] at x in (0, 1], from the powers exp(m log x) flushed below
-    1e-300, as in power_matrix.  ``rows`` holds the weights m^k of the
-    majorants and g."""
-    k4, g = rows
+    the rows c[r], each coefficient times its sign, at x in (0, 1], from the
+    powers exp(m log x) flushed below 1e-300, as in power_matrix.  ``rows``
+    holds the weights m^k of the majorants, g and the signs: 1, or (-1)^m
+    for a mirror."""
+    k4, g, sign = rows
     out = np.empty((10, len(r)))
-    step = max(1, 2 ** 19 // c.shape[1])        # a 4 MB block of powers
-    for j in range(0, len(r), step):
-        cr, xs = c[r[j:j + step]], x[j:j + step]
-        pw = np.exp(np.log(xs)[:, None] * k4[1])
+    for j in _row_blocks(len(r), c.shape[1]):
+        # two blocks: the signed rows, and the powers, which become the terms
+        cr, xs = c[r[j]], x[j]
+        cr *= sign
+        pw = np.log(xs)[:, None] * k4[1]
+        np.exp(pw, out=pw)
         pw[pw < 1e-300] = 0.0
-        out[:2, j:j + step] = k4[:2] @ (cr * pw).T
-        cr = np.abs(cr)
         pw *= cr
-        out[2:, j:j + step] = np.concatenate([k4 @ pw.T, k4 @ cr.T])
+        out[:2, j] = k4[:2] @ pw.T
+        out[2:6, j] = k4 @ np.abs(pw, out=pw).T
+        out[6:, j] = k4 @ np.abs(cr, out=cr).T
     return np.stack([out[0], out[1] / x, *_bounds(out[2:6], x, out[6:], g)])
 
 

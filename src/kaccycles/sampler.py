@@ -75,11 +75,11 @@ def noise_rows(dist: NoiseDistribution, n: int, master_seed: int, t0: int,
                t1: int) -> np.ndarray:
     """(t1 - t0, n + 1) noise xi_0 .. xi_n of trials [t0, t1), one row each.
 
-    Row i is the LANE_XI block of trial t0 + i; the batch is one multi-key
-    draw, and a row does not depend on the batch it is drawn in.
+    Row i is the LANE_XI block of trial t0 + i; the batch's keys are one
+    array pass and its draw one multi-key call, and a row does not depend
+    on the batch it is drawn in.
     """
-    keys = np.array([SeedSpec(master_seed, trial=t).key(philox.LANE_XI)
-                     for t in range(t0, t1)], dtype=np.uint64)
+    keys = philox.stream_key(master_seed, np.arange(t0, t1, dtype=np.uint64), philox.LANE_XI)
     return philox.variates_block(dist.value, keys, n + 1)
 
 

@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import run_experiment_on_one_core
-from kaccycles import experiment, kacrice
+from kaccycles import experiment, kacrice, philox
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DomainError, InsufficientDataError
 from kaccycles.experiment import (EstimateRow, ExperimentConfig,
@@ -164,10 +165,39 @@ def test_worker_invariance(monkeypatch, tmp_path):
 
 
 def test_batch_rows_bound_the_batch_coefficients():
-    # 64 rows up to degree 65535, then at most 2^22 coefficients a batch
-    assert [experiment._batch_rows(n) for n in (0, 3000, 65535, 65536, 200000,
-                                                400000, 10**7)] == [64, 64, 64, 63,
-                                                                    20, 10, 1]
+    # as many rows as the working-set budget holds, never fewer than 64 up
+    # to degree 65535, then at most 2^22 coefficients a batch
+    ns = (0, 100, 300, 1000, 3000, 30000, 65535, 65536, 200000, 400000, 10**7)
+    rows = [experiment._batch_rows(n) for n in ns]
+    assert rows == [1881, 462, 285, 135, 64, 64, 64, 63, 20, 10, 1]
+    assert all(r * (n + 1) <= 2 ** 22 or r == 1 for r, n in zip(rows, ns))
+
+
+def _batch_peak(monkeypatch, n, rows):
+    """tracemalloc peak of one _count_batch of ``rows`` trials at degree n
+    in all four sweep families, its plan built beforehand, with the Philox
+    draw on the calling thread (the pool would add buffers per core, not
+    per row)."""
+    monkeypatch.setattr(philox, "_THREADS", 1)
+    plan = experiment._sweep_plan(["01", "1inf", "sym", "R"], n)
+    cv = coeff_vector(CoeffScheme.perturbed_center(), n)
+    tracemalloc.start()
+    try:
+        experiment._count_batch(plan, cv, NoiseDistribution.GAUSSIAN, 5, 0, rows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_batch_holds_its_rows_and_half_a_row_each(monkeypatch):
+    # at n = 3e4 the rows, one half-size GEMM operand and what does not
+    # scale with them; no copy of the batch
+    assert _batch_peak(monkeypatch, 30000, 64) <= 1.7 * 8 * 64 * 30001
+
+
+@pytest.mark.parametrize("n", [0, 100, 1000, 3000])
+def test_batch_working_set_stays_within_the_budget(monkeypatch, n):
+    assert _batch_peak(monkeypatch, n, experiment._batch_rows(n)) <= experiment._BATCH_BYTES
 
 
 def test_power_scheme_keeps_its_exponent():

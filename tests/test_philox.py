@@ -59,6 +59,35 @@ def test_moments_million_draws(dist, fourth):
     assert abs(m4 - fourth) <= 3.0 * sd4
 
 
+def _splitmix64_int(z):
+    # the scalar reference: splitmix64 on Python ints
+    m = 2**64 - 1
+    z = (z + 0x9E3779B97F4A7C15) & m
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
+    return z ^ (z >> 31)
+
+
+def _stream_key_int(seed, trial, lane):
+    m = 2**64 - 1
+    k = _splitmix64_int(_splitmix64_int(seed & m))
+    return _splitmix64_int(_splitmix64_int(k ^ (trial & m)) ^ (lane & m))
+
+
+@pytest.mark.parametrize("seed", [0, -3, 2**64 - 1])
+def test_stream_keys_equal_the_scalar_chain(seed):
+    # one array pass for many trials, and the int form for one, both equal
+    # to the splitmix64 chain on Python ints, wrap-around included
+    trials = [0, 2**32, 2**64 - 1]
+    for lane in range(4):
+        want = [_stream_key_int(seed, t, lane) for t in trials]
+        keys = philox.stream_key(seed, np.array(trials, dtype=np.uint64), lane)
+        assert keys.dtype == np.uint64 and keys.tolist() == want
+        for t, w in zip(trials, want):
+            got = philox.stream_key(seed, t, lane)
+            assert type(got) is int and got == w
+
+
 # ---------------------------------------------------------------------------
 # golden streams: SHA-256 of the variates, fixed before any kernel rewrite so
 # that every later kernel must reproduce today's streams bit for bit

@@ -521,6 +521,68 @@ def test_deflate_exact_root_matches_the_power_form():
     assert np.array_equal(rests[0], [2.0, -3.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
+def test_exact_roots_of_integer_rows_in_row_blocks(monkeypatch):
+    # integer rows of degree 8 with exact roots at 0, 1 and -1, the zero
+    # row among them, 7 rows in blocks of 3: the last block is partial.
+    # Each row's multiplicities and quotients are those of the row alone
+    monkeypatch.setattr(rootcount, "_BLOCK", 3 * 9)
+    free = [2, 0, 1]        # 2 + x^2: no root at 0, 1 or -1
+    want = [(0, 1, 1), (1, 2, 1), (0, 0, 3), (2, 1, 2), (0, 0, 0), (3, 1, 0), (0, 3, 2)]
+    rows = []
+    for z, a, b in want:
+        c = P.polymul(free, P.polyfromroots([1] * a + [-1] * b + [0] * z)) if a + b + z else free
+        rows.append(np.pad(np.rint(c).astype(np.int64), (0, 9 - len(c))))
+    rows[4] = np.zeros(9, dtype=np.int64)
+    rows = np.stack(rows)
+    assert rows.dtype == np.int64 and len(rows) % 3 != 0
+    direct, rev, mult = rootcount.exact_roots(rows)
+    assert mult.tolist() == [list(w) for w in want]
+    for i, row in enumerate(rows):
+        d1, r1, m1 = rootcount.exact_roots(row[None, :])
+        assert np.array_equal(d1[0], direct[i]) and np.array_equal(r1[0], rev[i])
+        assert np.array_equal(m1[0], mult[i])
+        if i != 4:
+            assert np.array_equal(np.trim_zeros(direct[i], "b"), free)
+    # the sweep's screen for exact roots runs in the same blocks and has
+    # them divided out: what is left, 2 + x^2, has no real root
+    t = rootcount.sweep_grid(8)
+    got = rootcount.sweep_count_batch(rows.astype(float), t, mirror_spans=[(0, len(t) - 1)])
+    assert got.tolist() == [[0, 0]] * len(rows)
+
+
+def test_mirror_resolves_one_row_of_a_batch(monkeypatch):
+    # the mirror of row 2 dips four times inside one cell (as in
+    # test_sweep_counts_a_bump_inside_one_cell); the other rows leave no
+    # cell open in either family.  Only row 2's mirror cells reach
+    # _resolve, and the batch's counts equal those of the mirrored rows
+    # counted directly
+    t = rootcount.sweep_grid(4)
+    cells = np.arange(0.0, 1.2 + 2.0 * rootcount.SWEEP_STEP, rootcount.SWEEP_STEP)
+    x = 1.0 - np.exp(-cells)
+    cell = int(np.searchsorted(cells, 1.2, side="right")) - 1
+    mid, w = 0.5 * (x[cell] + x[cell + 1]), 0.4 * (x[cell + 1] - x[cell])
+    u = np.polynomial.Polynomial([-mid / w, 1.0 / w])
+    bump = (1e-6 - 1e-3 * (1.0 - u ** 2) ** 2).coef
+    rows = np.stack([[2.0, 1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0, 1.0], _mirror(bump),
+                     [3.0, -1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+    seen = []
+    resolve = rootcount._resolve
+
+    def spy(c, weights, items):
+        seen.append((np.ndim(weights[2]), sorted(set(items[0].astype(int).tolist()))))
+        return resolve(c, weights, items)
+
+    monkeypatch.setattr(rootcount, "_resolve", spy)
+    spans = [(0, len(t) - 1)]
+    got = rootcount.sweep_count_batch(rows, t, spans=spans, mirror_spans=spans)
+    assert seen == [(0, []), (1, [2])]
+    monkeypatch.setattr(rootcount, "_resolve", resolve)
+    want = rootcount.sweep_count_batch(_mirror(rows), t, spans=spans)
+    assert np.array_equal(got[:, 1:], want) and got[2, 1] == 4
+    for row, count in zip(rows, got[:, 1]):
+        assert count == count_in_interval(row, Interval(-1.0, 0.0)).count
+
+
 def test_double_root_at_one_counts_as_sturm(monkeypatch):
     # -(x - 1)^2 (x + 1): a double root at 1 and a simple one at -1
     row = np.array([-1.0, 1.0, 1.0, -1.0])
