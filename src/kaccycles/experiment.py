@@ -11,8 +11,10 @@ preset is assembled from the same per-trial counts and region additivity
 holds exactly per trial.  Each degree has one plan (``_sweep_plan``), which
 its batches read: the evaluation grid that the sweep families share, with
 the pieces' bounds pinned on it, the grid's power matrix, and every
-region's pieces as spans of grid indices.  A family and its mirror are one
-sweep: f(x) and f(-x) come from the same even/odd half-size products.  The
+region's pieces as spans of grid indices.  The power matrix holds the even
+powers x^(2j) alone, n/2 + 1 rows: the odd coefficients' products with it,
+scaled by x, give the odd part.  A family and its mirror are one sweep:
+f(x) and f(-x) come from the same even/odd half-size products.  The
 coefficient vector is built once per degree; the Kac-Rice column reads it
 and the same split, and integrates each distinct piece once per degree.
 
@@ -132,18 +134,19 @@ def _t_of_x(x: float) -> float:
 
 def _sweep_plan(regions, n: int) -> tuple:
     """What every batch of degree n reads: the sweep grid, with the regions'
-    inner piece bounds pinned on it, its power matrix, and per region its
-    ``split_interval`` pieces as (family, lo, hi) grid spans with the exact
-    points it holds."""
+    inner piece bounds pinned on it, its power matrix (the even powers,
+    ``power_matrix``), and per region its ``split_interval`` pieces as
+    (family, lo, hi) grid spans with the exact points it holds."""
     splits = {r: split_interval(region_interval(r, n)) for r in regions}
     pinned = sorted({_t_of_x(x) for ps, _ in splits.values() for _, a, b in ps
                      for x in (a, b) if 0.0 < x < 1.0})
     grid = sweep_grid(n, extra_points=pinned)
-    nbytes = 8 * (n + 1) * len(grid)
+    # the power matrix holds the even powers alone (rootcount.power_matrix)
+    nbytes = 8 * (n // 2 + 1) * len(grid)
     if nbytes > 16 * 10**8:
         raise DomainError(
             f"sweep counting at degree {n} would need a {nbytes / 1e9:.1f} GB power "
-            "matrix; Monte Carlo is sized for degrees up to ~1.05e6 (expected counts "
+            "matrix; Monte Carlo is sized for degrees up to ~2e6 (expected counts "
             "at larger n come from the Kac-Rice quadrature)")
 
     def index(x):

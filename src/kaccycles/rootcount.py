@@ -14,7 +14,9 @@ Three methods with different contracts:
   root-free or monotone, rounding included, or bisected on its row until
   it is (``_resolve`` names the one case floating point cannot settle).
   O(n * grid) per polynomial and BLAS-batchable; the half-size products of
-  the even and odd parts also count the mirror f(-x).  ``sweep_roots``
+  the even and odd parts also count the mirror f(-x).  Both parts multiply
+  one matrix of the even powers x^(2j), the odd part scaled by x after its
+  product: f(x) = E(x^2) + x O(x^2).  ``sweep_roots``
   locates the roots of one polynomial in (0, inf) (the Melnikov radii).
 """
 
@@ -316,16 +318,18 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
 
     ``coeff_rows`` is (batch, n+1) realized coefficients; ``t`` the sweep
     grid, from t = 0 (``sweep_grid``); ``powers`` an optional precomputed
-    (n+1, len(t)) matrix of x^m values (reused across batches); ``spans`` a
-    list of (lo_idx, hi_idx) grid index pairs, one count per span per row.
-    The exact roots at 0, 1 and -1 (``exact_roots``) are divided out of the
-    rows first, so they fall in no span.  The zero row counts 0.
+    (n//2 + 1, len(t)) matrix of the even powers x^(2j) (``power_matrix``,
+    reused across batches); ``spans`` a list of (lo_idx, hi_idx) grid index
+    pairs, one count per span per row.  The exact roots at 0, 1 and -1
+    (``exact_roots``) are divided out of the rows first, so they fall in no
+    span.  The zero row counts 0.
 
     f and x f' come from the even and odd coefficients in half-size
-    products, c_even @ powers[0::2] and (m c)_even @ powers[0::2], and the
-    same of the odd ones, two GEMMs per parity on one buffer of half a row
-    per row; then f(x) = E(x) + O(x).  The same products give the mirror
-    f(-x) = E(x) - O(x), so ``mirror_spans`` counts the roots of the
+    products with the even powers P, c_even @ P and (m c)_even @ P, and
+    x (c_odd @ P) and x ((m c)_odd @ P), the odd sums scaled by x column by
+    column, two GEMMs per parity on one buffer of half a row per row; then
+    f(x) = E(x) + O(x).  The same products give the mirror f(-x) =
+    E(x) - O(x), so ``mirror_spans`` counts the roots of the
     mirrored rows c_m (-1)^m, i.e. of f on (-x(t[hi]), -x(t[lo])), at no
     extra GEMM cost.  Four more rows in the first product of each parity,
     m^k w_m (k = 0, 1, 2) and m (m-1) (m-2) (m-3) w_m with w_m the batch
@@ -337,16 +341,22 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     Rounding (u = 2^-53, g = 1.01 (n + 22) u), at each x in [0, 1]: the
     products, E + O included, are within gamma_(n+2) A_0(x) of f in any
     order (Higham, "Accuracy and Stability of Numerical Algorithms", 2002,
-    3.1).  exp(m log x), with log and exp within 4 ulp, is within 8.01u +
-    9.02u m |log x| of x^m relatively: 8.01u A_0(x) + 9.02u |log x| A_1(x)
-    more.  The flush below 1e-300 adds 1e-300 ||c||_1.  So f is within
-    e(x) = g A_0 + 9.02u |log x| A_1, and x f' within the same with A_1 and
-    A_2; f' = (x f')/x is within that over x (g covers the division's u).
-    At x = 0, f = c_0 and f' = c_1 are exact.  The computed A_k are within
-    gamma_(n+1) + 1e-11 of their sums (m |log x| <= 691 above the flush).
-    ``_resolve`` evaluates the same way, with the row's own |c_m| for w_m.
-    The bounds shrink with x as f does: an l1 bound g ||m c||_1 / x on f'
-    near x = 0 would leave cells there uncertified at every scale.
+    3.1).  The x scaling of each odd sum is one rounding more, at most
+    u (1 + gamma_(n+2)) A_0(x).  exp(2j log x), with log and exp within 4
+    ulp, is within 8.01u + 9.02u 2j |log x| of x^(2j) relatively, so x^(2j)
+    and x x^(2j) are within 8.01u + 9.02u m |log x| of x^m, m = 2j or
+    2j + 1: 8.01u A_0(x) + 9.02u |log x| A_1(x) more.  The flush below
+    1e-300 adds 1e-300 ||c||_1 (x <= 1).  So f is within e(x) = g A_0 +
+    9.02u |log x| A_1, and x f' within the same with A_1 and A_2; f' =
+    (x f')/x is within that over x.  g covers all of it: gamma_(n+2) +
+    8.01u + u (the x scaling) + u (the division) <= (n + 12.01) u (1 +
+    2 (n + 2) u), below 1.01 (n + 22) u.  At x = 0, f = c_0 and f' = c_1 are
+    exact.  The computed A_k are within gamma_(n+1) + 1e-11 of their sums
+    (m |log x| <= 691 + |log x| above the flush; the 1e-11 holds the x
+    scaling's u).  ``_resolve`` takes each power as exp(m log x), within
+    the same bounds, with the row's own |c_m| for w_m.  The bounds shrink
+    with x as f does: an l1 bound g ||m c||_1 / x on f' near x = 0 would
+    leave cells there uncertified at every scale.
 
     Returns an array of shape (batch, len(spans) + len(mirror_spans)),
     the mirror counts last.
@@ -387,8 +397,8 @@ def _sweep_cells(c: np.ndarray, t: np.ndarray, powers: np.ndarray | None, mirror
     if powers is None:
         powers = power_matrix(n, t)
     wmax = np.maximum(c.max(axis=0), -c.min(axis=0))       # max over the rows of |c_m|
-    ev, od = _parity_products(c, k4, wmax, powers)
     r, x = len(c), 1.0 - np.exp(-t)
+    ev, od = _parity_products(c, k4, wmax, powers, x)
     e, e1, m4 = _bounds(ev[r:r + 4] + od[r:r + 4], x, (k4 * wmax).sum(axis=1)[:, None], g)
     # f = E + O in place, and the mirror E - O: every large temporary is
     # memory faulted in afresh on each call
@@ -418,25 +428,27 @@ def _sweep_cells(c: np.ndarray, t: np.ndarray, powers: np.ndarray | None, mirror
     return (k4, g, 1.0), out
 
 
-def _parity_products(c: np.ndarray, k4: np.ndarray, wmax: np.ndarray, powers: np.ndarray):
+def _parity_products(c: np.ndarray, k4: np.ndarray, wmax: np.ndarray, powers: np.ndarray,
+                     x: np.ndarray):
     """The even and the odd halves of the products of the rows c, w and m c
     with the powers, w = k4 wmax: per parity the rows [c; w] of one reused
-    buffer, half a row per row, times the powers of that parity, then the
-    buffer's rows times m.  Returns the two halves, each (2 len(c) + 4,
-    len(t)) with rows c, w and m c.  Strided row views of powers go to BLAS
-    as they are (lda = 2 len(t))."""
+    buffer, half a row per row, times the leading rows of the even powers
+    (``power_matrix``), then the buffer's rows times m; the odd half is
+    then scaled by x, column by column.  Returns the two halves, each
+    (2 len(c) + 4, len(t)) with rows c, w and m c."""
     r = len(c)
     halves = [np.empty((2 * r + 4, powers.shape[1])) for _ in range(2)]
     buf = np.empty((r + 4, (c.shape[1] + 1) // 2))
     for k, out in enumerate(halves):
-        p = powers[k::2]
-        b = buf[:, :len(p)]
+        b = buf[:, :(c.shape[1] + 1 - k) // 2]
+        p = powers[:b.shape[1]]
         b[:r] = c[:, k::2]
         np.multiply(k4[:, k::2], wmax[k::2], out=b[r:])
         np.matmul(b, p, out=out[:r + 4])
         b = b[:r]
         b *= k4[1, k::2]
         np.matmul(b, p, out=out[r + 4:])
+    halves[1] *= x
     return halves
 
 
@@ -548,9 +560,10 @@ def _resolve(c: np.ndarray, rows, items: np.ndarray):
 def _point_values(c: np.ndarray, rows, r: np.ndarray, x: np.ndarray):
     """f, f', their rounding bounds e and e', and the majorant of |f''''| of
     the rows c[r], each coefficient times its sign, at x in (0, 1], from the
-    powers exp(m log x) flushed below 1e-300, as in power_matrix.  ``rows``
-    holds the weights m^k of the majorants, g and the signs: 1, or (-1)^m
-    for a mirror."""
+    powers exp(m log x) flushed below 1e-300, each m its own (power_matrix
+    stores the even ones alone; both are within the rounding bound of
+    ``sweep_count_batch``).  ``rows`` holds the weights m^k of the
+    majorants, g and the signs: 1, or (-1)^m for a mirror."""
     k4, g, sign = rows
     out = np.empty((10, len(r)))
     for j in _row_blocks(len(r), c.shape[1]):
@@ -568,16 +581,18 @@ def _point_values(c: np.ndarray, rows, r: np.ndarray, x: np.ndarray):
 
 
 def power_matrix(n: int, t: np.ndarray) -> np.ndarray:
-    """x(t)^m matrix of shape (n+1, len(t)); x = 1 - e^-t.
+    """The even powers x(t)^(2j), j = 0..n//2, of degree n's sweep: a matrix
+    of shape (n//2 + 1, len(t)); x = 1 - e^-t.  The odd powers are not
+    stored: ``_parity_products`` scales the odd sums by x.
 
     Underflowed entries are flushed to exact zero; subnormals would poison
     BLAS throughput on the big products downstream.
     """
     x = 1.0 - np.exp(-t)
     logx = np.where(x > 0.0, np.log(np.where(x <= 0.0, 1.0, x)), -np.inf)
-    m = np.arange(n + 1, dtype=float)[:, None]
-    pw = np.empty((n + 1, len(t)))
-    # built in place: no (n+1, len(t)) temporary beside the result
+    m = 2.0 * np.arange(n // 2 + 1, dtype=float)[:, None]
+    pw = np.empty((n // 2 + 1, len(t)))
+    # built in place: no temporary of the result's size beside it
     with np.errstate(invalid="ignore"):
         np.multiply(m, logx, out=pw)
         np.exp(pw, out=pw)

@@ -173,6 +173,25 @@ def test_batch_rows_bound_the_batch_coefficients():
     assert all(r * (n + 1) <= 2 ** 22 or r == 1 for r, n in zip(rows, ns))
 
 
+def test_sweep_plan_guards_the_even_power_matrix(monkeypatch):
+    # the 1.6 GB guard reads the even power matrix's shape, (n//2 + 1) x
+    # grid: degree 2e6 plans, 2.05e6 does not, and raises before any
+    # power matrix is built or anything of its size allocated
+    regions = ["01", "1inf", "sym", "R"]
+    built = []
+    monkeypatch.setattr(experiment, "power_matrix", lambda n, t: built.append(n))
+    experiment._sweep_plan(regions, 2 * 10**6)
+    assert built == [2 * 10**6]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="up to ~2e6"):
+            experiment._sweep_plan(regions, 2_050_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [2 * 10**6] and peak < 2**20
+
+
 def _batch_peak(monkeypatch, n, rows):
     """tracemalloc peak of one _count_batch of ``rows`` trials at degree n
     in all four sweep families, its plan built beforehand, with the Philox

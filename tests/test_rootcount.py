@@ -484,6 +484,65 @@ def test_sweep_counts_do_not_depend_on_the_grid_step(monkeypatch, dist):
             assert (count, simple) == runs[0][1:], n
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 30000])
+def test_power_matrix_holds_the_even_powers_flushed(n):
+    t = rootcount.sweep_grid(n, extra_points=[0.7])
+    pw = rootcount.power_matrix(n, t)
+    assert pw.shape == (n // 2 + 1, len(t)) and pw.flags.c_contiguous
+    x = 1.0 - np.exp(-t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.exp(2.0 * np.arange(n // 2 + 1)[:, None] * np.log(x))
+    want[want < 1e-300] = 0.0
+    want[0] = 1.0
+    assert np.array_equal(pw, want)
+    # exact 1 in row 0 and at t = inf (x = 1), exact 0 at t = 0 below row 0,
+    # and nothing left in (0, 1e-300)
+    assert np.all(pw[0] == 1.0) and np.all(pw[:, -1] == 1.0) and not pw[1:, 0].any()
+    assert not np.any((pw > 0.0) & (pw < 1e-300))
+
+
+def test_odd_powers_from_the_even_ones_stay_within_the_rounding_bound():
+    # x times the stored x^(2j) against exp((2j + 1) log x) in extended
+    # precision: within 8.01u + 9.02u m |log x| relatively, m = 2j + 1, plus
+    # the u of the product with x (sweep_count_batch's rounding paragraph),
+    # and 1e-300 where x^(2j) was flushed
+    n, u = 30000, 2.0 ** -53
+    t = rootcount.sweep_grid(n)[1:]          # x > 0, so that log x is finite
+    x = 1.0 - np.exp(-t)
+    pw = rootcount.power_matrix(n, t)
+    j = np.random.default_rng(9).choice(n // 2, 200, replace=False)
+    m = 2.0 * j[:, None] + 1.0
+    exact = np.exp(m.astype(np.longdouble) * np.log(x.astype(np.longdouble)))
+    bound = (9.01 * u + 9.02 * u * m * np.abs(np.log(x))) * exact + 1e-300
+    err = np.abs((x * pw[j]).astype(np.longdouble) - exact)
+    assert np.all(err <= bound)
+    assert np.count_nonzero(pw[j]) > len(j)      # not every entry is flushed
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_sweep_parity_edges_equal_sturm_on_integer_rows(n):
+    # every integer row with entries in -2..2 but zero: c_0 = 0, a zero top
+    # coefficient, exact roots at 1 and -1, no odd coefficient at n = 0 and
+    # one odd coefficient only at n = 1 and 2
+    rows = np.array(np.meshgrid(*[np.arange(-2.0, 3.0)] * (n + 1))).reshape(n + 1, -1).T
+    rows = rows[rows.any(axis=1)]
+    assert n == 0 or np.any(rows[:, 0] == 0.0)
+    t = rootcount.sweep_grid(n, extra_points=[0.7])
+    k = int(np.searchsorted(t, 0.7))
+    spans = [(0, len(t) - 1), (0, k), (k, len(t) - 1)]
+    x = 1.0 - math.exp(-0.7)
+    ivs = [Interval(0.0, 1.0), Interval(0.0, x), Interval(x, 1.0)]
+    got = rootcount.sweep_count_batch(rows, t, spans=spans, mirror_spans=spans)
+    for row, counts in zip(rows, got):
+        want = [sturm_count(row, iv) for iv in ivs]
+        want += [sturm_count(row, Interval(-iv.hi, -iv.lo)) for iv in ivs]
+        assert counts.tolist() == want, row
+    # the majorants weigh the batch maximum of |c_m|; alone, the row's own
+    for i in range(0, len(rows), 7):
+        alone = rootcount.sweep_count_batch(rows[i], t, spans=spans, mirror_spans=spans)
+        assert np.array_equal(alone[0], got[i]), rows[i]
+
+
 # ---------------------------------------------------------------------------
 # exact roots at +-1, counted with multiplicity by both methods
 # ---------------------------------------------------------------------------
