@@ -88,6 +88,13 @@ class ExperimentConfig:
         for r in self.regions:
             if r not in REGIONS:
                 raise DomainError(f"unknown region {r!r}")
+        # an order below 1 would write 0 ** order (inf) or a constant row
+        if self.moments and min(self.moments) < 1:
+            raise DomainError("moment orders must be at least 1")
+        # an empty or non-finite band fails every row's check
+        if not (math.isfinite(self.band_lo) and math.isfinite(self.band_hi)
+                and self.band_lo <= self.band_hi):
+            raise DomainError("need finite band limits with band_lo <= band_hi")
         # master_seed may stay None until the CLI injects --seed; run_experiment
         # refuses to draw without one (no silent entropy)
 

@@ -14,8 +14,8 @@ intervals reduce to positive ones because only squared coefficients enter,
 so a mirrored piece reuses the integral of its positive twin.
 
 Every interval is cut at -1, 0 and 1 by ``split_interval``, which the
-sweep counter of the Monte Carlo harness reads as well; the named region
-presets live in ``REGIONS``.
+sweep counter of the Monte Carlo harness and ``asymptotic_prediction`` read
+as well; the named region presets live in ``REGIONS``.
 
 The quadrature is adaptive Gauss-Kronrod (G7, K15) with QUADPACK-style error
 estimates (Piessens et al., QUADPACK, 1983).  Above ``_POOL_TERMS`` terms a
@@ -119,33 +119,26 @@ def _regime(rho: float) -> str:
 
 def asymptotic_prediction(rho: float, region: str, n: int) -> float | None:
     """Leading-order expected count (natural logarithm) in a region of the
-    regime of rho.
+    regime of rho: the sum of the leading terms of its ``split_interval``
+    pieces.
 
-    Regions: "01", "1inf", "pos" (0,inf), "neg" (-inf,0), "neg1inf",
-    "sym" (-1,1), "R", and the core intervals "In", "In_inv".  The
-    subcritical inner regions are Theta(1) with no constant available;
-    those give None, as does every region below n = 3.
+    A direct or mirrored piece adds the (0, 1) term: sqrt(2 rho + 1)
+    log(n)/(2 pi) above the critical weight, sqrt(log n)/pi at it, and
+    nothing below it, where the count is Theta(1) with no known constant.
+    A reversed piece adds the (1, inf) term log(n)/(2 pi).  A region whose
+    pieces add no term gives None, as does every region below n = 3.
     """
-    if region not in REGIONS:
-        raise DomainError(f"unknown region {region!r}")
-    if n < 3:
+    pieces = split_interval(region_interval(region, n))[0]
+    reg = _regime(rho)
+    outer = sum(fam in ("rev", "mrev") for fam, _, _ in pieces)
+    inner = len(pieces) - outer if reg != "subcritical" else 0
+    if n < 3 or inner + outer == 0:
         return None
     ln = math.log(n)
-    reg = _regime(rho)
+    if reg == "critical":
+        return inner * math.sqrt(ln) / math.pi + outer * ln / (2 * math.pi)
     root = math.sqrt(2.0 * rho + 1.0) if reg == "supercritical" else 0.0
-    # (0, 1): sqrt(2 rho + 1) log(n)/(2 pi) above the critical weight,
-    # sqrt(log n)/pi at it, Theta(1) below; (1, inf): log(n)/(2 pi)
-    inner = {"supercritical": root * ln / (2 * math.pi),
-             "critical": math.sqrt(ln) / math.pi}.get(reg)
-    if region in ("1inf", "neg1inf", "In_inv"):
-        return ln / (2 * math.pi)
-    if region in ("01", "In"):
-        return inner
-    if region == "sym":
-        return None if inner is None else 2.0 * inner
-    # (0, inf): an inner count below the critical weight is of lower order
-    pos = (root + 1.0) * ln / (2 * math.pi)
-    return pos if region in ("pos", "neg") else 2.0 * pos   # the rest is "R"
+    return (inner * root + outer) * ln / (2 * math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,17 @@ def test_experiment_rejects_negative_degree(capsys, tmp_path):
     assert "nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["moments = -1, 0", "band_lo = 1.5", "band_hi = inf"])
+def test_experiment_rejects_moment_orders_and_bands(capsys, tmp_path, line):
+    # a usage error found before any trial is drawn: exit 1, no output
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scheme = center\ndist = gauss\ndegrees = 60\nregions = 01\n"
+                   f"trials = 64\nmaster_seed = 3\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert dispatch(["experiment", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert not out_dir.exists()
+
+
 def test_experiment_requires_seed(capsys, tmp_path):
     cfg = tmp_path / "noseed.cfg"
     cfg.write_text("scheme = center\ndist = gauss\ndegrees = 60\n"

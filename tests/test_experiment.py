@@ -281,6 +281,18 @@ def test_config_validation():
     with pytest.raises(DomainError, match="nonnegative"):
         small_config(degrees=[5, -1])
     small_config(degrees=[0])
+    # a moment of order 0 is the constant 1, and a negative order is inf
+    # wherever a trial counts no root
+    for moments in ((-1, 0), (2, 0), (-2,)):
+        with pytest.raises(DomainError, match="moment"):
+            small_config(moments=moments)
+    small_config(moments=(1, 2))
+    # an empty or non-finite band fails every row's check
+    for lo, hi in ((1.3, 0.7), (math.nan, 1.3), (0.7, math.nan),
+                   (-math.inf, 1.3), (0.7, math.inf)):
+        with pytest.raises(DomainError, match="band"):
+            small_config(band_lo=lo, band_hi=hi)
+    small_config(band_lo=1.0, band_hi=1.0)
 
 
 def test_parse_config_file(tmp_path):
@@ -385,6 +397,16 @@ def test_compare_to_theory_band_checks():
     bad = _rows_from(ns, [a * 1.5 for a in asym], asym=asym)
     rep = compare_to_theory(bad, band_lo=0.8, band_hi=1.2)
     assert not rep.all_passed
+
+
+def test_empty_core_interval_has_no_band_check():
+    # up to degree 10 the core interval is empty: In and In_inv count no
+    # root, and no asymptotic value claims otherwise
+    res = run_experiment(small_config(degrees=[4, 7, 10], regions=["In", "In_inv"],
+                                      trials=64))
+    assert all(r.mc_mean == 0.0 and r.asymptotic is None
+               and r.ratio_mc_over_asymptotic is None for r in res.rows)
+    assert compare_to_theory(res.rows).all_passed
 
 
 def test_compare_to_theory_needs_three_degrees():

@@ -393,3 +393,46 @@ def test_asymptotic_prediction_values():
         assert all(K.asymptotic_prediction(0.0, r, n) is None for r in K.REGIONS)
         with pytest.raises(DomainError):
             K.asymptotic_prediction(0.0, "nowhere", n)
+
+
+# both sides of the critical weight -1/2, and within its 1e-12 tolerance
+_RHOS = (-2.0, -1.0, -0.75, -0.5 - 1e-9, -0.5 - 1e-13, -0.5, -0.5 + 1e-13,
+         -0.5 + 1e-9, -0.25, 0.0, 0.5, 2.0)
+_DEGREES = (2, 3, 10, 11, 100, 1000, 10**4, 10**5)
+
+
+def test_asymptotic_prediction_adds_up_by_region():
+    # a region's prediction is the sum of its pieces' leading terms, so the
+    # presets add up as their intervals do, wherever both sides are defined
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * abs(b)
+
+    for rho in _RHOS:
+        for n in _DEGREES:
+            a = {r: K.asymptotic_prediction(rho, r, n) for r in K.REGIONS}
+            if a["01"] is not None:
+                assert close(a["pos"], a["01"] + a["1inf"]), (rho, n)
+                assert close(a["sym"], 2.0 * a["01"]), (rho, n)
+            assert a["neg"] == a["pos"] and a["neg1inf"] == a["1inf"], (rho, n)
+            if a["pos"] is not None:
+                assert close(a["R"], 2.0 * a["pos"]), (rho, n)
+            # the core interval is empty up to degree 10
+            if 3 <= n <= 10:
+                assert a["In"] is None and a["In_inv"] is None, (rho, n)
+
+
+def test_kacrice_against_asymptotic_prediction_at_the_critical_weight():
+    # the center scheme at the critical weight: Kac-Rice over (0, inf) lies
+    # above log(n)/(2 pi) + sqrt(log n)/pi and approaches it, Kac-Rice over
+    # (0, 1) lies below sqrt(log n)/pi and approaches it
+    scheme = CoeffScheme.perturbed_center()
+    ratios = {"pos": [], "01": []}
+    for n in (10**2, 10**3, 10**4, 10**5):
+        kr = K.expected_roots_regions(coeff_vector(scheme, n), list(ratios), 1e-7)
+        for r in ratios:
+            ratios[r].append(kr[r][0] / K.asymptotic_prediction(scheme.effective_rho, r, n))
+    pos, inner = ratios["pos"], ratios["01"]
+    assert pos == pytest.approx([1.1185, 1.0893, 1.0722, 1.0606], abs=1e-4)
+    assert inner == pytest.approx([0.8372, 0.8542, 0.8668, 0.8765], abs=1e-4)
+    assert all(1.0 < b < a for a, b in zip(pos, pos[1:]))
+    assert all(a < b < 1.0 for a, b in zip(inner, inner[1:]))
