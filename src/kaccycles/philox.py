@@ -21,7 +21,11 @@ in cache-sized chunks of at most ``CHUNK`` counters, in place, so a block of
 any length costs no temporary larger than a chunk: the counters of a chunk
 are made from its start offset, the rounds update reused word buffers, and
 the finishing step (uniforms, Box-Muller, sign bits) writes straight into
-the output.  ``variates_block`` and ``philox4x32`` also take a 1-D array of
+the output.  The word buffers are flat, and a tile of rows x cols cells
+takes its planes (the two words, the products, the uniforms) as
+consecutive runs of rows x cols cells, so every tile, a stack of short
+rows or the ragged end of a long one, is one C-contiguous array.
+``variates_block`` and ``philox4x32`` also take a 1-D array of
 stream keys and then return one row per key, so a batch of trials is one
 call.
 
@@ -123,9 +127,12 @@ def _round_keys(keys: np.ndarray) -> np.ndarray:
     return (((keys >> _KEY_SHIFTS) + _ROUND_STEPS) << _U32)[..., None]
 
 
-def _view(buf: np.ndarray, rows, shape) -> np.ndarray:
-    """The leading rows x cols cells of buf[rows], as an array of ``shape``."""
-    return buf[rows, :shape[-2] * shape[-1]].reshape(shape)
+def _view(buf: np.ndarray, p0: int, p1: int, shape) -> np.ndarray:
+    """Planes [p0, p1) of a tile of rows x cols cells, plane p the cells
+    [p rows cols, (p + 1) rows cols) of the flat buffer: one C-contiguous
+    array of ``shape``, whatever the tile's size."""
+    cells = shape[-2] * shape[-1]
+    return buf[p0 * cells:p1 * cells].reshape(shape)
 
 
 class _Kernel:
@@ -145,14 +152,14 @@ class _Kernel:
 
     def __init__(self, keys: np.ndarray, cells: int):
         self.rkeys = _round_keys(keys)
-        self.buf = np.empty((4, min(cells, CHUNK)), dtype=np.uint64)
-        self.buf_f = np.empty((3, min(cells, CHUNK)))
+        self.buf = np.empty(4 * min(cells, CHUNK), dtype=np.uint64)
+        self.buf_f = np.empty(3 * min(cells, CHUNK))
 
     def words(self, r0: int, r1: int, counters: np.ndarray) -> np.ndarray:
         """Z after ten rounds for keys [r0, r1) at the uint64 counters."""
         shape = (2, r1 - r0, len(counters))
-        z = _view(self.buf, slice(0, 2), shape)
-        t = _view(self.buf, slice(2, 4), shape)
+        z = _view(self.buf, 0, 2, shape)
+        t = _view(self.buf, 2, 4, shape)
         keys = self.rkeys[:, :, r0:r1]
         # counter = c1:c0, so c0:c1 is the counter with its halves swapped
         np.left_shift(counters, _U32, out=z[0])
@@ -174,8 +181,8 @@ class _Kernel:
         (w0, w1) for h1 and (w2, w3) for h2.  Every step is exact in
         float64.  Uses ``z`` as scratch.
         """
-        u = _view(self.buf_f, slice(0, 2), z.shape)
-        t = _view(self.buf, slice(2, 4), z.shape)
+        u = _view(self.buf_f, 0, 2, z.shape)
+        t = _view(self.buf, 2, 4, z.shape)
         np.right_shift(z, 38, out=t)
         np.multiply(t, float(1 << 27), out=u)
         np.bitwise_and(z, _MASK32, out=z)
@@ -189,7 +196,7 @@ class _Kernel:
 def _finish_gaussian(k: _Kernel, z, out):
     """Box-Muller pair of standard normals per counter, into out[..., 0:2]."""
     u1, u2 = k.uniforms(z)
-    t = _view(k.buf_f, 2, u1.shape)
+    t = _view(k.buf_f, 2, 3, u1.shape)
     # r = sqrt(-2 log u1), th = 2 pi u2, (z0, z1) = (r cos th, r sin th)
     np.log(u1, out=u1)
     np.multiply(-2.0, u1, out=u1)
@@ -212,7 +219,7 @@ def _finish_uniform(k: _Kernel, z, out):
 
 def _finish_rademacher(k: _Kernel, z, out):
     """Four +-1 draws per counter from the low bits of (w0, w1, w2, w3)."""
-    hi = _view(k.buf, slice(2, 4), z.shape)
+    hi = _view(k.buf, 2, 4, z.shape)
     np.right_shift(z, 32, out=hi)
     for bits, slots in ((hi, (0, 2)), (z, (1, 3))):
         np.bitwise_and(bits, 1, out=bits)

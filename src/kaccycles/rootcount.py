@@ -22,7 +22,13 @@ Three methods with different contracts:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,9 @@ _TAIL_START = 0.5
 SWEEP_TAIL = 9.0
 # open pieces of a row in a bisection level past which none is split
 _CROWDED = 1024
+# multiply-adds per sweep product, (rows + 4) ceil((n + 1)/2) len(t), below
+# which a sweep holds numpy's BLAS to one thread (``_one_blas_thread``)
+_ONE_THREAD_MADDS = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -310,6 +319,76 @@ def sweep_grid(n: int, extra_points=()) -> np.ndarray:
     return np.append(pts[(pts >= 0.0) & (pts <= t_hi)], np.inf)
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
+    bundle in numpy.libs (scipy-openblas), through ctypes; None where it is
+    not found."""
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = (lib.scipy_openblas_get_num_threads64_,
+                        lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_BLAS_GATE = threading.Lock()
+_blas_held = [0, 0]     # sweeps inside the gate, and the count they restore
+
+
+@contextlib.contextmanager
+def _one_blas_thread(c: np.ndarray, t: np.ndarray):
+    """Hold numpy's BLAS to one thread while the rows c are swept on the
+    grid t, if each product has fewer than _ONE_THREAD_MADDS multiply-adds.
+
+    Below that a second OpenBLAS thread wakes for every product and spins
+    between them, for no wall time.  run_experiment, center scheme, Gaussian
+    rows, regions 01/1inf/R, BLAS threads set for the process, 2 cores,
+    median of 7 fresh processes, alternating:
+
+        n (trials)     multiply-adds   wall s, 2 -> 1 thread   cpu s, 2 -> 1
+        100 (2000)     1.7e6           0.071 -> 0.076          0.141 -> 0.081
+        1000 (2000)    7.0e6           0.265 -> 0.238          0.530 -> 0.306
+        3000 (512)     1.2e7           0.181 -> 0.151          0.356 -> 0.198
+        6000 (256)     2.5e7           0.200 -> 0.155          0.367 -> 0.194
+        10000 (256)    4.4e7           0.278 -> 0.278          0.539 -> 0.307
+        15000 (256)    6.9e7           0.392 -> 0.360          0.770 -> 0.464
+        30000 (256)    1.5e8           0.668 -> 0.722          1.269 -> 0.849
+
+    Threads start to pay for wall time between n = 1e4 and 3e4; the gate
+    sits below n = 1e4, since alone in a loop the n = 3e4 product takes
+    3.5-4.1 ms on two threads and 7.1-7.2 ms on one.
+
+    The count is process-wide, so sweeps that overlap on several threads
+    share one hold, and the last to end restores the count from before the
+    first.  Where the library is not found the sweep runs as it is.
+    """
+    madds = (len(c) + 4) * ((c.shape[1] + 1) // 2) * len(t)
+    blas = _blas_threads() if madds < _ONE_THREAD_MADDS else None
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_GATE:
+        if not _blas_held[0]:
+            _blas_held[1] = get()
+            put(1)
+        _blas_held[0] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_GATE:
+            _blas_held[0] -= 1
+            if not _blas_held[0]:
+                put(_blas_held[1])
+
+
 def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
                       powers: np.ndarray | None = None,
                       spans: list[tuple[int, int]] | None = None,
@@ -358,14 +437,17 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     with x as f does: an l1 bound g ||m c||_1 / x on f' near x = 0 would
     leave cells there uncertified at every scale.
 
+    Small sweeps run on one BLAS thread (``_one_blas_thread``).
+
     Returns an array of shape (batch, len(spans) + len(mirror_spans)),
     the mirror counts last.
     """
     c = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
+    with _one_blas_thread(c, t):
+        fams = _sweep_cells(c, t, powers, bool(mirror_spans))[1]
     out = []
     for (row, cell, count, *_), sp in zip(
-            _sweep_cells(c, t, powers, bool(mirror_spans))[1],
-            ([(0, len(t) - 1)] if spans is None else spans, mirror_spans)):
+            fams, ([(0, len(t) - 1)] if spans is None else spans, mirror_spans)):
         for lo, hi in sp:
             inside = (cell >= lo) & (cell < hi)
             out.append(np.bincount(row[inside], count[inside], minlength=len(c)).astype(int))
@@ -614,7 +696,7 @@ def sweep_roots(coeffs):
     bracket is monotone.  A cluster, which the sweep counts as two roots,
     is located at the extremum of f in its gap, where f' changes sign, and
     comes back twice, flagged not simple, as does a root of order k > 1 at
-    1, k times.
+    1, k times.  Small sweeps run on one BLAS thread (``_one_blas_thread``).
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if c.size == 0:
@@ -623,18 +705,19 @@ def sweep_roots(coeffs):
     t = sweep_grid(len(c) - 1)
     powers = power_matrix(len(c) - 1, t)
     x, k, simple = [], [], []
-    for fam, row in enumerate((direct, rev)):
-        weights, ((_, _, count, a, b, sa, steady),) = _sweep_cells(row, t, powers, False)
-        # a root in each bracket that f crosses (f >= 0 left of it where
-        # f(a) >= 0), a cluster at its extremum (f' >= 0 left of it where
-        # f(a) < 0); the reversed row's roots are 1/u
-        keep = count > 0.0
-        one, sa = count[keep] == 1.0, sa[keep] > 0.0
-        u = _narrow(row, weights, np.zeros(len(one), dtype=int), a[keep], b[keep],
-                    sa == one, ~one)
-        x.append(1.0 / u if fam else u)
-        k.append(count[keep].astype(int))
-        simple.append(steady[keep] & one)
+    with _one_blas_thread(direct, t):
+        for fam, row in enumerate((direct, rev)):
+            weights, ((_, _, count, a, b, sa, steady),) = _sweep_cells(row, t, powers, False)
+            # a root in each bracket that f crosses (f >= 0 left of it where
+            # f(a) >= 0), a cluster at its extremum (f' >= 0 left of it where
+            # f(a) < 0); the reversed row's roots are 1/u
+            keep = count > 0.0
+            one, sa = count[keep] == 1.0, sa[keep] > 0.0
+            u = _narrow(row, weights, np.zeros(len(one), dtype=int), a[keep], b[keep],
+                        sa == one, ~one)
+            x.append(1.0 / u if fam else u)
+            k.append(count[keep].astype(int))
+            simple.append(steady[keep] & one)
     x.append(np.ones(1))
     k.append(mult[0, 1:2])
     simple.append(k[-1] == 1)

@@ -202,8 +202,7 @@ def test_multi_key_words_equal_per_key_words():
 # tile threads: a block's bytes do not depend on how its tiles are shared
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("dist", ["gaussian", "uniform", "rademacher"])
-@pytest.mark.parametrize("keys,start,count", [
+_TILE_CASES = [
     # one key: many whole tiles, then a ragged last tile, from an odd start
     (philox.stream_key(3, 1, philox.LANE_PERT), 7, 5 * philox.CHUNK + 1001),
     # many keys stacked several to a tile, the last tile holding fewer
@@ -212,7 +211,11 @@ def test_multi_key_words_equal_per_key_words():
     # a few long rows, each cut into several tiles
     (np.array([philox.stream_key(3, t, 1) for t in range(3)], dtype=np.uint64),
      philox.CHUNK + 3, 3 * philox.CHUNK + 17),
-])
+]
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "uniform", "rademacher"])
+@pytest.mark.parametrize("keys,start,count", _TILE_CASES)
 def test_block_does_not_depend_on_thread_count(monkeypatch, dist, keys, start, count):
     blocks = []
     for threads in (1, 2, 3):
@@ -220,6 +223,24 @@ def test_block_does_not_depend_on_thread_count(monkeypatch, dist, keys, start, c
         blocks.append(philox.variates_block(dist, keys, count, start))
     for b in blocks[1:]:
         assert b.tobytes() == blocks[0].tobytes()
+
+
+@pytest.mark.parametrize("keys,start,count", _TILE_CASES)
+def test_kernel_tiles_are_contiguous(keys, start, count):
+    # each tile's words and uniforms are one C-contiguous run of the
+    # kernel's buffers: whole tiles, ragged last tiles and multi-key tiles
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    nq = count // 2 + 1
+    k = philox._Kernel(keys, len(keys) * nq)
+    shapes = set()
+    for r0, r1, q0, q1 in philox._tiles(len(keys), nq):
+        z = k.words(r0, r1, np.arange(start + q0, start + q1, dtype=np.uint64))
+        u = k.uniforms(z)
+        assert z.shape == u.shape == (2, r1 - r0, q1 - q0)
+        assert z.flags.c_contiguous and u.flags.c_contiguous
+        shapes.add(z.shape)
+    # every case has tiles of more than one shape: its last tile is ragged
+    assert len(shapes) > 1
 
 
 def test_block_under_thread_stress(monkeypatch):

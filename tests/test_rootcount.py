@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -677,3 +679,183 @@ def test_flat_rademacher_counts_equal_sturm_per_trial(counter, n):
         got = (list(res.counts[(n, r)]) if counter == "sweep"
                else [count_in_interval(row, iv).count for row in rows])
         assert got == want, r
+
+
+# ---------------------------------------------------------------------------
+# small sweeps run on one BLAS thread
+# ---------------------------------------------------------------------------
+
+class _FakeBlas:
+    """A (get, set) pair of a BLAS thread count that logs its calls."""
+
+    def __init__(self, threads=3):
+        self.threads, self.calls = threads, []
+
+    def get(self):
+        self.calls.append("get")
+        return self.threads
+
+    def set(self, k):
+        self.calls.append(("set", k))
+        self.threads = k
+
+
+def _spy_threads(monkeypatch, blas):
+    """Record the thread count each sweep stage sees when it is called."""
+    seen = []
+    for name in ("_parity_products", "_resolve", "_narrow"):
+        def spy(*args, _name=name, _real=getattr(rootcount, name)):
+            seen.append((_name, blas.threads))
+            return _real(*args)
+        monkeypatch.setattr(rootcount, name, spy)
+    return seen
+
+
+def _gauss_rows(n, trials):
+    return _realized(CoeffScheme.perturbed_center(), NoiseDistribution.GAUSSIAN, n, 5, 0, trials)
+
+
+def test_small_sweeps_run_on_one_blas_thread(monkeypatch):
+    blas = _FakeBlas()
+    monkeypatch.setattr(rootcount, "_blas_threads", lambda: (blas.get, blas.set))
+    seen = _spy_threads(monkeypatch, blas)
+    rows, t = _gauss_rows(100, 8), rootcount.sweep_grid(100)
+    rootcount.sweep_count_batch(rows, t, mirror_spans=[(0, len(t) - 1)])
+    assert blas.calls == ["get", ("set", 1), ("set", 3)]
+    assert set(seen) == {("_parity_products", 1), ("_resolve", 1)}
+    blas.calls, seen[:] = [], []
+    sweep_roots(rows[0])
+    assert blas.calls == ["get", ("set", 1), ("set", 3)]
+    assert set(seen) == {("_parity_products", 1), ("_resolve", 1), ("_narrow", 1)}
+    # a product at the gate or above it keeps the count as it is
+    monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", (8 + 4) * 51 * len(t))
+    blas.calls, seen[:] = [], []
+    rootcount.sweep_count_batch(rows, t)
+    sweep_roots(rows[0][:10])       # (1 + 4) 5 len(sweep_grid(9)) multiply-adds: gated
+    assert blas.calls == ["get", ("set", 1), ("set", 3)]
+    assert ("_parity_products", 3) in seen and ("_narrow", 1) in seen
+    monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", 0)
+    blas.calls = []
+    rootcount.sweep_count_batch(rows, t)
+    sweep_roots(rows[0])
+    assert blas.calls == []
+
+
+def test_one_blas_thread_is_restored_when_the_sweep_raises(monkeypatch):
+    blas = _FakeBlas(2)
+    monkeypatch.setattr(rootcount, "_blas_threads", lambda: (blas.get, blas.set))
+
+    def boom(*args):
+        assert blas.threads == 1
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(rootcount, "_parity_products", boom)
+    rows, t = _gauss_rows(100, 4), rootcount.sweep_grid(100)
+    for sweep in (lambda: rootcount.sweep_count_batch(rows, t), lambda: sweep_roots(rows[0])):
+        blas.calls = []
+        with pytest.raises(RuntimeError, match="boom"):
+            sweep()
+        assert blas.calls == ["get", ("set", 1), ("set", 2)] and blas.threads == 2
+    assert rootcount._blas_held[0] == 0
+
+
+def test_overlapping_small_sweeps_share_one_hold(monkeypatch):
+    # more sweeping threads than cores, switching every few microseconds:
+    # the count is read only while no sweep holds it, and the last sweep
+    # to end restores it, so no thread can save the held count and put it
+    # back for good
+    blas = _FakeBlas()
+    lock = threading.Lock()
+    read = []
+
+    def get():
+        with lock:
+            read.append(blas.threads)
+        return blas.threads
+
+    monkeypatch.setattr(rootcount, "_blas_threads", lambda: (get, blas.set))
+    rows, t = _gauss_rows(100, 8), rootcount.sweep_grid(100)
+    want = rootcount.sweep_count_batch(rows, t)
+    got = []
+
+    def sweep():
+        for _ in range(5):
+            got.append(rootcount.sweep_count_batch(rows, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runners = [threading.Thread(target=sweep) for _ in range(6)]
+        for r in runners:
+            r.start()
+        for r in runners:
+            r.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(r.is_alive() for r in runners)
+    assert len(got) == 30 and all(np.array_equal(g, want) for g in got)
+    assert set(read) == {3} and blas.threads == 3 and rootcount._blas_held[0] == 0
+
+
+def test_no_blas_library_leaves_the_sweep_as_it_is(monkeypatch, tmp_path):
+    class _Untouched:
+        def __enter__(self):
+            raise AssertionError("the thread count was touched")
+
+    lookup = rootcount._blas_threads.__wrapped__
+    rows, t = _gauss_rows(100, 4), rootcount.sweep_grid(100)
+    want = rootcount.sweep_count_batch(rows, t)
+    monkeypatch.setattr(rootcount, "_blas_threads", lambda: None)
+    monkeypatch.setattr(rootcount, "_BLAS_GATE", _Untouched())
+    assert np.array_equal(rootcount.sweep_count_batch(rows, t), want)
+    sweep_roots(rows[0])
+    # the lookup finds nothing where no library, or no loadable one, is there
+    monkeypatch.setattr(rootcount.glob, "glob", lambda pattern: [])
+    assert lookup() is None
+    fake = tmp_path / "libscipy_openblas64_-0.so"
+    fake.write_text("not a library")
+    monkeypatch.setattr(rootcount.glob, "glob", lambda pattern: [str(fake)])
+    assert lookup() is None
+
+
+def test_bundled_openblas_thread_count_is_found(monkeypatch):
+    # numpy's scipy-openblas wheels export these symbols; a numpy whose
+    # library renames them must fail here, not quietly lose the gate
+    name = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    blas = rootcount._blas_threads()
+    assert blas is not None or name != "scipy-openblas", name
+    if blas is not None:
+        get = blas[0]
+        prev, seen, real = get(), [], rootcount._parity_products
+        monkeypatch.setattr(rootcount, "_parity_products",
+                            lambda *args: seen.append(get()) or real(*args))
+        rootcount.sweep_count_batch(_gauss_rows(100, 4), rootcount.sweep_grid(100))
+        assert prev >= 1 and seen == [1] and get() == prev
+
+
+def _rademacher_rows_with_exact_roots(n, trials):
+    """Flat +-1 rows: a root at 0 in every other row, and where it is, a
+    balanced rest, so a root at 1 too."""
+    rows = noise_rows(NoiseDistribution.RADEMACHER, n, 9, 0, trials)
+    rng = np.random.default_rng(n)
+    for row in rows[::2]:
+        row[0] = 0.0
+        row[1:] = rng.permutation(np.resize([1.0, -1.0], n))
+    return rows
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+def test_sweep_counts_and_roots_do_not_depend_on_the_gate(monkeypatch, n, kind):
+    rows = _gauss_rows(n, 24) if kind == "gaussian" else _rademacher_rows_with_exact_roots(n, 24)
+    if kind == "rademacher":
+        assert (rootcount.exact_roots(rows)[2][::2, :2] > 0).all()
+    t = rootcount.sweep_grid(n)
+    spans = [(0, len(t) - 1), (0, len(t) // 2), (len(t) // 2, len(t) - 1)]
+    got = []
+    for gate in (math.inf, 0):      # forced on, forced off
+        monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", gate)
+        counts = rootcount.sweep_count_batch(rows, t, spans=spans, mirror_spans=spans)
+        roots = [sweep_roots(row) for row in rows[:4]]
+        got.append((counts.tobytes(), [(x.tobytes(), s.tobytes()) for x, s in roots]))
+    assert got[0] == got[1]
