@@ -12,8 +12,9 @@ first two, i.e. m * c_m^2 -> 1.
 Writing A_l = (2m-2l+1)!!(2l-1)!!/(2m+2)!!, the second squared ratio in the
 center sum is A_{m-l}, so c_m^2 = pi * sum_l A_l^2.  The A_l^2 decay super-
 geometrically away from the ends l=0 and l=m (term ratio ((2l+1)/(2m-2l+1))^2),
-so the sum is evaluated from both ends with early termination.  An exact
-big-rational oracle covers small m.
+so the sum takes _END_TERMS steps inward from each end: every term of
+m <= 27, and above that every term that is not below half an ulp of the
+sum.  An exact big-rational oracle covers small m.
 
 Every double-factorial ratio of the package is evaluated here, by one
 route: the anchor A_0(m) = (2m+1)!!/(2m+2)!! is a cumulative product of the
@@ -40,10 +41,12 @@ import numpy as np
 
 from .errors import DomainError
 
-# Full summation below this m; two-ended truncated summation above.
-_SMALL_M = 80
-# Terms kept from each end of the sum for large m (relative tail < 1e-25).
-_END_TERMS = 12
+# Steps taken inward from each end of the center sum.  Thirteen reach the
+# middle of every m <= 27; above that, the terms left out of the middle are
+# below half an ulp of the running sum, so they would not change it.
+_END_TERMS = 13
+# indices summed at a time, so that a block's temporaries stay in cache
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -134,15 +137,15 @@ def exact_double_factorial(k: int) -> int:
     return r
 
 
-def _a0_anchor(m: np.ndarray) -> np.ndarray:
-    """A_0(m) = (2m+1)!!/(2m+2)!! via a cumulative product of odd/even ratios.
+def _a0_table(top: int) -> np.ndarray:
+    """A_0(m) = (2m+1)!!/(2m+2)!! for m = 0..top, a cumulative product of
+    the ratios (2j+1)/(2j+2).
 
-    Accumulated roundoff grows like sqrt(max m) ulp.
+    Accumulated roundoff grows like sqrt(top) ulp.
     """
-    top = int(np.max(m)) if len(m) else 0
-    j = np.arange(top + 1, dtype=float)
-    ratios = (2.0 * j + 1.0) / (2.0 * j + 2.0)
-    return np.cumprod(ratios)[np.asarray(m, dtype=int)]
+    table = np.arange(1.0, 2 * top + 2, 2.0)
+    np.divide(table, np.arange(2.0, 2 * top + 3, 2.0), out=table)
+    return np.multiply.accumulate(table, out=table)
 
 
 def _walk_even_row(a0: float, odd: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -179,7 +182,7 @@ def trig_moment(k: int, m: int) -> float:
 
 def trig_moment_even_row(m: int) -> np.ndarray:
     """a_{2l,m} = 2pi A_l(m) for l = 0, 1, ..., m+1."""
-    return _walk_even_row(_a0_anchor(np.array([m]))[0],
+    return _walk_even_row(_a0_table(m)[m],
                           np.arange(1.0, 2 * m + 2, 2.0), np.empty(m + 2))
 
 
@@ -187,27 +190,22 @@ def trig_moment_even_row(m: int) -> np.ndarray:
 # variances
 # ---------------------------------------------------------------------------
 
-def _sum_a_squared(m: np.ndarray, a0: np.ndarray, steps: int) -> np.ndarray:
-    """sum_{l=0}^{m} A_l^2 walking inward from both ends.
+def _sum_a_squared(m: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """sum_{l=0}^{m} A_l^2 in _END_TERMS steps inward from each end.
 
-    Forward covers l in [0, m//2], backward l in [m//2+1, m]; each side adds
-    at most `steps` ratio steps past its anchor.  The term ratio
-    ((2l+1)/(2m-2l+1))^2 makes _END_TERMS steps enough for m >= _SMALL_M.
+    A step to A_l multiplies by A_l/A_{l-1} = (2l-1)/(2m-2l+3).  The forward
+    walk runs A_0, A_1, ... over l <= m//2.  The backward walk starts at
+    A_m = A_0/(2m+1) and, as A_{m+1-l} = A_l, runs the same steps from
+    A_1 for the terms past m//2, l <= m - m//2.
     """
-    m = np.asarray(m, dtype=float)
+    m = m.astype(float)
     half = np.floor(m / 2.0)
-    total = a0 * a0
-    a = a0.copy()
-    for l in range(steps):
-        a = a * ((2.0 * l + 1.0) / (2.0 * m - 2.0 * l + 1.0))
-        total += np.where(l + 1 <= half, a * a, 0.0)
-    # backward anchor: A_m = A_0 / (2m+1), in range for every m >= 1
-    b = a0 / (2.0 * m + 1.0)
-    total += np.where(m >= 1, b * b, 0.0)
-    for off in range(1, steps + 1):
-        b = b * ((2.0 * off + 1.0) / (2.0 * m - 2.0 * off + 1.0))
-        lvl = m - off
-        total += np.where((lvl >= half + 1) & (lvl >= 0), b * b, 0.0)
+    total = np.zeros_like(m)
+    for a, first, last in ((a0, 0, half), (a0 / (2.0 * m + 1.0), 1, m - half)):
+        for l in range(first, first + _END_TERMS + 1):
+            if l > first:
+                a = a * ((2.0 * l - 1.0) / (2.0 * m - 2.0 * l + 3.0))
+            total += np.where(l <= last, a * a, 0.0)
     return total
 
 
@@ -219,15 +217,12 @@ def variance_center_many(m: np.ndarray) -> np.ndarray:
         raise DomainError("variance index m must be nonnegative")
     if m.size == 0:
         return np.empty(0)
-    flat = m.reshape(-1).astype(int)
-    a0 = _a0_anchor(flat)
-    out = np.empty(flat.shape, dtype=float)
-    small = flat < _SMALL_M
-    if np.any(small):
-        steps = max(1, int(flat[small].max()) // 2)
-        out[small] = math.pi * _sum_a_squared(flat[small], a0[small], steps)
-    if np.any(~small):
-        out[~small] = math.pi * _sum_a_squared(flat[~small], a0[~small], _END_TERMS)
+    flat = m.reshape(-1).astype(int, copy=False)
+    table = _a0_table(int(flat.max()))
+    out = np.empty(flat.shape)
+    for s in range(0, flat.size, _BLOCK):
+        block = flat[s:s + _BLOCK]
+        out[s:s + _BLOCK] = math.pi * _sum_a_squared(block, table[block])
     return out.reshape(m.shape)
 
 
@@ -257,8 +252,8 @@ def variance_lienard_many(m: np.ndarray) -> np.ndarray:
         raise DomainError("variance index m must be nonnegative")
     if m.size == 0:
         return np.empty(0)
-    flat = m.reshape(-1).astype(int)
-    a0 = _a0_anchor(flat)
+    flat = m.reshape(-1).astype(int, copy=False)
+    a0 = _a0_table(int(flat.max()))[flat]
     return (math.pi * a0 * a0).reshape(m.shape)
 
 

@@ -27,7 +27,9 @@ Every draw is addressed by (seed, trial, index), so the output does not
 depend on the batch size; parallelism comes from the BLAS
 threads of the sweep GEMMs (``OPENBLAS_NUM_THREADS``), and from
 :mod:`kaccycles.philox`, which fills a block of more than one tile on every
-core in the process's affinity set.
+core in the process's affinity set.  A sweep whose products are small
+(below 2^25 multiply-adds: every batch below n = 7800) holds the BLAS to
+one thread while it runs (``rootcount._one_blas_thread``).
 """
 
 from __future__ import annotations

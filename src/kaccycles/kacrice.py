@@ -21,7 +21,7 @@ The quadrature is adaptive Gauss-Kronrod (G7, K15) with QUADPACK-style error
 estimates (Piessens et al., QUADPACK, 1983).  Above ``_POOL_TERMS`` terms a
 panel's 15 density evaluations run on every core: ``philox.deal`` deals the
 nodes round-robin to the calling thread and the process's worker pool, each
-evaluation sums in its own thread's reused buffers with the same float steps,
+evaluation sums in its own thread's reused row with the same float steps,
 and each share writes only its own slots of the panel's values, so every
 value and error estimate is the same to the bit.  Shorter series stay on the
 calling thread, where a hand-off to the pool costs more than it saves.
@@ -151,7 +151,7 @@ class KacRiceIntegrand:
 
     Series are truncated once the positive geometric tail falls below
     1e-18 of the running sum; near x = 1 the full length is forced.  Each
-    thread that evaluates the integrand works in its own reused buffers, so
+    thread that evaluates the integrand works in its own reused row, so
     the nodes of one panel may run on several threads at once.
     """
 
@@ -180,20 +180,18 @@ class KacRiceIntegrand:
         self._local = threading.local()
 
     def _cutoff(self, y: float) -> int:
-        if y <= 0.0:
-            return 1
         lny = math.log(y)
         if lny >= -1e-12:
             return self.n + 1
         need = self._lead + int(self._log_margin / (-lny)) + 64
         return min(self.n + 1, need)
 
-    def _buffers(self) -> np.ndarray:
-        """This thread's two rows of n + 1 terms."""
-        buf = getattr(self._local, "buf", None)
-        if buf is None:
-            buf = self._local.buf = np.empty((2, self.n + 1))
-        return buf
+    def _row(self) -> np.ndarray:
+        """This thread's row of n + 1 terms."""
+        row = getattr(self._local, "row", None)
+        if row is None:
+            row = self._local.row = np.empty(self.n + 1)
+        return row
 
     def moments(self, x: float):
         """(S0, S1, S2) with Sk = sum i^k c_i^2 x^{2i}."""
@@ -202,17 +200,16 @@ class KacRiceIntegrand:
             return float(self.sq[0]), 0.0, 0.0
         top = self._cutoff(y)
         i = self.i[:top]
-        buf = self._buffers()
-        # w = exp(i log y) c_i^2, then iw = i w and i (i w), in place
-        w, iw = buf[0, :top], buf[1, :top]
+        # w = exp(i log y) c_i^2, then i w and i (i w), in place in one row
+        w = self._row()[:top]
         np.multiply(i, math.log(y), out=w)
         np.exp(w, out=w)
         w *= self.sq[:top]
         s0 = float(np.sum(w))
-        np.multiply(i, w, out=iw)
-        s1 = float(np.sum(iw))
-        iw *= i
-        s2 = float(np.sum(iw))
+        w *= i
+        s1 = float(np.sum(w))
+        w *= i
+        s2 = float(np.sum(w))
         return s0, s1, s2
 
     def density_t(self, t: float) -> float:

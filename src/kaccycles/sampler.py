@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import philox
-from .coeffs import _a0_anchor, _walk_even_row, variance_lienard_many
+from .coeffs import _a0_table, _walk_even_row, variance_lienard_many
 from .errors import DomainError
 
 _INV_SQRT_8PI = 1.0 / math.sqrt(8.0 * math.pi)
@@ -231,7 +231,7 @@ def _reduction_weights(d: int):
     n = (d - 1) // 2
     w = np.empty((n + 1) * (n + 2))
     offsets = np.empty(n + 1, dtype=np.int64)
-    a0 = _a0_anchor(np.arange(n + 1))
+    a0 = _a0_table(n)
     odd = np.arange(1.0, 2 * n + 2, 2.0)      # 2l+1, l = 0..n
     row = np.empty(n + 2)
     for m in range(n + 1):

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kaccycles import melnikov
 from kaccycles.cli import dispatch
 
 
@@ -285,6 +287,21 @@ def test_ode_verify_rejects_eps_start(capsys, eps_start):
     code, _out = run(capsys, "ode-verify", "--kind", "center", "--degree", "3",
                      "--seed", "12", f"--epsilon-start={eps_start}")
     assert code == 1
+
+
+def test_ode_verify_exits_two_when_no_two_levels_agree(capsys, monkeypatch):
+    def alternating(field, eps0, r):
+        # one sign change at every other eps level, none between them
+        level = np.rint(np.log2(1e-3 / np.asarray(eps0)))
+        cut = r.min() + (r.max() - r.min()) / math.pi
+        return np.where(level % 2 == 1, r - cut, 1.0)
+
+    monkeypatch.setattr(melnikov, "_displacement", alternating)
+    code = dispatch(["ode-verify", "--kind", "center", "--degree", "3",
+                     "--seed", "12", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "never stabilized" in captured.err
 
 
 @pytest.mark.parametrize("command", ["limit-cycles", "ode-verify"])

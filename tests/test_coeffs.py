@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +105,37 @@ def test_variance_center_envelope():
     assert np.all(np.abs(m * v - 1.0) <= 2.0 / m)
 
 
+# c_m^2 pinned bit for bit: the SHA-256 of m = 0..200000 and the float hex
+# of single m on both sides of the sums' edges.  They come from + - * / and
+# sequential cumulative products alone, so they do not depend on the CPU's
+# exp or log.
+_CENTER_SHA256 = "ee2f34addb9f5fccc0d132d13a4497594636e0a7cb8ee1c7cf497497884012f6"
+_CENTER_HEX = {
+    26: "0x1.2cd373eaaa310p-5",
+    27: "0x1.2229cd0be3ec8p-5",
+    28: "0x1.183b26e9e5ca2p-5",
+    79: "0x1.985ab4c317d80p-7",
+    80: "0x1.9353e2e5c93dbp-7",
+    10**6: "0x1.0c6f640de17fep-20",
+    2 * 10**6: "0x1.0c6f6f0c9f838p-21",
+}
+
+
+def test_variance_center_golden_bits():
+    v = C.variance_center_many(np.arange(200_001))
+    assert hashlib.sha256(v.tobytes()).hexdigest() == _CENTER_SHA256
+    got = C.variance_center_many(np.array(list(_CENTER_HEX)))
+    assert [float(x).hex() for x in got] == list(_CENTER_HEX.values())
+    for m, want in _CENTER_HEX.items():
+        assert float(C.variance_center_many(m)).hex() == want, m
+
+
+@pytest.mark.parametrize("many", [C.variance_center_many, C.variance_lienard_many])
+def test_variances_of_no_index_are_empty(many):
+    out = many(np.array([], dtype=int))
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
 def test_variance_lienard_values():
     assert abs(C.variance_lienard_many(0) - math.pi / 4.0) < 1e-15
     assert abs(C.variance_lienard_many(1) - 9.0 * math.pi / 64.0) < 1e-15
@@ -162,3 +195,14 @@ def test_coeff_vector_center_matches_variances():
 def test_coeff_vector_rejects_negative_degree():
     with pytest.raises(DomainError):
         C.coeff_vector(C.CoeffScheme.lienard(), -1)
+
+
+def test_center_coeff_vector_peaks_below_four_outputs():
+    # the anchors' table, the output and one block's temporaries at a time
+    tracemalloc.start()
+    try:
+        cv = C.coeff_vector(C.CoeffScheme.perturbed_center(), 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * cv.values.nbytes

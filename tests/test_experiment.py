@@ -29,6 +29,11 @@ def small_config(**over):
     return ExperimentConfig(**base)
 
 
+def test_run_experiment_requires_a_master_seed():
+    with pytest.raises(DomainError, match="master seed is required"):
+        run_experiment(small_config(master_seed=None))
+
+
 def test_constant_polynomial_has_no_roots():
     cfg = small_config(scheme=CoeffScheme.power_law(0.0), degrees=[0],
                        regions=["R"], trials=64)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,29 @@ def test_concurrent_density_calls_use_their_own_buffers():
         sys.setswitchinterval(interval)
     assert not any(r.is_alive() for r in runners)
     assert got == [want] * 3
+
+
+def test_moments_hold_one_row_per_thread():
+    n = 10**5
+    kr = K.KacRiceIntegrand(coeff_vector(CoeffScheme.perturbed_center(), n).values)
+    row = 8 * (n + 1)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a thread's first call allocates its row of n + 1 terms, and its later
+    # calls nothing of that size, at every cutoff
+    assert row <= peak(lambda: kr.moments(0.9999)) < 1.25 * row
+    assert peak(lambda: kr.moments(0.5)) < 0.25 * row
+    assert peak(lambda: kr.moments(0.9999)) < 0.25 * row
+    other = threading.Thread(target=kr.moments, args=(0.9999,))
+    assert row <= peak(lambda: (other.start(), other.join(timeout=60))) < 1.25 * row
+    assert not other.is_alive()
 
 
 # ---------------------------------------------------------------------------
