@@ -24,12 +24,13 @@ budget holds, never fewer than 64 up to degree 65535 and never more than
 2^22 coefficients.  The sweep holds the rows and half a row more per row
 (``rootcount._sweep_cells``), so memory stays bounded at every degree.
 Every draw is addressed by (seed, trial, index), so the output does not
-depend on the batch size; parallelism comes from the BLAS
-threads of the sweep GEMMs (``OPENBLAS_NUM_THREADS``), and from
-:mod:`kaccycles.philox`, which fills a block of more than one tile on every
-core in the process's affinity set.  A sweep whose products are small
-(below 2^25 multiply-adds: every batch below n = 7800) holds the BLAS to
-one thread while it runs (``rootcount._one_blas_thread``).
+depend on the batch size.  Parallelism comes from the one thread pool of
+:mod:`kaccycles.philox`, a share per core in the process's affinity set:
+it fills a block of more than one tile, and a sweep product of 2^25
+multiply-adds or more (every batch from n = 7800 on) deals its column
+blocks to it (``rootcount._product``).  Every sweep holds the BLAS to one
+thread while it runs (``rootcount._one_blas_thread``), so
+``OPENBLAS_NUM_THREADS`` does not set it.
 """
 
 from __future__ import annotations

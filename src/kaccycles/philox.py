@@ -32,14 +32,16 @@ call.
 Since every tile of keys x counters is a pure function of its keys and
 counters, ``variates_block`` deals the tiles of one call round-robin to the
 calling thread and to a module-level pool, one share per core of the
-process's affinity set, each share with its own kernel buffers.  numpy
+process's affinity set.  A pool thread keeps its kernel buffers from call
+to call, grown to the largest tile it has drawn, one chunk at most.  numpy
 releases the GIL inside the ufunc loops, so the shares run side by side and
 write disjoint parts of the output: the bytes do not depend on the thread
 count.  A call of one tile, or a process on one core, runs every tile on the
 calling thread and never starts a pool thread.  ``variates_at`` and
 ``philox4x32`` run on the calling thread alone.  ``deal``, the loop that
 shares the work out, is also how long Kac-Rice panels (``kacrice``) split
-their node evaluations: the process has this one pool.
+their node evaluations and large sweep products (``rootcount``) their
+columns, the BLAS held to one thread: the process has this one pool.
 """
 
 from __future__ import annotations
@@ -78,11 +80,15 @@ try:
     _THREADS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
     _THREADS = os.cpu_count() or 1
-_ON_POOL = threading.local()
+# per thread: whether it runs a share of ``deal`` (a pool thread always
+# does), and a pool thread's kernel buffers (``_buffers``)
+_IN_SHARE = threading.local()
+_BUFFERS = threading.local()
 
 
 def _mark_pool_thread():
-    _ON_POOL.flag = True
+    _IN_SHARE.flag = True
+    _BUFFERS.pair = (np.empty(0, dtype=np.uint64), np.empty(0))
 
 
 _POOL = ThreadPoolExecutor(max(_THREADS - 1, 1), thread_name_prefix="philox",
@@ -135,8 +141,28 @@ def _view(buf: np.ndarray, p0: int, p1: int, shape) -> np.ndarray:
     return buf[p0 * cells:p1 * cells].reshape(shape)
 
 
+def _buffers(cells: int):
+    """Flat word and float buffers of 4 and 3 x ``cells`` at least.
+
+    A pool thread keeps its pair across calls, grown on demand, so it holds
+    one chunk only once it has drawn one.  Any other thread takes a fresh
+    pair per call: freed, it goes back to the heap that the sweep's
+    buffers come from (kept, it raised the peak RSS of the demo preset and
+    of a run at n = 3e4 by 1 MB on 2 cores), while a pool thread's freed
+    pair stays in its own malloc arena either way.
+    """
+    pair = getattr(_BUFFERS, "pair", None)
+    if pair is not None and len(pair[1]) >= 3 * cells:
+        return pair
+    fresh = (np.empty(4 * cells, dtype=np.uint64), np.empty(3 * cells))
+    if pair is not None:
+        _BUFFERS.pair = fresh
+    return fresh
+
+
 class _Kernel:
-    """Word and scratch buffers for one call, reused chunk after chunk.
+    """Round keys of one call, and word and scratch buffers
+    (``_buffers``) reused chunk after chunk.
 
     A Philox block (c0, c1, c2, c3) is held as the uint64 pair
     Z = (c0:c1, c2:c3), with c0 and c2 in the high halves, as a
@@ -152,8 +178,7 @@ class _Kernel:
 
     def __init__(self, keys: np.ndarray, cells: int):
         self.rkeys = _round_keys(keys)
-        self.buf = np.empty(4 * min(cells, CHUNK), dtype=np.uint64)
-        self.buf_f = np.empty(3 * min(cells, CHUNK))
+        self.buf, self.buf_f = _buffers(min(cells, CHUNK))
 
     def words(self, r0: int, r1: int, counters: np.ndarray) -> np.ndarray:
         """Z after ten rounds for keys [r0, r1) at the uint64 counters."""
@@ -293,16 +318,18 @@ def deal(work, items):
     Share i is ``items[i::k]``, with k = min(_THREADS, len(items)) shares:
     share 0 runs on the calling thread, the others on the pool.  Returns
     when every share is done, re-raising the error of the lowest share that
-    failed.  On a pool thread everything runs on the calling thread, so
-    work that runs on the pool never submits to it.
+    failed.  Inside a share, on the pool or on the calling thread,
+    everything runs on that thread, so a share that deals again never
+    queues behind the pool's other shares.
     """
-    shares = max(min(_THREADS, len(items)), 1)
-    if getattr(_ON_POOL, "flag", False):
-        shares = 1
+    nested = getattr(_IN_SHARE, "flag", False)
+    shares = 1 if nested else max(min(_THREADS, len(items)), 1)
     helpers = [_POOL.submit(work, items[i::shares]) for i in range(1, shares)]
+    _IN_SHARE.flag = True
     try:
         work(items[0::shares])
     finally:
+        _IN_SHARE.flag = nested
         wait(helpers)
     for h in helpers:
         h.result()

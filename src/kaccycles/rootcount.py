@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from . import philox
 from .errors import DomainError, ZeroPolynomialError
 from .sturm import sturm_count
 
@@ -56,9 +57,12 @@ _TAIL_START = 0.5
 SWEEP_TAIL = 9.0
 # open pieces of a row in a bisection level past which none is split
 _CROWDED = 1024
-# multiply-adds per sweep product, (rows + 4) ceil((n + 1)/2) len(t), below
-# which a sweep holds numpy's BLAS to one thread (``_one_blas_thread``)
+# multiply-adds of a sweep product, rows ceil((n + 1)/2) len(t), from which
+# its columns are dealt over the philox pool (``_product``)
 _ONE_THREAD_MADDS = 2 ** 25
+# columns of a sweep product per OpenBLAS kernel panel: the AVX-512 double
+# kernels take 16 at a time, a multiple of the narrower kernels' panels
+_PANEL = 16
 
 
 @dataclass(frozen=True)
@@ -343,34 +347,29 @@ _blas_held = [0, 0]     # sweeps inside the gate, and the count they restore
 
 
 @contextlib.contextmanager
-def _one_blas_thread(c: np.ndarray, t: np.ndarray):
-    """Hold numpy's BLAS to one thread while the rows c are swept on the
-    grid t, if each product has fewer than _ONE_THREAD_MADDS multiply-adds.
+def _one_blas_thread():
+    """Hold numpy's BLAS to one thread while a sweep runs.
 
-    Below that a second OpenBLAS thread wakes for every product and spins
-    between them, for no wall time.  run_experiment, center scheme, Gaussian
-    rows, regions 01/1inf/R, BLAS threads set for the process, 2 cores,
-    median of 7 fresh processes, alternating:
+    A second OpenBLAS thread wakes for every product and then spins beside
+    the sweep's single-threaded certificate, ``_resolve`` and ``_narrow``,
+    whatever the product's size, and setting the count back to one after a
+    product does not stop it: only a thread that is never woken sleeps.  So
+    every sweep runs its BLAS on one thread, and a product of
+    _ONE_THREAD_MADDS multiply-adds or more takes its second core from the
+    ``philox.deal`` pool instead (``_product``).  ``bench/run.py
+    --workload W --seconds 3 --trace 0``, 2 cores, two OpenBLAS threads for
+    the process, medians of 12 alternating runs, one BLAS thread below 2^25
+    multiply-adds and the library's own threads above it -> this hold:
 
-        n (trials)     multiply-adds   wall s, 2 -> 1 thread   cpu s, 2 -> 1
-        100 (2000)     1.7e6           0.071 -> 0.076          0.141 -> 0.081
-        1000 (2000)    7.0e6           0.265 -> 0.238          0.530 -> 0.306
-        3000 (512)     1.2e7           0.181 -> 0.151          0.356 -> 0.198
-        6000 (256)     2.5e7           0.200 -> 0.155          0.367 -> 0.194
-        10000 (256)    4.4e7           0.278 -> 0.278          0.539 -> 0.307
-        15000 (256)    6.9e7           0.392 -> 0.360          0.770 -> 0.464
-        30000 (256)    1.5e8           0.668 -> 0.722          1.269 -> 0.849
-
-    Threads start to pay for wall time between n = 1e4 and 3e4; the gate
-    sits below n = 1e4, since alone in a loop the n = 3e4 product takes
-    3.5-4.1 ms on two threads and 7.1-7.2 ms on one.
+        workload     cpu s            wall s           peak RSS MB
+        sweep-3e4    1.514 -> 1.087   0.787 -> 0.714   84.08 -> 84.41
+        demo         0.559 -> 0.564   0.387 -> 0.386   46.91 -> 46.96
 
     The count is process-wide, so sweeps that overlap on several threads
     share one hold, and the last to end restores the count from before the
     first.  Where the library is not found the sweep runs as it is.
     """
-    madds = (len(c) + 4) * ((c.shape[1] + 1) // 2) * len(t)
-    blas = _blas_threads() if madds < _ONE_THREAD_MADDS else None
+    blas = _blas_threads()
     if blas is None:
         yield
         return
@@ -437,13 +436,14 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     with x as f does: an l1 bound g ||m c||_1 / x on f' near x = 0 would
     leave cells there uncertified at every scale.
 
-    Small sweeps run on one BLAS thread (``_one_blas_thread``).
+    The sweep runs on one BLAS thread (``_one_blas_thread``), and its
+    large products on the philox pool (``_product``).
 
     Returns an array of shape (batch, len(spans) + len(mirror_spans)),
     the mirror counts last.
     """
     c = np.atleast_2d(np.asarray(coeff_rows, dtype=float))
-    with _one_blas_thread(c, t):
+    with _one_blas_thread():
         fams = _sweep_cells(c, t, powers, bool(mirror_spans))[1]
     out = []
     for (row, cell, count, *_), sp in zip(
@@ -526,12 +526,42 @@ def _parity_products(c: np.ndarray, k4: np.ndarray, wmax: np.ndarray, powers: np
         p = powers[:b.shape[1]]
         b[:r] = c[:, k::2]
         np.multiply(k4[:, k::2], wmax[k::2], out=b[r:])
-        np.matmul(b, p, out=out[:r + 4])
+        _product(b, p, out[:r + 4])
         b = b[:r]
         b *= k4[1, k::2]
-        np.matmul(b, p, out=out[r + 4:])
+        _product(b, p, out[r + 4:])
     halves[1] *= x
     return halves
+
+
+def _product(b: np.ndarray, p: np.ndarray, out: np.ndarray):
+    """out = b @ p.  A product of _ONE_THREAD_MADDS multiply-adds or more,
+    made while a sweep holds the BLAS to one thread (``_one_blas_thread``),
+    is cut into contiguous blocks of out's columns, one per share of
+    ``philox.deal``, each a one-thread GEMM written into its own slice.
+
+    A column's sum runs over the same terms in the same order in any block
+    (Goto and van de Geijn, ACM TOMS 34(3), 2008) as long as the block is
+    cut where the whole product's kernel panels are: OpenBLAS sees out's
+    columns as the rows of a column-major product and takes them _PANEL at
+    a time, so each block starts at a multiple of _PANEL and holds at least
+    one panel, and the last one takes the whole's ragged panel.  A narrower
+    block would go to another kernel (numpy's GEMV for one column, the
+    small-matrix GEMM below 1e6 multiply-adds) and round otherwise."""
+    cols = out.shape[1]
+    panels = cols // _PANEL
+    shares = min(philox._THREADS, panels)
+    if b.size * cols < _ONE_THREAD_MADDS or not _blas_held[0] or shares < 2:
+        np.matmul(b, p, out=out)
+        return
+    bounds = [_PANEL * (i * panels // shares) for i in range(shares)] + [cols]
+
+    def work(blocks):
+        for i in blocks:
+            j0, j1 = bounds[i], bounds[i + 1]
+            np.matmul(b, p[:, j0:j1], out=out[:, j0:j1])
+
+    philox.deal(work, range(shares))
 
 
 def _bounds(s, x, l, g):
@@ -696,7 +726,8 @@ def sweep_roots(coeffs):
     bracket is monotone.  A cluster, which the sweep counts as two roots,
     is located at the extremum of f in its gap, where f' changes sign, and
     comes back twice, flagged not simple, as does a root of order k > 1 at
-    1, k times.  Small sweeps run on one BLAS thread (``_one_blas_thread``).
+    1, k times.  The sweep runs on one BLAS thread (``_one_blas_thread``),
+    and its large products on the philox pool (``_product``).
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if c.size == 0:
@@ -705,7 +736,7 @@ def sweep_roots(coeffs):
     t = sweep_grid(len(c) - 1)
     powers = power_matrix(len(c) - 1, t)
     x, k, simple = [], [], []
-    with _one_blas_thread(direct, t):
+    with _one_blas_thread():
         for fam, row in enumerate((direct, rev)):
             weights, ((_, _, count, a, b, sa, steady),) = _sweep_cells(row, t, powers, False)
             # a root in each bracket that f crosses (f >= 0 left of it where

@@ -2,6 +2,8 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -294,3 +296,75 @@ def test_deal_on_a_pool_thread_never_submits(monkeypatch):
     pool.submit(philox.deal, work, range(6)).result(timeout=60)
     assert len(seen) == 1 and seen[0][1] == list(range(6))
     assert seen[0][0].startswith("philox")
+
+
+def test_nested_deal_runs_on_its_outer_share_thread(monkeypatch):
+    # a share that deals again keeps every nested share on its own thread,
+    # the calling thread's share 0 too, instead of queueing behind the pool
+    monkeypatch.setattr(philox, "_THREADS", 2)
+    seen = []
+
+    def outer(part):
+        me = threading.current_thread().name
+        for _ in part:
+            philox.deal(lambda inner: seen.append(
+                (me, threading.current_thread().name, list(inner))), range(4))
+
+    runner = threading.Thread(target=philox.deal, args=(outer, range(2)), name="outer")
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert len(seen) == 2 and len({o for o, _, _ in seen}) == 2
+    assert all(o == t and p == [0, 1, 2, 3] for o, t, p in seen)
+    # the calling thread's mark is lifted when its share ends: it deals to
+    # the pool again
+    names = []
+    for _ in range(2):
+        philox.deal(lambda part: names.append(threading.current_thread().name), range(2))
+    assert len(set(names[2:])) == 2
+
+
+def _peak_bytes(draw):
+    tracemalloc.start()
+    try:
+        out = draw()
+        return tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_pool_threads_keep_their_kernel_buffers(monkeypatch):
+    # a pool thread keeps one word and float buffer pair across calls, so a
+    # 64 x 3001 draw in two shares peaks no higher than with a fresh pair
+    # per share (7 x 8 bytes per cell of a chunk), and once the pool thread
+    # has drawn, one pair lower; the calling thread frees its pair
+    keys = philox.stream_key(3, np.arange(64), philox.LANE_XI)
+    pair = 7 * 8 * philox.CHUNK
+    monkeypatch.setattr(philox, "_THREADS", 2)
+    monkeypatch.setattr(philox, "_POOL", ThreadPoolExecutor(1, initializer=philox._mark_pool_thread))
+    try:
+        peaks = [_peak_bytes(lambda: philox.variates_block("gaussian", keys, 3001))
+                 for _ in range(2)]
+        assert peaks[0] < 2 * pair + pair // 4 and peaks[1] < pair + pair // 4
+        tracemalloc.start()
+        try:
+            out = philox.variates_block("gaussian", keys, 3001)
+            assert tracemalloc.get_traced_memory()[0] < out.nbytes + 4096
+        finally:
+            tracemalloc.stop()
+    finally:
+        philox._POOL.shutdown()
+    # a tiny draw on a fresh pool thread keeps a pair of its own size
+    pool, kept = ThreadPoolExecutor(1, initializer=philox._mark_pool_thread), []
+
+    def tiny():
+        tracemalloc.start()
+        try:
+            philox.variates_block("gaussian", philox.stream_key(1), 8)
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+
+    with pool:
+        pool.submit(tiny).result(timeout=60)
+    assert 0 < kept[0] < 4096

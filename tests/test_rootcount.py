@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from kaccycles import experiment, kacrice, rootcount
+from kaccycles import experiment, kacrice, philox, rootcount
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DegreeTooLargeError, DomainError, ZeroPolynomialError
 from kaccycles.experiment import ExperimentConfig, run_experiment
@@ -682,7 +682,7 @@ def test_flat_rademacher_counts_equal_sturm_per_trial(counter, n):
 
 
 # ---------------------------------------------------------------------------
-# small sweeps run on one BLAS thread
+# sweeps run on one BLAS thread, their large products on the philox pool
 # ---------------------------------------------------------------------------
 
 class _FakeBlas:
@@ -703,7 +703,7 @@ class _FakeBlas:
 def _spy_threads(monkeypatch, blas):
     """Record the thread count each sweep stage sees when it is called."""
     seen = []
-    for name in ("_parity_products", "_resolve", "_narrow"):
+    for name in ("_parity_products", "_product", "_resolve", "_narrow"):
         def spy(*args, _name=name, _real=getattr(rootcount, name)):
             seen.append((_name, blas.threads))
             return _real(*args)
@@ -715,30 +715,78 @@ def _gauss_rows(n, trials):
     return _realized(CoeffScheme.perturbed_center(), NoiseDistribution.GAUSSIAN, n, 5, 0, trials)
 
 
-def test_small_sweeps_run_on_one_blas_thread(monkeypatch):
+def _spy_deal(monkeypatch, blas):
+    """Record the items (column block numbers) and the thread count of each
+    dealt share."""
+    dealt, real = [], philox.deal
+
+    def deal(work, items):
+        def share(part):
+            dealt.append((tuple(part), blas.threads))
+            work(part)
+        real(share, items)
+
+    monkeypatch.setattr(philox, "deal", deal)
+    return dealt
+
+
+def test_sweeps_run_on_one_blas_thread(monkeypatch):
     blas = _FakeBlas()
     monkeypatch.setattr(rootcount, "_blas_threads", lambda: (blas.get, blas.set))
+    monkeypatch.setattr(philox, "_THREADS", 2)
     seen = _spy_threads(monkeypatch, blas)
+    dealt = _spy_deal(monkeypatch, blas)
     rows, t = _gauss_rows(100, 8), rootcount.sweep_grid(100)
-    rootcount.sweep_count_batch(rows, t, mirror_spans=[(0, len(t) - 1)])
-    assert blas.calls == ["get", ("set", 1), ("set", 3)]
-    assert set(seen) == {("_parity_products", 1), ("_resolve", 1)}
-    blas.calls, seen[:] = [], []
-    sweep_roots(rows[0])
-    assert blas.calls == ["get", ("set", 1), ("set", 3)]
-    assert set(seen) == {("_parity_products", 1), ("_resolve", 1), ("_narrow", 1)}
-    # a product at the gate or above it keeps the count as it is
-    monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", (8 + 4) * 51 * len(t))
-    blas.calls, seen[:] = [], []
-    rootcount.sweep_count_batch(rows, t)
-    sweep_roots(rows[0][:10])       # (1 + 4) 5 len(sweep_grid(9)) multiply-adds: gated
-    assert blas.calls == ["get", ("set", 1), ("set", 3)]
-    assert ("_parity_products", 3) in seen and ("_narrow", 1) in seen
-    monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", 0)
-    blas.calls = []
-    rootcount.sweep_count_batch(rows, t)
-    sweep_roots(rows[0])
-    assert blas.calls == []
+    # below the threshold every product is one GEMM; at or above it
+    # (monkeypatched) its columns are dealt in two blocks of whole panels;
+    # the count is 1 for every call either way, and restored after
+    for madds, shares in ((rootcount._ONE_THREAD_MADDS, set()), (0, {((0,), 1), ((1,), 1)})):
+        monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", madds)
+        blas.calls, seen[:], dealt[:] = [], [], []
+        rootcount.sweep_count_batch(rows, t, mirror_spans=[(0, len(t) - 1)])
+        assert blas.calls == ["get", ("set", 1), ("set", 3)]
+        assert set(seen) == {("_parity_products", 1), ("_product", 1), ("_resolve", 1)}
+        assert seen.count(("_product", 1)) == 4
+        assert set(dealt) == shares and len(dealt) == 4 * len(shares)
+        blas.calls, seen[:], dealt[:] = [], [], []
+        sweep_roots(rows[0])
+        assert blas.calls == ["get", ("set", 1), ("set", 3)]
+        assert set(seen) == {("_parity_products", 1), ("_product", 1), ("_resolve", 1),
+                             ("_narrow", 1)}
+        assert set(dealt) == shares
+
+
+@pytest.mark.parametrize("n,trials,cols,madds", [
+    (30000, 16, None, None),    # over the threshold as it stands
+    (3000, 64, None, 0),
+    (3000, 64, 40, 0),          # fewer whole panels than shares
+    (3000, 64, 3, 0),           # fewer columns than shares: one GEMM
+])
+def test_parity_products_do_not_depend_on_dealing(monkeypatch, n, trials, cols, madds):
+    # the bytes of the four products with every product one GEMM, and with
+    # every product's columns dealt over 2, 3 or 4 shares, under the real
+    # one-thread hold
+    if rootcount._blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found: no one-thread hold")
+    rows = _gauss_rows(n, trials)
+    t = rootcount.sweep_grid(n)[:cols]
+    m = np.arange(n + 1, dtype=float)
+    k4 = np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)])
+    args = (rows, k4, np.abs(rows).max(axis=0), rootcount.power_matrix(n, t), 1.0 - np.exp(-t))
+    dealt = _spy_deal(monkeypatch, _FakeBlas())
+    if madds is None:
+        madds = rootcount._ONE_THREAD_MADDS
+    got = {}
+    for threads, limit in ((1, 2 ** 62), (2, madds), (3, madds), (4, madds)):
+        monkeypatch.setattr(philox, "_THREADS", threads)
+        monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", limit)
+        dealt.clear()
+        with rootcount._one_blas_thread():
+            got[threads] = b"".join(h.tobytes() for h in rootcount._parity_products(*args))
+        panels = len(t) // rootcount._PANEL
+        assert len({part for part, _ in dealt}) == (min(threads, panels) if panels > 1 and
+                                                    limit < 2 ** 62 else 0)
+    assert len(set(got.values())) == 1
 
 
 def test_one_blas_thread_is_restored_when_the_sweep_raises(monkeypatch):
@@ -809,6 +857,10 @@ def test_no_blas_library_leaves_the_sweep_as_it_is(monkeypatch, tmp_path):
     monkeypatch.setattr(rootcount, "_BLAS_GATE", _Untouched())
     assert np.array_equal(rootcount.sweep_count_batch(rows, t), want)
     sweep_roots(rows[0])
+    # nor is a large product dealt: the BLAS keeps its own threads for it
+    monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", 0)
+    monkeypatch.setattr(philox, "deal", lambda *args: _Untouched().__enter__())
+    assert np.array_equal(rootcount.sweep_count_batch(rows, t), want)
     # the lookup finds nothing where no library, or no loadable one, is there
     monkeypatch.setattr(rootcount.glob, "glob", lambda pattern: [])
     assert lookup() is None
