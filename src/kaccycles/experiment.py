@@ -26,11 +26,12 @@ budget holds, never fewer than 64 up to degree 65535 and never more than
 Every draw is addressed by (seed, trial, index), so the output does not
 depend on the batch size.  Parallelism comes from the one thread pool of
 :mod:`kaccycles.philox`, a share per core in the process's affinity set:
-it fills a block of more than one tile, and a sweep product of 2^25
-multiply-adds or more (every batch from n = 7800 on) deals its column
-blocks to it (``rootcount._product``).  Every sweep holds the BLAS to one
-thread while it runs (``rootcount._one_blas_thread``), so
-``OPENBLAS_NUM_THREADS`` does not set it.
+a degree whose sweep products reach ``rootcount._ONE_THREAD_MADDS``
+(from n = 7800 on) deals it whole batches of 1/shares of the rows, and
+its Kac-Rice column; each share draws and sweeps its own batches.  Below
+that, the pool fills Philox blocks of more than one tile.  Every sweep
+holds the BLAS to one thread (``rootcount._one_blas_thread``), a hold the
+shares share, so ``OPENBLAS_NUM_THREADS`` does not set it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import philox, rootcount
 from .coeffs import CoeffScheme, CoeffVector, coeff_vector
 from .errors import DomainError, InsufficientDataError
 from .kacrice import REGIONS, asymptotic_prediction, expected_roots_regions, \
@@ -180,7 +182,8 @@ def _batch_rows(n: int) -> int:
     batch holds beside them.  The cell values are the products, the
     certificate and its bisection.  The cells weigh most below n ~ 500,
     where a batch holds hundreds of rows; 64 rows fill the budget near
-    n = 3000, and at n = 3e4 they hold 1.7 times their coefficients' bytes.
+    n = 3000, and at n = 3e4 they hold 1.7 times their coefficients' bytes
+    (split among the shares of a dealt degree, ``run_experiment``).
     """
     per_row = 8 * (2 * (n + 1) + 9 * len(sweep_grid(n)))
     return max(1, min(2 ** 22 // (n + 1), max(64, _BATCH_BYTES // per_row)))
@@ -192,14 +195,17 @@ def _count_batch(plan: tuple, cv: CoeffVector, dist: NoiseDistribution,
     of ``plan`` (``_sweep_plan``).
 
     Each region is the sum of the sweep's counts on its spans and of the
-    exact roots at the points it holds.  The sweep counts the rows and the
-    reversed rows of ``exact_roots``, so it finds no exact root to divide
-    out.  The zero polynomial, whose count is undefined, is NaN.
+    exact roots at the points it holds.  The sweep counts the rows, and
+    then the reversed rows, with the quotients of ``exact_roots`` written
+    over the rows it changes, so it finds no exact root to divide out.  The
+    zero polynomial, whose count is undefined, is NaN.
     """
     grid, powers, regions = plan
     realized = noise_rows(dist, cv.n, master_seed, t0, t1)
     realized *= cv.values
-    direct, rev, at = exact_roots(realized)
+    failed = ~realized.any(axis=1)
+    hit, direct, rev, at = exact_roots(realized)
+    realized[hit] = direct
     # the mirror of the reversed rows is (-1)^n times mrev's rows
     # (c_m (-1)^m reversed): a whole-row sign that moves no root
     counts = {}
@@ -208,11 +214,12 @@ def _count_batch(plan: tuple, cv: CoeffVector, dist: NoiseDistribution,
                                         for s in spans if s[0] == f)) for f in pair]
         if not any(fam_spans):
             continue
-        got = sweep_count_batch(rev if pair[0] == "rev" else direct, grid, powers=powers,
-                                spans=fam_spans[0], mirror_spans=fam_spans[1])
+        if pair[0] == "rev":
+            realized[hit, ::-1] = rev
+        got = sweep_count_batch(realized if pair[0] == "dir" else realized[:, ::-1], grid,
+                                powers=powers, spans=fam_spans[0], mirror_spans=fam_spans[1])
         keys = [(f, *s) for f, sps in zip(pair, fam_spans) for s in sps]
         counts.update(zip(keys, got.T))
-    failed = ~realized.any(axis=1)
     out = {}
     for r, (spans, pts) in regions.items():
         tot = sum([counts[s] for s in spans] + [at[:, EXACT_POINTS.index(p)] for p in pts],
@@ -244,17 +251,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for n in config.degrees:
         cv = coeff_vector(config.scheme, n)
         plan = _sweep_plan(config.regions, n)
-        batch = _batch_rows(n)
-        results = [_count_batch(plan, cv, config.dist, config.master_seed, t0,
-                                min(t0 + batch, config.trials))
-                   for t0 in range(0, config.trials, batch)]
-        del plan        # the power matrix goes before the next degree's is built
-        per_region = {r: np.concatenate([res[r] for res in results])
-                      for r in config.regions}
+        batch = min(_batch_rows(n), config.trials)
+        dealt = (batch + 4) * ((n + 2) // 2) * len(plan[0]) >= rootcount._ONE_THREAD_MADDS
+        if dealt:       # the shares hold as many rows at once as one batch
+            batch = -(-batch // philox._THREADS)
+        # the batches by their first trial, and None for the Kac-Rice column:
         # one call for all regions, which share their integrated pieces
-        kr_all = None
+        items, done = [*range(0, config.trials, batch)], {}
         if config.dist is NoiseDistribution.GAUSSIAN and n >= 1:
-            kr_all = expected_roots_regions(cv, config.regions, _QUAD_TOL)
+            items.append(None)
+
+        def work(share):
+            for t0 in share:
+                done[t0] = (expected_roots_regions(cv, config.regions, _QUAD_TOL)
+                            if t0 is None else
+                            _count_batch(plan, cv, config.dist, config.master_seed, t0,
+                                         min(t0 + batch, config.trials)))
+
+        if dealt:
+            philox.deal(work, items)
+        else:
+            work(items)
+        del plan        # the power matrix goes before the next degree's is built
+        kr_all = done.pop(None, None)
+        per_region = {r: np.concatenate([done[t0][r] for t0 in sorted(done)])
+                      for r in config.regions}
 
         for region in config.regions:
             counts = per_region[region]

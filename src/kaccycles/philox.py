@@ -40,8 +40,9 @@ count.  A call of one tile, or a process on one core, runs every tile on the
 calling thread and never starts a pool thread.  ``variates_at`` and
 ``philox4x32`` run on the calling thread alone.  ``deal``, the loop that
 shares the work out, is also how long Kac-Rice panels (``kacrice``) split
-their node evaluations and large sweep products (``rootcount``) their
-columns, the BLAS held to one thread: the process has this one pool.
+their node evaluations and Monte Carlo degrees with large sweep products
+(``experiment``) their whole batches, each swept on its share's thread with
+the BLAS held to one thread: the process has this one pool.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import philox
 from .errors import DomainError, ZeroPolynomialError
 from .sturm import sturm_count
 
@@ -57,12 +56,10 @@ _TAIL_START = 0.5
 SWEEP_TAIL = 9.0
 # open pieces of a row in a bisection level past which none is split
 _CROWDED = 1024
-# multiply-adds of a sweep product, rows ceil((n + 1)/2) len(t), from which
-# its columns are dealt over the philox pool (``_product``)
+# multiply-adds of a sweep product, (rows + 4) ceil((n + 1)/2) len(t), from
+# which a Monte Carlo degree deals whole batches over the philox pool
+# (``experiment.run_experiment``); each product is one one-thread GEMM
 _ONE_THREAD_MADDS = 2 ** 25
-# columns of a sweep product per OpenBLAS kernel panel: the AVX-512 double
-# kernels take 16 at a time, a multiple of the narrower kernels' panels
-_PANEL = 16
 
 
 @dataclass(frozen=True)
@@ -207,10 +204,11 @@ def exact_roots(rows: np.ndarray):
     A root at 0 is a zero low coefficient; one at 1 or -1 a coefficient sum
     or alternating sum that is exactly zero (see ``deflate_exact_root``).
     ``rows`` is (k, n+1); the zero row, which has no root count, gets none.
-    Returns the quotients and those of the reversed rows, both (k, n+1)
-    with zeros padded at the top (reversal maps a top zero to a root at 0
-    and fixes 1 and -1, up to a sign that moves no root), and a (k, 3)
-    array of the multiplicities at ``EXACT_POINTS``.
+    Returns the indices of the rows that change (an exact root or a zero
+    top coefficient; no other row is copied), their quotients and those of
+    their reversed rows, zeros padded at the top (reversal maps a top zero
+    to a root at 0 and fixes 1 and -1, up to a sign that moves no root),
+    and a (k, 3) array of the multiplicities at ``EXACT_POINTS``.
     """
     mult = np.zeros((len(rows), len(EXACT_POINTS)), dtype=int)
     exact = np.zeros(len(rows), dtype=bool)
@@ -223,15 +221,15 @@ def exact_roots(rows: np.ndarray):
             & nonzero.any(axis=1)
         del alt, nonzero        # freed before the next block's
     hit = np.flatnonzero((mult[:, 0] > 0) | exact | (rows[:, -1] == 0.0))
-    direct, rev = (rows.copy(), rows[:, ::-1].copy()) if hit.size else (rows, rows[:, ::-1])
-    for i in hit:
+    direct, rev = (np.zeros((len(hit), rows.shape[1])) for _ in range(2))
+    for j, i in enumerate(hit):
         q = rows[i, mult[i, 0]:]
         if exact[i]:
             q, mult[i, 1] = deflate_exact_root(q, 1.0)
             q, mult[i, 2] = deflate_exact_root(q, -1.0)
         q = np.trim_zeros(q, "b")
-        direct[i], rev[i] = (np.pad(v, (0, rows.shape[1] - len(q))) for v in (q, q[::-1]))
-    return direct, rev, mult
+        direct[j, :len(q)], rev[j, :len(q)] = q, q[::-1]
+    return hit, direct, rev, mult
 
 
 def real_roots(poly) -> RootCountReport:
@@ -252,8 +250,8 @@ def real_roots(poly) -> RootCountReport:
         return RootCountReport(0, np.empty(0), np.empty(0, dtype=int), "companion",
                                0.0, zero_polynomial=True)
     c = np.trim_zeros(c, "b")
-    direct, _, mult = exact_roots(c[None, :])
-    c_red, (n_zero, n_one, n_minus) = np.trim_zeros(direct[0], "b"), mult[0]
+    hit, direct, _, (mult,) = exact_roots(c[None, :])
+    c_red, (n_zero, n_one, n_minus) = np.trim_zeros(direct[0] if hit.size else c, "b"), mult
     scale = np.max(np.abs(c))
     c = c / scale
     c_red = c_red / scale
@@ -354,9 +352,10 @@ def _one_blas_thread():
     the sweep's single-threaded certificate, ``_resolve`` and ``_narrow``,
     whatever the product's size, and setting the count back to one after a
     product does not stop it: only a thread that is never woken sleeps.  So
-    every sweep runs its BLAS on one thread, and a product of
-    _ONE_THREAD_MADDS multiply-adds or more takes its second core from the
-    ``philox.deal`` pool instead (``_product``).  ``bench/run.py
+    every sweep runs its BLAS on one thread, and a Monte Carlo degree whose
+    products reach _ONE_THREAD_MADDS multiply-adds takes its other cores
+    from the ``philox.deal`` pool instead, whole batches a share
+    (``experiment.run_experiment``).  ``bench/run.py
     --workload W --seconds 3 --trace 0``, 2 cores, two OpenBLAS threads for
     the process, medians of 12 alternating runs, one BLAS thread below 2^25
     multiply-adds and the library's own threads above it -> this hold:
@@ -365,9 +364,10 @@ def _one_blas_thread():
         sweep-3e4    1.514 -> 1.087   0.787 -> 0.714   84.08 -> 84.41
         demo         0.559 -> 0.564   0.387 -> 0.386   46.91 -> 46.96
 
-    The count is process-wide, so sweeps that overlap on several threads
-    share one hold, and the last to end restores the count from before the
-    first.  Where the library is not found the sweep runs as it is.
+    The count is process-wide, so sweeps that overlap on several threads,
+    such as the shares of a dealt degree, share one hold, and the last to
+    end restores the count from before the first.  Where the library is
+    not found the sweep runs as it is.
     """
     blas = _blas_threads()
     if blas is None:
@@ -436,8 +436,8 @@ def sweep_count_batch(coeff_rows: np.ndarray, t: np.ndarray,
     with x as f does: an l1 bound g ||m c||_1 / x on f' near x = 0 would
     leave cells there uncertified at every scale.
 
-    The sweep runs on one BLAS thread (``_one_blas_thread``), and its
-    large products on the philox pool (``_product``).
+    The sweep runs on one thread, its BLAS held to it
+    (``_one_blas_thread``): every product is one GEMM.
 
     Returns an array of shape (batch, len(spans) + len(mirror_spans)),
     the mirror counts last.
@@ -464,23 +464,25 @@ def _sweep_cells(c: np.ndarray, t: np.ndarray, powers: np.ndarray | None, mirror
 
     Beside the rows, the working set holds half a row per row: the passes
     over the whole batch run in row blocks, the products run on one buffer
-    (``_parity_products``), and a mirror's rows are signed only where
-    ``_resolve`` reads them."""
+    (``_parity_products``), the weights and the mirror's signs, of a row's
+    length, are made once that buffer is freed, and a mirror's rows are
+    signed only where ``_resolve`` reads them."""
     n = c.shape[1] - 1
-    m = np.arange(n + 1, dtype=float)
-    k4 = np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)])
-    g, sign = 1.01 * (n + 22) * 2.0 ** -53, (-1.0) ** m
+    g = 1.01 * (n + 22) * 2.0 ** -53
     # exact_roots finds roots only where c_0 = 0 or where it sums c_m or
     # c_m (-1)^m to 0; summed in another order those are within 2 g ||c||_1
-    if any(np.any((c[b, 0] == 0.0) | (np.minimum(np.abs(c[b].sum(axis=1)), np.abs(c[b] @ sign))
-                                      <= 2.0 * g * np.abs(c[b]).sum(axis=1)))
-           for b in _row_blocks(*c.shape)):
-        c = exact_roots(c)[0]
+    if any(np.any((c[b, 0] == 0.0) | (np.minimum(
+            np.abs(c[b].sum(axis=1)), np.abs(c[b, ::2].sum(axis=1) - c[b, 1::2].sum(axis=1)))
+            <= 2.0 * g * np.abs(c[b]).sum(axis=1))) for b in _row_blocks(*c.shape)):
+        hit, quotients = exact_roots(c)[:2]
+        c = c.copy() if hit.size else c
+        c[hit] = quotients
     if powers is None:
         powers = power_matrix(n, t)
     wmax = np.maximum(c.max(axis=0), -c.min(axis=0))       # max over the rows of |c_m|
     r, x = len(c), 1.0 - np.exp(-t)
-    ev, od = _parity_products(c, k4, wmax, powers, x)
+    ev, od = _parity_products(c, wmax, powers, x)
+    k4 = _weights(np.arange(n + 1.0), np.empty((4, n + 1)))
     e, e1, m4 = _bounds(ev[r:r + 4] + od[r:r + 4], x, (k4 * wmax).sum(axis=1)[:, None], g)
     # f = E + O in place, and the mirror E - O: every large temporary is
     # memory faulted in afresh on each call
@@ -489,7 +491,7 @@ def _sweep_cells(c: np.ndarray, t: np.ndarray, powers: np.ndarray | None, mirror
     del od
     out = []
     for fam in range(1 + mirror):
-        s, fx = (1.0, ev) if fam == 0 else (sign, gx)
+        s, fx = (1.0, ev) if fam == 0 else ((-1.0) ** k4[1], gx)
         f, fp = fx[:r], fx[r + 4:]
         fp /= np.where(x > 0.0, x, 1.0)
         if x[0] == 0.0 and n > 0:
@@ -510,58 +512,41 @@ def _sweep_cells(c: np.ndarray, t: np.ndarray, powers: np.ndarray | None, mirror
     return (k4, g, 1.0), out
 
 
-def _parity_products(c: np.ndarray, k4: np.ndarray, wmax: np.ndarray, powers: np.ndarray,
-                     x: np.ndarray):
+def _weights(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The weights of the majorants at the exponents m, as the rows of
+    out: m^k (k = 0, 1, 2) and m (m-1) (m-2) (m-3)."""
+    out[0], out[1] = 1.0, m
+    np.multiply(m, m, out=out[2])
+    np.multiply(m, m - 1.0, out=out[3])
+    out[3] *= m - 2.0
+    out[3] *= m - 3.0
+    return out
+
+
+def _parity_products(c: np.ndarray, wmax: np.ndarray, powers: np.ndarray, x: np.ndarray):
     """The even and the odd halves of the products of the rows c, w and m c
-    with the powers, w = k4 wmax: per parity the rows [c; w] of one reused
-    buffer, half a row per row, times the leading rows of the even powers
-    (``power_matrix``), then the buffer's rows times m; the odd half is
-    then scaled by x, column by column.  Returns the two halves, each
-    (2 len(c) + 4, len(t)) with rows c, w and m c."""
+    with the powers, w the weights (``_weights``) times wmax: per parity
+    the rows [c; w] of one reused buffer, half a row per row, times the
+    leading rows of the even powers (``power_matrix``), then the buffer's
+    rows times m; the odd half is then scaled by x, column by column.
+    Returns the two halves, each (2 len(c) + 4, len(t)) with rows c, w and
+    m c."""
     r = len(c)
     halves = [np.empty((2 * r + 4, powers.shape[1])) for _ in range(2)]
     buf = np.empty((r + 4, (c.shape[1] + 1) // 2))
     for k, out in enumerate(halves):
         b = buf[:, :(c.shape[1] + 1 - k) // 2]
         p = powers[:b.shape[1]]
+        m = np.arange(k, c.shape[1], 2, dtype=float)
         b[:r] = c[:, k::2]
-        np.multiply(k4[:, k::2], wmax[k::2], out=b[r:])
-        _product(b, p, out[:r + 4])
+        _weights(m, b[r:])
+        b[r:] *= wmax[k::2]
+        np.matmul(b, p, out=out[:r + 4])
         b = b[:r]
-        b *= k4[1, k::2]
-        _product(b, p, out[r + 4:])
+        b *= m
+        np.matmul(b, p, out=out[r + 4:])
     halves[1] *= x
     return halves
-
-
-def _product(b: np.ndarray, p: np.ndarray, out: np.ndarray):
-    """out = b @ p.  A product of _ONE_THREAD_MADDS multiply-adds or more,
-    made while a sweep holds the BLAS to one thread (``_one_blas_thread``),
-    is cut into contiguous blocks of out's columns, one per share of
-    ``philox.deal``, each a one-thread GEMM written into its own slice.
-
-    A column's sum runs over the same terms in the same order in any block
-    (Goto and van de Geijn, ACM TOMS 34(3), 2008) as long as the block is
-    cut where the whole product's kernel panels are: OpenBLAS sees out's
-    columns as the rows of a column-major product and takes them _PANEL at
-    a time, so each block starts at a multiple of _PANEL and holds at least
-    one panel, and the last one takes the whole's ragged panel.  A narrower
-    block would go to another kernel (numpy's GEMV for one column, the
-    small-matrix GEMM below 1e6 multiply-adds) and round otherwise."""
-    cols = out.shape[1]
-    panels = cols // _PANEL
-    shares = min(philox._THREADS, panels)
-    if b.size * cols < _ONE_THREAD_MADDS or not _blas_held[0] or shares < 2:
-        np.matmul(b, p, out=out)
-        return
-    bounds = [_PANEL * (i * panels // shares) for i in range(shares)] + [cols]
-
-    def work(blocks):
-        for i in blocks:
-            j0, j1 = bounds[i], bounds[i + 1]
-            np.matmul(b, p[:, j0:j1], out=out[:, j0:j1])
-
-    philox.deal(work, range(shares))
 
 
 def _bounds(s, x, l, g):
@@ -726,13 +711,15 @@ def sweep_roots(coeffs):
     bracket is monotone.  A cluster, which the sweep counts as two roots,
     is located at the extremum of f in its gap, where f' changes sign, and
     comes back twice, flagged not simple, as does a root of order k > 1 at
-    1, k times.  The sweep runs on one BLAS thread (``_one_blas_thread``),
-    and its large products on the philox pool (``_product``).
+    1, k times.  The sweep runs on one thread, its BLAS held to it
+    (``_one_blas_thread``): every product is one GEMM.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if c.size == 0:
         raise ZeroPolynomialError("all coefficients are zero")
-    direct, rev, mult = exact_roots(c[None, :])
+    hit, direct, rev, mult = exact_roots(c[None, :])
+    if not hit.size:
+        direct, rev = c[None, :], c[None, ::-1]
     t = sweep_grid(len(c) - 1)
     powers = power_matrix(len(c) - 1, t)
     x, k, simple = [], [], []

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,15 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import run_experiment_on_one_core
-from kaccycles import experiment, kacrice, philox
+from kaccycles import experiment, kacrice, philox, rootcount
 from kaccycles.coeffs import CoeffScheme, coeff_vector
 from kaccycles.errors import DomainError, InsufficientDataError
 from kaccycles.experiment import (EstimateRow, ExperimentConfig,
                                   compare_to_theory, parse_config_file,
                                   run_experiment, write_outputs)
 from kaccycles.kacrice import expected_roots_region, region_interval
-from kaccycles.rootcount import count_in_interval
-from kaccycles.sampler import NoiseDistribution
+from kaccycles.rootcount import count_in_interval, exact_roots
+from kaccycles.sampler import NoiseDistribution, noise_rows
 
 
 def small_config(**over):
@@ -197,14 +198,23 @@ def test_sweep_plan_guards_the_even_power_matrix(monkeypatch):
     assert built == [2 * 10**6] and peak < 2**20
 
 
-def _batch_peak(monkeypatch, n, rows):
+def _batch_peak(monkeypatch, n, rows, scheme=CoeffScheme.perturbed_center(), row5=None):
     """tracemalloc peak of one _count_batch of ``rows`` trials at degree n
     in all four sweep families, its plan built beforehand, with the Philox
     draw on the calling thread (the pool would add buffers per core, not
-    per row)."""
+    per row); ``row5``, if given, is drawn as trial 5's noise."""
     monkeypatch.setattr(philox, "_THREADS", 1)
+    if row5 is not None:
+        drawn = experiment.noise_rows
+
+        def with_row5(*args):
+            noise = drawn(*args)
+            noise[5] = row5
+            return noise
+
+        monkeypatch.setattr(experiment, "noise_rows", with_row5)
     plan = experiment._sweep_plan(["01", "1inf", "sym", "R"], n)
-    cv = coeff_vector(CoeffScheme.perturbed_center(), n)
+    cv = coeff_vector(scheme, n)
     tracemalloc.start()
     try:
         experiment._count_batch(plan, cv, NoiseDistribution.GAUSSIAN, 5, 0, rows)
@@ -215,8 +225,23 @@ def _batch_peak(monkeypatch, n, rows):
 
 def test_count_batch_holds_its_rows_and_half_a_row_each(monkeypatch):
     # at n = 3e4 the rows, one half-size GEMM operand and what does not
-    # scale with them; no copy of the batch
-    assert _batch_peak(monkeypatch, 30000, 64) <= 1.7 * 8 * 64 * 30001
+    # scale with them; no copy of the batch, also where a row has a root at
+    # 0, 1 or -1 or a zero top coefficient, whose quotients alone are new
+    bound = 1.7 * 8 * 64 * 30001
+    assert _batch_peak(monkeypatch, 30000, 64) <= bound
+    # integer rows of the flat scheme, whose sums are exact in any order
+    row = np.rint(8.0 * noise_rows(NoiseDistribution.GAUSSIAN, 30000, 9, 0, 1)[0])
+    row[[0, -1]] = 1.0
+    c0_zero, root_at_1, root_at_minus_1, top_zero = (row.copy() for _ in range(4))
+    c0_zero[0] = 0.0
+    root_at_1[1] -= root_at_1.sum()
+    root_at_minus_1[1] += root_at_minus_1 @ (-1.0) ** np.arange(30001)
+    top_zero[-1] = 0.0
+    for r, point in ((c0_zero, 0), (root_at_1, 1), (root_at_minus_1, 2), (top_zero, None)):
+        hit, _, _, mult = exact_roots(r[None, :])
+        assert hit.tolist() == [0] and (point is None or mult[0, point] > 0), point
+        peak = _batch_peak(monkeypatch, 30000, 64, CoeffScheme.power_law(0.0), r)
+        assert peak <= bound, (point, peak / bound)
 
 
 @pytest.mark.parametrize("n", [0, 100, 1000, 3000])
@@ -246,6 +271,103 @@ def test_batches_run_in_the_calling_process(monkeypatch):
     monkeypatch.setattr(experiment, "_batch_rows", lambda n: 16)
     run_experiment(small_config(workers=4, trials=40))
     assert pids == [os.getpid()] * 3
+
+
+def _dealt_config(n, trials, **over):
+    return ExperimentConfig(scheme=CoeffScheme.perturbed_center(),
+                            dist=NoiseDistribution.GAUSSIAN, degrees=[n],
+                            regions=["01", "1inf", "sym", "R"], trials=trials,
+                            master_seed=11, moments=(2,), **over)
+
+
+@pytest.mark.parametrize("n,trials", [(8000, 70), (1000, 150)])
+def test_dealt_batches_do_not_depend_on_the_shares(monkeypatch, n, trials):
+    # from the 2^25 multiply-add mark on (n = 8000), whole batches of
+    # ceil(64 / shares) rows and the Kac-Rice column are dealt over the
+    # pool; below it (n = 1000) every batch runs on the calling thread.  The
+    # rows (kr_value included), the moments and the per-trial counts are the
+    # same bytes for 1, 2 and 3 shares, each with a partial last batch
+    batches, count = [], experiment._count_batch
+
+    def recording(*args):
+        batches.append((*args[-2:], threading.current_thread().name))
+        return count(*args)
+
+    monkeypatch.setattr(experiment, "_count_batch", recording)
+    got = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(philox, "_THREADS", threads)
+        batches.clear()
+        res = run_experiment(_dealt_config(n, trials))
+        got.append((repr([vars(r) for r in res.rows]), repr([vars(m) for m in res.moment_rows]),
+                    [res.counts[k].tobytes() for k in sorted(res.counts)]))
+        rows = -(-64 // threads) if n == 8000 else experiment._batch_rows(n)
+        assert sorted(b[:2] for b in batches) == [
+            (t0, min(t0 + rows, trials)) for t0 in range(0, trials, rows)]
+        assert trials % rows
+        pooled = {name.startswith("philox") for *_, name in batches}
+        assert pooled == ({False, True} if n == 8000 and threads > 1 else {False})
+    assert got[0] == got[1] == got[2]
+
+
+def test_dealt_batches_sweep_on_one_blas_thread(monkeypatch):
+    # every product and bisection of a dealt degree, on the calling thread
+    # and on the pool, sees a BLAS count of 1; the last sweep to end
+    # restores the count from before the first
+    threads = [3]
+    monkeypatch.setattr(rootcount, "_blas_threads",
+                        lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
+    seen = []
+    for name in ("_parity_products", "_resolve"):
+        def spy(*args, _real=getattr(rootcount, name)):
+            seen.append((threading.current_thread().name, threads[0]))
+            return _real(*args)
+        monkeypatch.setattr(rootcount, name, spy)
+    monkeypatch.setattr(philox, "_THREADS", 2)
+    run_experiment(_dealt_config(8000, 70))
+    assert {count for _, count in seen} == {1}
+    assert any(name.startswith("philox") for name, _ in seen)
+    assert threads == [3] and rootcount._blas_held[0] == 0
+
+
+def test_an_error_in_a_dealt_batch_reaches_the_caller(monkeypatch):
+    # batches of 32 over two shares: the second batch is the pool's
+    where, count = [], experiment._count_batch
+
+    def failing(*args):
+        if args[-2] == 32:
+            where.append(threading.current_thread().name)
+            raise RuntimeError("batch at trial 32")
+        return count(*args)
+
+    monkeypatch.setattr(experiment, "_count_batch", failing)
+    monkeypatch.setattr(philox, "_THREADS", 2)
+    with pytest.raises(RuntimeError, match="batch at trial 32"):
+        run_experiment(_dealt_config(8000, 70))
+    assert len(where) == 1 and where[0].startswith("philox")
+
+
+def test_dealt_degree_holds_one_batch_of_rows(monkeypatch):
+    # at n = 3e4 two shares sweep 32 rows each at once, beside the Kac-Rice
+    # column: the run, its plan built beforehand, stays within the bound of
+    # one batch of 64 rows on one thread.  Every thread draws with fresh
+    # Philox buffers, as the calling thread does: the pair that a pool
+    # thread keeps (started before the buffers are swapped) is per core,
+    # not per row
+    regions = ["01", "1inf", "sym", "R"]
+    plan = experiment._sweep_plan(regions, 30000)
+    monkeypatch.setattr(experiment, "_sweep_plan", lambda regions, n: plan)
+    monkeypatch.setattr(philox, "_THREADS", 2)
+    philox.deal(lambda share: None, range(2))
+    monkeypatch.setattr(philox, "_BUFFERS", threading.local())
+    cfg = _dealt_config(30000, 64)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * 8 * 64 * 30001, peak / (1.7 * 8 * 64 * 30001)
 
 
 def test_outputs_reproducible(tmp_path):

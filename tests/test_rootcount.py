@@ -577,8 +577,8 @@ def test_deflate_exact_root_matches_the_power_form():
             got, want = rootcount.deflate_exact_root(c, r), _deflate_with_powers(c, r)
             assert got[1] == want[1] and np.array_equal(got[0], want[0]), (c, r)
     shifted = np.concatenate([[0.0, 0.0], rows[0]])
-    rests, _, mult = rootcount.exact_roots(np.stack([shifted, np.zeros(8), shifted[::-1]]))
-    assert mult.tolist() == [[2, 2, 1], [0, 0, 0], [0, 2, 1]]
+    hit, rests, _, mult = rootcount.exact_roots(np.stack([shifted, np.zeros(8), shifted[::-1]]))
+    assert mult.tolist() == [[2, 2, 1], [0, 0, 0], [0, 2, 1]] and hit.tolist() == [0, 1, 2]
     assert np.array_equal(rests[0], [2.0, -3.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
@@ -596,10 +596,11 @@ def test_exact_roots_of_integer_rows_in_row_blocks(monkeypatch):
     rows[4] = np.zeros(9, dtype=np.int64)
     rows = np.stack(rows)
     assert rows.dtype == np.int64 and len(rows) % 3 != 0
-    direct, rev, mult = rootcount.exact_roots(rows)
-    assert mult.tolist() == [list(w) for w in want]
+    hit, direct, rev, mult = rootcount.exact_roots(rows)
+    assert mult.tolist() == [list(w) for w in want] and hit.tolist() == list(range(len(rows)))
     for i, row in enumerate(rows):
-        d1, r1, m1 = rootcount.exact_roots(row[None, :])
+        h1, d1, r1, m1 = rootcount.exact_roots(row[None, :])
+        assert h1.tolist() == [0]
         assert np.array_equal(d1[0], direct[i]) and np.array_equal(r1[0], rev[i])
         assert np.array_equal(m1[0], mult[i])
         if i != 4:
@@ -682,7 +683,7 @@ def test_flat_rademacher_counts_equal_sturm_per_trial(counter, n):
 
 
 # ---------------------------------------------------------------------------
-# sweeps run on one BLAS thread, their large products on the philox pool
+# sweeps run on one BLAS thread; degrees from the mark on deal whole batches
 # ---------------------------------------------------------------------------
 
 class _FakeBlas:
@@ -703,7 +704,7 @@ class _FakeBlas:
 def _spy_threads(monkeypatch, blas):
     """Record the thread count each sweep stage sees when it is called."""
     seen = []
-    for name in ("_parity_products", "_product", "_resolve", "_narrow"):
+    for name in ("_parity_products", "_resolve", "_narrow"):
         def spy(*args, _name=name, _real=getattr(rootcount, name)):
             seen.append((_name, blas.threads))
             return _real(*args)
@@ -715,78 +716,19 @@ def _gauss_rows(n, trials):
     return _realized(CoeffScheme.perturbed_center(), NoiseDistribution.GAUSSIAN, n, 5, 0, trials)
 
 
-def _spy_deal(monkeypatch, blas):
-    """Record the items (column block numbers) and the thread count of each
-    dealt share."""
-    dealt, real = [], philox.deal
-
-    def deal(work, items):
-        def share(part):
-            dealt.append((tuple(part), blas.threads))
-            work(part)
-        real(share, items)
-
-    monkeypatch.setattr(philox, "deal", deal)
-    return dealt
-
-
 def test_sweeps_run_on_one_blas_thread(monkeypatch):
+    # the count is 1 for every call of a sweep, and restored after
     blas = _FakeBlas()
     monkeypatch.setattr(rootcount, "_blas_threads", lambda: (blas.get, blas.set))
-    monkeypatch.setattr(philox, "_THREADS", 2)
     seen = _spy_threads(monkeypatch, blas)
-    dealt = _spy_deal(monkeypatch, blas)
     rows, t = _gauss_rows(100, 8), rootcount.sweep_grid(100)
-    # below the threshold every product is one GEMM; at or above it
-    # (monkeypatched) its columns are dealt in two blocks of whole panels;
-    # the count is 1 for every call either way, and restored after
-    for madds, shares in ((rootcount._ONE_THREAD_MADDS, set()), (0, {((0,), 1), ((1,), 1)})):
-        monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", madds)
-        blas.calls, seen[:], dealt[:] = [], [], []
-        rootcount.sweep_count_batch(rows, t, mirror_spans=[(0, len(t) - 1)])
-        assert blas.calls == ["get", ("set", 1), ("set", 3)]
-        assert set(seen) == {("_parity_products", 1), ("_product", 1), ("_resolve", 1)}
-        assert seen.count(("_product", 1)) == 4
-        assert set(dealt) == shares and len(dealt) == 4 * len(shares)
-        blas.calls, seen[:], dealt[:] = [], [], []
-        sweep_roots(rows[0])
-        assert blas.calls == ["get", ("set", 1), ("set", 3)]
-        assert set(seen) == {("_parity_products", 1), ("_product", 1), ("_resolve", 1),
-                             ("_narrow", 1)}
-        assert set(dealt) == shares
-
-
-@pytest.mark.parametrize("n,trials,cols,madds", [
-    (30000, 16, None, None),    # over the threshold as it stands
-    (3000, 64, None, 0),
-    (3000, 64, 40, 0),          # fewer whole panels than shares
-    (3000, 64, 3, 0),           # fewer columns than shares: one GEMM
-])
-def test_parity_products_do_not_depend_on_dealing(monkeypatch, n, trials, cols, madds):
-    # the bytes of the four products with every product one GEMM, and with
-    # every product's columns dealt over 2, 3 or 4 shares, under the real
-    # one-thread hold
-    if rootcount._blas_threads() is None:
-        pytest.skip("numpy's bundled OpenBLAS is not found: no one-thread hold")
-    rows = _gauss_rows(n, trials)
-    t = rootcount.sweep_grid(n)[:cols]
-    m = np.arange(n + 1, dtype=float)
-    k4 = np.stack([np.ones(n + 1), m, m * m, m * (m - 1.0) * (m - 2.0) * (m - 3.0)])
-    args = (rows, k4, np.abs(rows).max(axis=0), rootcount.power_matrix(n, t), 1.0 - np.exp(-t))
-    dealt = _spy_deal(monkeypatch, _FakeBlas())
-    if madds is None:
-        madds = rootcount._ONE_THREAD_MADDS
-    got = {}
-    for threads, limit in ((1, 2 ** 62), (2, madds), (3, madds), (4, madds)):
-        monkeypatch.setattr(philox, "_THREADS", threads)
-        monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", limit)
-        dealt.clear()
-        with rootcount._one_blas_thread():
-            got[threads] = b"".join(h.tobytes() for h in rootcount._parity_products(*args))
-        panels = len(t) // rootcount._PANEL
-        assert len({part for part, _ in dealt}) == (min(threads, panels) if panels > 1 and
-                                                    limit < 2 ** 62 else 0)
-    assert len(set(got.values())) == 1
+    rootcount.sweep_count_batch(rows, t, mirror_spans=[(0, len(t) - 1)])
+    assert blas.calls == ["get", ("set", 1), ("set", 3)]
+    assert set(seen) == {("_parity_products", 1), ("_resolve", 1)}
+    blas.calls, seen[:] = [], []
+    sweep_roots(rows[0])
+    assert blas.calls == ["get", ("set", 1), ("set", 3)]
+    assert set(seen) == {("_parity_products", 1), ("_resolve", 1), ("_narrow", 1)}
 
 
 def test_one_blas_thread_is_restored_when_the_sweep_raises(monkeypatch):
@@ -857,10 +799,6 @@ def test_no_blas_library_leaves_the_sweep_as_it_is(monkeypatch, tmp_path):
     monkeypatch.setattr(rootcount, "_BLAS_GATE", _Untouched())
     assert np.array_equal(rootcount.sweep_count_batch(rows, t), want)
     sweep_roots(rows[0])
-    # nor is a large product dealt: the BLAS keeps its own threads for it
-    monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", 0)
-    monkeypatch.setattr(philox, "deal", lambda *args: _Untouched().__enter__())
-    assert np.array_equal(rootcount.sweep_count_batch(rows, t), want)
     # the lookup finds nothing where no library, or no loadable one, is there
     monkeypatch.setattr(rootcount.glob, "glob", lambda pattern: [])
     assert lookup() is None
@@ -899,15 +837,24 @@ def _rademacher_rows_with_exact_roots(n, trials):
 @pytest.mark.parametrize("n", [100, 1000])
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
 def test_sweep_counts_and_roots_do_not_depend_on_the_gate(monkeypatch, n, kind):
+    # from the mark on, run_experiment deals batches of half the rows over
+    # two shares, each row's exact roots divided out in its own batch:
+    # forced on and forced off, the counts of every region are the same
     rows = _gauss_rows(n, 24) if kind == "gaussian" else _rademacher_rows_with_exact_roots(n, 24)
     if kind == "rademacher":
-        assert (rootcount.exact_roots(rows)[2][::2, :2] > 0).all()
-    t = rootcount.sweep_grid(n)
-    spans = [(0, len(t) - 1), (0, len(t) // 2), (len(t) // 2, len(t) - 1)]
+        assert (rootcount.exact_roots(rows)[3][::2, :2] > 0).all()
+    monkeypatch.setattr(experiment, "noise_rows", lambda *args: rows[args[-2]:args[-1]].copy())
+    monkeypatch.setattr(philox, "_THREADS", 2)
+    batches, count = [], experiment._count_batch
+    monkeypatch.setattr(experiment, "_count_batch",
+                        lambda *args: batches.append(args[-2:]) or count(*args))
+    cfg = ExperimentConfig(scheme=CoeffScheme.power_law(0.0), dist=NoiseDistribution.RADEMACHER,
+                           degrees=[n], regions=list(REGIONS), trials=len(rows), master_seed=1)
     got = []
-    for gate in (math.inf, 0):      # forced on, forced off
+    for gate, want in ((0, [(0, 12), (12, 24)]), (math.inf, [(0, 24)])):  # forced on, off
         monkeypatch.setattr(rootcount, "_ONE_THREAD_MADDS", gate)
-        counts = rootcount.sweep_count_batch(rows, t, spans=spans, mirror_spans=spans)
-        roots = [sweep_roots(row) for row in rows[:4]]
-        got.append((counts.tobytes(), [(x.tobytes(), s.tobytes()) for x, s in roots]))
+        batches.clear()
+        res = run_experiment(cfg)
+        assert sorted(batches) == want
+        got.append([res.counts[(n, r)].tobytes() for r in REGIONS])
     assert got[0] == got[1]
