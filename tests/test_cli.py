@@ -79,7 +79,7 @@ def test_sample_bytes_are_pinned(capsys):
                     "--degree", "300", "--seed", "11")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "1773ececd20628a6e2f2b6b04b05497ad7f2975bf88c4a506f6707992a2d6e40"
+        "e58414988a182e5a80f13b39316c81f10d9ce5f17e184aefb0d323614a780ebf"
 
 
 def test_sample_requires_seed(capsys):

@@ -350,8 +350,8 @@ def test_an_error_in_a_dealt_batch_reaches_the_caller(monkeypatch):
 def test_dealt_degree_holds_one_batch_of_rows(monkeypatch):
     # at n = 3e4 two shares sweep 32 rows each at once, beside the Kac-Rice
     # column: the run, its plan built beforehand, stays within the bound of
-    # one batch of 64 rows on one thread.  Every thread draws with fresh
-    # Philox buffers, as the calling thread does: the pair that a pool
+    # one batch of 64 rows on one thread.  Every thread draws with a fresh
+    # Philox buffer, as the calling thread does: the buffer that a pool
     # thread keeps (started before the buffers are swapped) is per core,
     # not per row
     regions = ["01", "1inf", "sym", "R"]
@@ -359,7 +359,7 @@ def test_dealt_degree_holds_one_batch_of_rows(monkeypatch):
     monkeypatch.setattr(experiment, "_sweep_plan", lambda regions, n: plan)
     monkeypatch.setattr(philox, "_THREADS", 2)
     philox.deal(lambda share: None, range(2))
-    monkeypatch.setattr(philox, "_BUFFERS", threading.local())
+    monkeypatch.setattr(philox, "_BUFFER", threading.local())
     cfg = _dealt_config(30000, 64)
     tracemalloc.start()
     try:

@@ -1,9 +1,13 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,8 +95,12 @@ def test_stream_keys_equal_the_scalar_chain(seed):
 
 
 # ---------------------------------------------------------------------------
-# golden streams: SHA-256 of the variates, fixed before any kernel rewrite so
-# that every later kernel must reproduce today's streams bit for bit
+# golden streams: SHA-256 of the variates, which every later kernel must
+# reproduce bit for bit.  The uniform and Rademacher digests were fixed
+# before any kernel rewrite.  The Gaussian digests were pinned again once,
+# when the Box-Muller finish moved from np.log, np.cos and np.sin, whose
+# last bits depend on the SIMD kernels numpy picks for the CPU, to pinned
+# tables and IEEE arithmetic, which give the same bits on every x86-64 CPU
 # ---------------------------------------------------------------------------
 
 GOLDEN_KEYS = {
@@ -110,10 +118,10 @@ GOLDEN_RANGES = [(0, 1), (1, 1), (3, 1), (0, 2), (1, 2), (6, 2), (5, 37), (7, 10
                  (1, 70001), (2**33 + 1, 9), (2**40 - 3, 17)]
 
 GOLDEN_BLOCKS = {
-    ("gaussian", "zero"): "ac3560165c2c5086a780ac7c393bc669",
-    ("gaussian", "all-ones"): "d04b2e5d3d91e2e7e5f93b3572e8e206",
-    ("gaussian", "s1"): "9df439d623f6f7008fbbc11e619a3030",
-    ("gaussian", "s70812"): "0415a490f5ebf195670b906c05587282",
+    ("gaussian", "zero"): "d351137ae58e7a2ffe37767e9e3dc53f",
+    ("gaussian", "all-ones"): "00b61e6ceb372ec583728d4753ba833d",
+    ("gaussian", "s1"): "535b93838313669fe1aa0e3cf04a8599",
+    ("gaussian", "s70812"): "e61c1f26d790b2ae75c497007f8a6d84",
     ("rademacher", "zero"): "d7149e6c66731fdc6c876cb5b3378ca1",
     ("rademacher", "all-ones"): "678682a0ed657a00b47d01316fa8ea79",
     ("rademacher", "s1"): "266a731f372758613c6dcc94e3676e73",
@@ -126,16 +134,16 @@ GOLDEN_BLOCKS = {
 
 # one block of (1001)(1002) variates: a degree-2001 perturbation's draw
 GOLDEN_MELNIKOV_BLOCK = {
-    "gaussian": "6095922aab7526b5a343d3b2bb948a46",
+    "gaussian": "6849283892527b7860ffb6478e1aa017",
     "rademacher": "19654ea056fe82c34174cc037fb4fa94",
     "uniform": "78a46bdee61dec85a7219b4b59be3b5a",
 }
 
 GOLDEN_AT = {
-    ("gaussian", "zero"): "ee953af11aaa8d1bb1532d1ffd4dc75d",
-    ("gaussian", "all-ones"): "b7e341d55944dc685652882afc31b296",
-    ("gaussian", "s1"): "f888ceb83c9db5b7771249bf9fab4a9d",
-    ("gaussian", "s70812"): "bd9ba169d84af731879e82011b468e23",
+    ("gaussian", "zero"): "ab731cb09173a68c4b8640a11491aabf",
+    ("gaussian", "all-ones"): "ae2e732e38c2ae7634648d5ff025992d",
+    ("gaussian", "s1"): "92dccd347278064e07d6b3a66d2a02dc",
+    ("gaussian", "s70812"): "dee348e2d6b05fb9bece28dad10f5f29",
     ("rademacher", "zero"): "70ac7369b8af12f3becea56c9691249c",
     ("rademacher", "all-ones"): "40835b637241132daed7b25a20373ff0",
     ("rademacher", "s1"): "eaf7bc8a273b3f8e9a9aa67076acec41",
@@ -160,24 +168,186 @@ def _scattered_indices() -> np.ndarray:
                            [0, 1, 2, 3, 2**33, 5, 5, 4]]).astype(np.uint64)
 
 
+def _block_digest(dist, key_name):
+    return _digest(philox.variates_block(dist, GOLDEN_KEYS[key_name], c, start=s)
+                   for s, c in GOLDEN_RANGES)
+
+
+def _melnikov_digest(dist):
+    return _digest([philox.variates_block(dist, GOLDEN_KEYS["s1"], 1003002)])
+
+
+def _at_digest(dist, key_name):
+    return _digest([philox.variates_at(dist, GOLDEN_KEYS[key_name], _scattered_indices())])
+
+
+def _golden_digests(dists) -> dict:
+    """Every golden digest of ``dists``, drawn afresh."""
+    got = {}
+    for dist in dists:
+        got[f"melnikov {dist}"] = _melnikov_digest(dist)
+        for name in GOLDEN_KEYS:
+            got[f"block {dist} {name}"] = _block_digest(dist, name)
+            got[f"at {dist} {name}"] = _at_digest(dist, name)
+    return got
+
+
 @pytest.mark.parametrize("dist,key_name", sorted(GOLDEN_BLOCKS))
 def test_golden_block_streams(dist, key_name):
-    key = GOLDEN_KEYS[key_name]
-    got = _digest(philox.variates_block(dist, key, c, start=s)
-                  for s, c in GOLDEN_RANGES)
-    assert got == GOLDEN_BLOCKS[(dist, key_name)]
+    assert _block_digest(dist, key_name) == GOLDEN_BLOCKS[(dist, key_name)]
 
 
 @pytest.mark.parametrize("dist", sorted(GOLDEN_MELNIKOV_BLOCK))
 def test_golden_melnikov_size_block(dist):
-    block = philox.variates_block(dist, GOLDEN_KEYS["s1"], 1003002)
-    assert _digest([block]) == GOLDEN_MELNIKOV_BLOCK[dist]
+    assert _melnikov_digest(dist) == GOLDEN_MELNIKOV_BLOCK[dist]
 
 
 @pytest.mark.parametrize("dist,key_name", sorted(GOLDEN_AT))
 def test_golden_scattered_indices(dist, key_name):
-    got = philox.variates_at(dist, GOLDEN_KEYS[key_name], _scattered_indices())
-    assert _digest([got]) == GOLDEN_AT[(dist, key_name)]
+    assert _at_digest(dist, key_name) == GOLDEN_AT[(dist, key_name)]
+
+
+# A child process that prints ``_golden_digests`` of this file for the
+# distributions in argv[2].  With argv[3] = "no-libm" it first replaces
+# numpy's and math's libm functions by ones that raise; any other argv[3]
+# names numpy CPU features that the child reports if they are still on.
+_GOLDEN_CHILD = """
+import importlib.util, json, math, sys
+import numpy as np
+_LIBM = ("log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "pow", "power",
+         "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2",
+         "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "hypot", "cbrt")
+if sys.argv[3] == "no-libm":
+    def _libm(*args, **kwargs):
+        raise AssertionError("a libm call")
+    for mod in (np, math):
+        for name in _LIBM:
+            if hasattr(mod, name):
+                setattr(mod, name, _libm)
+    on = []
+else:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    on = [f for f in sys.argv[3].split() if umath.__cpu_features__.get(f)]
+spec = importlib.util.spec_from_file_location("golden_child", sys.argv[1])
+tests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tests)
+print(json.dumps({"still on": on, "digests": tests._golden_digests(sys.argv[2].split())}))
+"""
+
+
+def _golden_digests_in_child(dists, mode, env=()):
+    src = str(Path(philox.__file__).parents[1])
+    env = dict(os.environ, **dict(env),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, __file__, " ".join(dists), mode],
+                         env=env, check=True, capture_output=True, text=True, timeout=600)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def _avx512_group():
+    """numpy's dispatched AVX-512 features, if the CPU has AVX512F."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        from numpy.core import _multiarray_umath as umath
+    if not umath.__cpu_features__.get("AVX512F"):
+        return []
+    return [f for f in umath.__cpu_dispatch__ if f == "X86_V4" or f.startswith("AVX512")]
+
+
+def test_golden_streams_do_not_depend_on_cpu_features():
+    # a child with numpy's AVX-512 kernels masked runs the kernels of a CPU
+    # without AVX-512 (e.g. AMD Zen 2 or 3) and must draw the same bytes
+    group = _avx512_group()
+    if not group:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    dists = ["gaussian", "rademacher", "uniform"]
+    child = _golden_digests_in_child(dists, " ".join(group),
+                                     {"NPY_DISABLE_CPU_FEATURES": " ".join(group)})
+    assert child["still on"] == []
+    assert child["digests"] == _golden_digests(dists)
+
+
+def test_gaussian_draw_calls_no_libm():
+    # the tables are pinned, not computed at import, and the finish uses
+    # IEEE arithmetic alone: the same bytes with every libm function raising
+    child = _golden_digests_in_child(["gaussian"], "no-libm")
+    assert child["digests"] == _golden_digests(["gaussian"])
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian finish's pinned tables and its accuracy, against mpmath
+# ---------------------------------------------------------------------------
+
+def _round53(mp, x):
+    with mp.workprec(53):
+        y = +x   # round to nearest double
+    f = float(y)
+    assert mp.mpf(f) == y
+    return f
+
+
+def test_gaussian_tables_are_correctly_rounded():
+    mp = pytest.importorskip("mpmath")
+    with mp.workprec(120):
+        for j in range(1024):
+            # cos and sin of 2 pi j / 1024, exact at the quadrant points
+            assert philox._CIRCLE[0, j] == _round53(mp, mp.cospi(mp.mpf(j) / 512)), j
+            assert philox._CIRCLE[1, j] == _round53(mp, mp.sinpi(mp.mpf(j) / 512)), j
+        for i in range(256, 512):
+            c = mp.mpf(i) / 512 if i < 511 else mp.mpf(1)
+            assert philox._LOG_C[i] == c
+            t = -2 * mp.log(c)
+            hi = mp.nint(t * 2**42) / 2**42
+            assert philox._LOG_HI[i] == hi, i
+            assert philox._LOG_LO[i] == _round53(mp, t - hi), i
+
+
+def _finish_words(w0, w1):
+    """The Gaussian finish of the 64-bit word pairs (w0, w1), per counter."""
+    out = np.empty((len(w0), 2))
+    for q0 in range(0, len(w0), philox.CHUNK):
+        q1 = min(q0 + philox.CHUNK, len(w0))
+        k = philox._Kernel(np.zeros(1, dtype=np.uint64), q1 - q0)
+        z = philox._view(k.buf, 0, 2, (2, 1, q1 - q0))
+        z[0, 0], z[1, 0] = w0[q0:q1], w1[q0:q1]
+        philox._finish_gaussian(k, z, out[None, q0:q1])
+    return out
+
+
+def test_gaussian_finish_accuracy():
+    mp = pytest.importorskip("mpmath")
+    # sampled counters: the words of one stream, checked against its draw
+    key = philox.stream_key(2021)
+    w = [x.astype(np.uint64) for x in philox.philox4x32(key, np.arange(2048, dtype=np.uint64))]
+    w0, w1 = (w[0] << np.uint64(32)) | w[1], (w[2] << np.uint64(32)) | w[3]
+    assert np.array_equal(_finish_words(w0, w1).ravel(),
+                          philox.variates_block("gaussian", key, 4096))
+    # u1 = (h1 + 1) 2^-53 at its ends and around 1/2; angles w 2^-64 turns
+    # on both sides of every table-cell edge and at the quadrant edges
+    h1s = [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+    edges = [x % 2**64 for j in range(1024) for x in (j * 2**54 + 2**53 - 1, j * 2**54 + 2**53)]
+    edges += [(k * 2**62 + dk) % 2**64 for k in range(4) for dk in (-1, 0, 1)]
+    a = w0.tolist() + w0[:len(edges)].tolist()
+    b = w1.tolist() + edges
+    for h1 in h1s:
+        a += [h1 << 11 | 1234] * (len(edges) + 256)
+        b += edges + w1[:256].tolist()
+    got = _finish_words(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+    worst = 0.0
+    with mp.workprec(120):
+        for (x, y), wa, wb in zip(got.tolist(), a, b):
+            r = mp.sqrt(-2 * mp.log(mp.mpf((wa >> 11) + 1) / 2**53))
+            th = 2 * mp.pi * mp.mpf(wb) / 2**64
+            err = max(abs(x - r * mp.cos(th)), abs(y - r * mp.sin(th)))
+            # 1e-15, but four roundings of r for r > 4.5: at h1 = 0 and 1
+            # (r = 8.5) the float spacing of the value alone is 1.8e-15
+            assert err <= max(1e-15, 2.0**-51 * r), (wa, wb, float(err))
+            worst = max(worst, float(err / max(1e-15, 2.0**-51 * r)))
+    print(f"worst error {worst:.2f} of its bound over {len(a)} counters")
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "rademacher", "uniform"])
@@ -334,18 +504,18 @@ def _peak_bytes(draw):
 
 
 def test_pool_threads_keep_their_kernel_buffers(monkeypatch):
-    # a pool thread keeps one word and float buffer pair across calls, so a
-    # 64 x 3001 draw in two shares peaks no higher than with a fresh pair
-    # per share (7 x 8 bytes per cell of a chunk), and once the pool thread
-    # has drawn, one pair lower; the calling thread frees its pair
+    # a pool thread keeps one word buffer across calls, so a 64 x 3001 draw
+    # in two shares peaks no higher than with a fresh buffer per share (4 x
+    # 8 bytes per cell of a tile), and once the pool thread has drawn, one
+    # buffer lower; the calling thread frees its buffer
     keys = philox.stream_key(3, np.arange(64), philox.LANE_XI)
-    pair = 7 * 8 * philox.CHUNK
+    buf = 4 * 8 * philox.CHUNK
     monkeypatch.setattr(philox, "_THREADS", 2)
     monkeypatch.setattr(philox, "_POOL", ThreadPoolExecutor(1, initializer=philox._mark_pool_thread))
     try:
         peaks = [_peak_bytes(lambda: philox.variates_block("gaussian", keys, 3001))
                  for _ in range(2)]
-        assert peaks[0] < 2 * pair + pair // 4 and peaks[1] < pair + pair // 4
+        assert peaks[0] < 2 * buf + buf // 4 and peaks[1] < buf + buf // 4
         tracemalloc.start()
         try:
             out = philox.variates_block("gaussian", keys, 3001)
@@ -354,7 +524,7 @@ def test_pool_threads_keep_their_kernel_buffers(monkeypatch):
             tracemalloc.stop()
     finally:
         philox._POOL.shutdown()
-    # a tiny draw on a fresh pool thread keeps a pair of its own size
+    # a tiny draw on a fresh pool thread keeps a buffer of its own size
     pool, kept = ThreadPoolExecutor(1, initializer=philox._mark_pool_thread), []
 
     def tiny():

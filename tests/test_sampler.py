@@ -112,9 +112,10 @@ def test_melnikov_lazy_matches_materialized():
 
 
 # SHA-256 of seeded perturbations: the materialized alpha and beta, and the
-# Melnikov reduction of the seeded and the materialized form.  Like the
-# Philox golden hashes it depends on numpy's float kernels.
-_PERTURBATION_SHA256 = "cfde0a0f9d4d815c60f3a09c6989e63e6787af5116f617475dd4344b759aaa60"
+# Melnikov reduction of the seeded and the materialized form.  It follows
+# the Philox golden streams (tests/test_philox.py), and was pinned again with
+# their Gaussian digests when the Box-Muller finish stopped calling the libm.
+_PERTURBATION_SHA256 = "33ca4da533af0c056d1fb3bb52e9c005528f6c6c3e716c2810525ae557547ea0"
 
 
 def test_perturbation_draw_is_pinned():
