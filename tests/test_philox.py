@@ -375,8 +375,9 @@ def test_multi_key_words_equal_per_key_words():
 # ---------------------------------------------------------------------------
 
 _TILE_CASES = [
-    # one key: many whole tiles, then a ragged last tile, from an odd start
-    (philox.stream_key(3, 1, philox.LANE_PERT), 7, 5 * philox.CHUNK + 1001),
+    # one key: whole tiles, then a ragged last tile, from an odd start
+    # (41461 counters: more than one tile for any CHUNK up to 41460)
+    (philox.stream_key(3, 1, philox.LANE_PERT), 7, 82921),
     # many keys stacked several to a tile, the last tile holding fewer
     (np.array([philox.stream_key(3, t) for t in range(37)] + [0, 2**64 - 1],
               dtype=np.uint64), 5, 1999),
