@@ -1,19 +1,24 @@
 """Exact real-root counting via Sturm chains over integer arithmetic.
 
 Serves as the oracle against which the floating companion-matrix counts are
-checked.  Polynomials are lists of big integers (ascending powers); the
-remainder sequence uses pseudo-division with content stripping so every
-intermediate stays an exact integer polynomial.  Counts include multiplicity:
-the square-free part is counted through the chain and deeper layers are
-recovered by recursing on gcd(f, f').
+checked.  Polynomials are lists of big integers (ascending powers).  Each
+multiplicity level builds one chain, the signed remainder sequence of p and
+p', by pseudo-division with content stripping, so every member stays an
+exact integer polynomial.  Sturm's theorem holds for this chain whether or
+not p is square-free: at points that are not roots of p, its sign
+variations count the distinct roots between them.  The chain's last member
+is gcd(p, p'), whose roots are those of p with one multiplicity fewer, so
+recursing on it until it is constant counts roots with multiplicity.
+Signs are taken with integers only: an endpoint u/q enters in homogeneous
+form, as the sign of q^n p(u/q), and the infinities as u = +-1, q = 0.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd as _int_gcd
 
-from .errors import DegreeTooLargeError, ZeroPolynomialError
+from .errors import DegreeTooLargeError, DomainError, ZeroPolynomialError
 
 MAX_DEGREE = 64
 
@@ -24,20 +29,9 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = _int_gcd(g, abs(c))
-    return g or 1
-
-
 def _primitive(p: list[int]) -> list[int]:
-    g = _content(p)
+    g = math.gcd(*p)
     return [c // g for c in p]
-
-
-def _derivative(p: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -63,10 +57,9 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _sturm_chain(p: list[int]) -> list[list[int]]:
-    chain = [_primitive(list(p))]
-    d = _trim(_derivative(p))
-    if d:
-        chain.append(_primitive(d))
+    """p, p', then -rem of the last two until it vanishes or is constant;
+    the last member is gcd(p, p') up to a positive factor."""
+    chain = [_primitive(p), _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
         r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
@@ -75,145 +68,84 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
     return chain
 
 
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    a, b = _primitive(_trim(list(a))), _primitive(_trim(list(b)))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) == 1:
-            return [1]
-        r = _pseudo_rem(a, b)
-        a, b = b, (_primitive(r) if r else [])
-    return a if a else [1]
-
-
-def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
-    """a / b over the rationals, result cleared back to primitive ints."""
-    fa = [Fraction(c) for c in a]
-    db = len(b) - 1
-    out = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        q = fa[i] / b[-1]
-        out[i - db] = q
-        for j in range(db + 1):
-            fa[i - db + j] -= q * b[j]
-    den = 1
-    for c in out:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return _primitive([int(c * den) for c in out])
-
-
-def _eval_sign(p: list[int], x) -> int:
-    """Sign of p at x; x is a Fraction, int, or +-inf string marker."""
-    if x == "-inf":
-        s = 1 if p[-1] > 0 else -1
-        return s if (len(p) - 1) % 2 == 0 else -s
-    if x == "+inf":
-        return 1 if p[-1] > 0 else -1
-    if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
-        xi = int(x)
-        acc = 0
-        for c in reversed(p):
-            acc = acc * xi + c
-        return (acc > 0) - (acc < 0)
-    acc = Fraction(0)
+def _eval_sign(p: list[int], u: int, q: int) -> int:
+    """Sign of q^n p(u/q) = sum c_i u^i q^(n-i), n = deg p, for q >= 0."""
+    acc, w = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * u + c * w
+        w *= q
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[list[int]], x) -> int:
-    signs = [s for s in (_eval_sign(p, x) for p in chain) if s != 0]
+def _variations(chain: list[list[int]], u: int, q: int) -> int:
+    signs = [s for s in (_eval_sign(p, u, q) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _eval_zero(p: list[int], x) -> bool:
-    return _eval_sign(p, x) == 0
+def _deflate(p: list[int], u: int, q: int) -> tuple[list[int], int]:
+    """Divide out (q t - u)^k exactly; returns (deflated, k).
 
-
-def _deflate(p: list[int], x: Fraction) -> tuple[list[int], int]:
-    """Divide out (t - x)^k exactly; returns (deflated, k)."""
+    With gcd(u, q) = 1, q t - u is primitive, so by Gauss's lemma each
+    quotient has integer coefficients and the synthetic division is exact.
+    """
     k = 0
-    while len(p) > 1 and _eval_zero(p, x):
-        acc = Fraction(p[-1])
-        res = [Fraction(0)] * (len(p) - 1)
-        for i in range(len(p) - 2, -1, -1):
-            res[i] = acc
-            acc = Fraction(p[i]) + acc * x
-        d = 1
-        for c in res:
-            d = d * c.denominator // _int_gcd(d, c.denominator)
-        p = _primitive([int(c * d) for c in res])
-        k += 1
+    while len(p) > 1 and _eval_sign(p, u, q) == 0:
+        s, acc = [0] * (len(p) - 1), 0
+        for i in range(len(p) - 1, 0, -1):
+            acc = (p[i] + u * acc) // q
+            s[i - 1] = acc
+        p, k = s, k + 1
     return p, k
-
-
-def _count_distinct_open(p: list[int], lo, hi) -> int:
-    """Distinct roots of square-free p in the open interval; endpoints must
-    not be roots of p."""
-    chain = _sturm_chain(p)
-    return _variations(chain, lo) - _variations(chain, hi)
-
-
-def _square_free(p: list[int]) -> tuple[list[int], list[int]]:
-    """Returns (square-free part, gcd(p, p'))."""
-    g = _poly_gcd(p, _derivative(p))
-    if len(g) == 1:
-        return p, []
-    return _poly_div_exact(p, g), g
 
 
 def _count_mult_open(p: list[int], lo, hi) -> int:
     """Roots in the open interval counted with multiplicity (endpoints are
     assumed not to be roots of p)."""
-    if len(p) <= 1:
-        return 0
-    sf, g = _square_free(p)
-    c = _count_distinct_open(sf, lo, hi)
-    if g:
-        c += _count_mult_open(g, lo, hi)
-    return c
+    total = 0
+    while len(p) > 1:
+        chain = _sturm_chain(p)
+        total += _variations(chain, *lo) - _variations(chain, *hi)
+        p = chain[-1]
+    return total
+
+
+def _integer(c) -> int:
+    try:
+        if int(c) == c:
+            return int(c)
+    except (ValueError, OverflowError):
+        pass
+    raise DomainError(f"coefficient {c!r} is not an integer")
+
+
+def _point(x) -> tuple[int, int]:
+    """Endpoint x as (u, q) with x = u/q in lowest terms, q >= 0."""
+    if x in (math.inf, -math.inf):
+        return (1 if x > 0 else -1), 0
+    f = Fraction(x)
+    return f.numerator, f.denominator
 
 
 def sturm_count(int_coeffs, interval) -> int:
     """Exact count (with multiplicity) of real roots in an interval.
 
-    Coefficients must be integers (ascending powers); the interval carries
-    rational or infinite endpoints with open/closed flags.  Degree is guarded
-    at MAX_DEGREE to bound exact-arithmetic cost.
+    Coefficients must be integer values (ascending powers; a non-integral
+    one raises DomainError); the interval carries rational or infinite
+    endpoints with open/closed flags.  Degree is guarded at MAX_DEGREE to
+    bound exact-arithmetic cost.
     """
-    p = _trim([int(c) for c in int_coeffs])
+    p = _trim([_integer(c) for c in int_coeffs])
     if not p:
         raise ZeroPolynomialError("all coefficients are zero")
     if len(p) - 1 > MAX_DEGREE:
         raise DegreeTooLargeError(f"degree {len(p)-1} exceeds guard {MAX_DEGREE}")
-    if len(p) == 1:
+    if interval.lo > interval.hi:
         return 0
 
-    lo_inf = interval.lo == float("-inf")
-    hi_inf = interval.hi == float("inf")
-    lo = "-inf" if lo_inf else Fraction(interval.lo)
-    hi = "+inf" if hi_inf else Fraction(interval.hi)
-    if not lo_inf and not hi_inf and lo > hi:
-        return 0
-
-    total = 0
-    mult_lo = mult_hi = 0
-    if not lo_inf:
-        p, mult_lo = _deflate(p, lo)
-    if not hi_inf and (lo_inf or hi != lo):
-        p, mult_hi = _deflate(p, hi)
-    elif not hi_inf:
-        mult_hi = mult_lo
-
-    if not lo_inf and not hi_inf and lo == hi:
-        if interval.closed_lo and interval.closed_hi:
-            return mult_lo
-        return 0
-
-    total += _count_mult_open(p, lo, hi)
-    if interval.closed_lo:
-        total += mult_lo
-    if interval.closed_hi:
-        total += mult_hi
-    return total
+    lo, hi = _point(interval.lo), _point(interval.hi)
+    p, mult_lo = _deflate(p, *lo)
+    if lo == hi:
+        return mult_lo if interval.closed_lo and interval.closed_hi else 0
+    p, mult_hi = _deflate(p, *hi)
+    return (_count_mult_open(p, lo, hi) + interval.closed_lo * mult_lo
+            + interval.closed_hi * mult_hi)

@@ -124,6 +124,41 @@ def test_sturm_guards():
         sturm_count([0, 0], Interval(0, 1))
     with pytest.raises(DegreeTooLargeError):
         sturm_count([1] * 70, Interval(0, 1))
+    # (x - 1/2)(x - 1) has two roots in (0, 2); a non-integral coefficient
+    # is refused, not truncated
+    for bad in ([0.5, -1.5, 1], [math.nan, 1], [1, math.inf]):
+        with pytest.raises(DomainError):
+            sturm_count(bad, Interval(0, 2))
+    assert sturm_count([1, -3, 2], Interval(0, 2)) == 2
+    assert sturm_count([1.0, np.int64(-3), 2.0], Interval(0, 2)) == 2
+
+
+def test_sturm_counts_known_dyadic_factors():
+    """Products of (q x - u)^k with q in {1, 2, 4, 8}, some times a root-free
+    x^2 + a, counted on intervals whose float ends sit on roots and off them;
+    the expected count is read from the factor list."""
+    rng = np.random.default_rng(32)
+    for _ in range(48):
+        poly, roots = [1], []
+        if rng.random() < 0.3:
+            poly = [int(rng.integers(1, 10)), 0, 1]
+        for _ in range(int(rng.integers(1, 17))):
+            q, k = int(rng.choice([1, 2, 4, 8])), int(rng.integers(1, 5))
+            u = int(rng.integers(-3 * q, 3 * q + 1))
+            if len(poly) - 1 + k > 64:
+                break
+            roots.append((u / q, k))
+            for _ in range(k):
+                poly = [q * b - u * a for a, b in zip(poly + [0], [0] + poly)]
+        ends = [r for r, _ in roots] + [r + d for r, _ in roots for d in (-1 / 16, 3 / 8)]
+        ends += [float(x) for x in rng.uniform(-4, 4, 3)] + [-math.inf, math.inf]
+        for _ in range(12):
+            lo, hi = sorted(float(x) for x in rng.choice(ends, 2))
+            closed_lo, closed_hi = (bool(b) for b in rng.integers(0, 2, 2))
+            iv = Interval(lo, hi, closed_lo and math.isfinite(lo),
+                          closed_hi and math.isfinite(hi))
+            want = sum(k for r, k in roots if iv.contains(r))
+            assert sturm_count(poly, iv) == want, (roots, iv)
 
 
 def test_companion_agrees_with_sturm(rng):
